@@ -7,6 +7,8 @@ so that solver traces are reproducible bit-for-bit given a seed.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import AllWeightsZero, FactorizationFailure
@@ -88,8 +90,8 @@ def draw_weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     weights = np.asarray(weights, dtype=float)
     cumulative = np.cumsum(weights)
     total = float(cumulative[-1]) if cumulative.size else 0.0
-    if not np.isfinite(total) or total <= 0.0:
+    if not math.isfinite(total) or total <= 0.0:
         raise AllWeightsZero("sampling weights must have a positive finite sum")
     u = rng.random() * total
-    idx = int(np.searchsorted(cumulative, u, side="right"))
+    idx = int(cumulative.searchsorted(u, side="right"))
     return min(idx, len(weights) - 1)

@@ -24,9 +24,14 @@ from .numerics import seeded_rng
 def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
     """Entry j is the product of all entries except x[j], division-free so
     zero entries stay exact."""
-    prefix = np.concatenate(([1.0], np.cumprod(x)[:-1]))
-    suffix = np.concatenate((np.cumprod(x[::-1])[:-1][::-1], [1.0]))
-    return prefix * suffix
+    out = np.empty_like(x)
+    suffix = np.empty_like(x)
+    out[0] = 1.0
+    suffix[-1] = 1.0
+    np.cumprod(x[:-1], out=out[1:])
+    np.cumprod(x[:0:-1], out=suffix[-2::-1])
+    out *= suffix
+    return out
 
 
 def brown_residual(n: int, x: np.ndarray) -> np.ndarray:
@@ -61,6 +66,8 @@ class BrownProblem(ProblemInstance):
         idx = np.arange(n - 1)
         template[idx, idx] = 2.0
         self._jac_template = template
+        # affine rows have the constant norm n + 3; only the product row moves
+        self._norms_template = np.full(n, n + 3.0)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         return brown_residual(self.n, x)
@@ -76,8 +83,7 @@ class BrownProblem(ProblemInstance):
         return J
 
     def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
-        # affine rows have the constant norm n + 3; only the product row moves
-        norms = np.full(self.n, self.n + 3.0)
+        norms = self._norms_template.copy()
         products = _leave_one_out_products(np.asarray(x, dtype=float))
         norms[self.n - 1] = np.einsum("i,i->", products, products)
         return norms

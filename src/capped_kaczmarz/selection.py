@@ -11,6 +11,17 @@ Two families of data-dependent thresholds over the current residual
 
 A sampled index is then drawn from the kept set with probability
 proportional to the rule-specific weights.
+
+Only rows with a numerically nonzero gradient are eligible for the distance
+ratios: row i is active when ``||grad_i||^2 > max(ACTIVE_ABS_FLOOR,
+ACTIVE_REL_EPS * median_j ||grad_j||^2)``.  The median costs a partial sort,
+so :meth:`RowGeometry.from_state` skips it when the smallest norm exceeds
+both ``ACTIVE_ABS_FLOOR`` and ``ACTIVE_REL_EPS * max_j ||grad_j||^2``: the
+median of finite norms is at most their maximum, and rounding a product
+with a positive constant keeps that order, so every row is active either
+way, and the active sums are then the full sums over the same array.
+The result is the same mask and the same floats as the median path, which
+every other input (NaN or infinite norms included) still takes.
 """
 
 from __future__ import annotations
@@ -42,7 +53,11 @@ class RowGeometry:
     ``active`` masks the rows eligible for distance ratios;
     ``active_residual_sq`` / ``active_fro_sq`` are the same norms restricted
     to those rows (identical to the full norms whenever every row is
-    active, which is the generic case).
+    active, which is the generic case).  ``res_sq`` holds ``|f_i|^2`` and
+    ``ratios`` holds ``|f_i|^2 / ||grad_i||^2`` on active rows and ``-inf``
+    elsewhere; ``top_ratio_row`` and ``top_residual_row`` are their argmax
+    rows.  Both rules read these arrays, so one selection pass squares the
+    residual once.
     """
 
     residual: np.ndarray
@@ -52,6 +67,10 @@ class RowGeometry:
     active: np.ndarray
     active_residual_sq: float
     active_fro_sq: float
+    res_sq: np.ndarray
+    ratios: np.ndarray
+    top_ratio_row: int
+    top_residual_row: int
 
     @classmethod
     def from_state(cls, residual: np.ndarray, grad_sq_norms: np.ndarray) -> "RowGeometry":
@@ -59,20 +78,41 @@ class RowGeometry:
         grad_sq_norms = np.asarray(grad_sq_norms, dtype=float)
         if residual.shape != grad_sq_norms.shape:
             raise ValueError("residual and gradient norms must have equal length")
-        scale = float(np.median(grad_sq_norms)) if grad_sq_norms.size else 0.0
-        if not np.isfinite(scale):
-            scale = float(np.max(grad_sq_norms[np.isfinite(grad_sq_norms)], initial=0.0))
-        cutoff = max(ACTIVE_ABS_FLOOR, ACTIVE_REL_EPS * scale)
-        active = grad_sq_norms > cutoff
+        if residual.size == 0:
+            raise ValueError("row geometry needs at least one row")
         res_sq = residual * residual
+        residual_sq = float(res_sq.sum())
+        jac_fro_sq = float(grad_sq_norms.sum())
+        lo = grad_sq_norms.min()
+        if lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq_norms.max():
+            # the median cannot matter (see the module docstring): every row
+            # is active, and the active sums are the full sums over the same
+            # array in the same order.  NaN or infinite norms fail a
+            # comparison and take the median path.
+            active = np.ones(residual.shape, dtype=bool)
+            active_residual_sq, active_fro_sq = residual_sq, jac_fro_sq
+            ratios = res_sq / grad_sq_norms
+        else:
+            scale = float(np.median(grad_sq_norms))
+            if not np.isfinite(scale):
+                scale = float(np.max(grad_sq_norms[np.isfinite(grad_sq_norms)], initial=0.0))
+            cutoff = max(ACTIVE_ABS_FLOOR, ACTIVE_REL_EPS * scale)
+            active = grad_sq_norms > cutoff
+            active_residual_sq = float(res_sq[active].sum())
+            active_fro_sq = float(grad_sq_norms[active].sum())
+            ratios = np.where(active, res_sq / np.where(active, grad_sq_norms, 1.0), -np.inf)
         return cls(
             residual=residual,
             grad_sq_norms=grad_sq_norms,
-            residual_sq=float(res_sq.sum()),
-            jac_fro_sq=float(grad_sq_norms.sum()),
+            residual_sq=residual_sq,
+            jac_fro_sq=jac_fro_sq,
             active=active,
-            active_residual_sq=float(res_sq[active].sum()),
-            active_fro_sq=float(grad_sq_norms[active].sum()),
+            active_residual_sq=active_residual_sq,
+            active_fro_sq=active_fro_sq,
+            res_sq=res_sq,
+            ratios=ratios,
+            top_ratio_row=int(ratios.argmax()),
+            top_residual_row=int(res_sq.argmax()),
         )
 
     @property
@@ -114,8 +154,7 @@ def compute_epsilon(g: RowGeometry, mode: ThresholdMode) -> float:
         raise DegenerateState("every row gradient vanished")
     if g.active_residual_sq <= 0.0:
         raise DegenerateState("all residual mass sits on zero-gradient rows")
-    ratios = g.residual[g.active] ** 2 / g.grad_sq_norms[g.active]
-    max_ratio = float(ratios.max())
+    max_ratio = float(g.ratios[g.top_ratio_row])
     if isinstance(mode, Convex):
         return mode.theta * max_ratio / g.active_residual_sq + (1.0 - mode.theta) / g.active_fro_sq
     if isinstance(mode, Scaled):
@@ -132,17 +171,15 @@ def build_distance_set(g: RowGeometry, eps: float) -> SelectionResult:
     in exact arithmetic, so it is kept unconditionally; this pins the set
     nonempty when rounding perturbs an exact tie.
     """
-    res_sq = g.residual * g.residual
-    mask = g.active & (res_sq >= eps * g.active_residual_sq * g.grad_sq_norms)
-    ratios = np.where(g.active, res_sq / np.where(g.active, g.grad_sq_norms, 1.0), -np.inf)
-    mask[int(np.argmax(ratios))] = True
+    mask = g.active & (g.res_sq >= eps * g.active_residual_sq * g.grad_sq_norms)
+    mask[g.top_ratio_row] = True
     indices = np.flatnonzero(mask)
     if indices.size == 0:
         raise EmptySet("distance set came out empty; threshold inconsistent with geometry")
     return SelectionResult(
         indices=indices,
         threshold=eps,
-        weights=res_sq[indices],
+        weights=g.res_sq[indices],
         kind=SelectionKind.DISTANCE,
     )
 
@@ -157,7 +194,7 @@ def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
     """
     if g.residual_sq <= 0.0:
         raise DegenerateState("residual threshold undefined at zero residual")
-    max_res_sq = float((g.residual * g.residual).max())
+    max_res_sq = float(g.res_sq[g.top_residual_row])
     if isinstance(mode, Convex):
         return mode.theta * max_res_sq / g.residual_sq + (1.0 - mode.theta) / g.m
     if isinstance(mode, Scaled):
@@ -175,15 +212,12 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
     threshold in exact arithmetic), pinning the set nonempty under
     rounding.
     """
-    res_sq = g.residual * g.residual
-    mask = res_sq >= delta * g.residual_sq
-    mask[int(np.argmax(res_sq))] = True
+    mask = g.res_sq >= delta * g.residual_sq
+    mask[g.top_residual_row] = True
     indices = np.flatnonzero(mask)
     if indices.size == 0:
         raise EmptySet("residual set came out empty; threshold inconsistent with geometry")
-    weights = np.where(
-        g.active[indices], res_sq[indices] / np.where(g.active[indices], g.grad_sq_norms[indices], 1.0), 0.0
-    )
+    weights = np.where(g.active[indices], g.ratios[indices], 0.0)
     if not weights.any():
         raise AllWeightsZero("every selected row has a vanishing gradient")
     return SelectionResult(

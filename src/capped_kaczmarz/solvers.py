@@ -145,7 +145,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                 selected, set_size = (i,), len(sel)
             elif method in BLOCK_KINDS:
                 J = problem.jacobian(x)
-                g = RowGeometry.from_state(r, row_sq_norms(J))
+                g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
                 kind = (
                     SelectionKind.DISTANCE
                     if method is MethodKind.DB_CNK
@@ -174,26 +174,25 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     )
 
 
-def hybrid_linear_substep(glm: GLMProblem, x: np.ndarray) -> np.ndarray:
-    """Minimum-norm solve of the affine head rows.  The head Jacobian has
-    full row rank (identity block on w), so those rows are annihilated
-    exactly by one projection."""
-    r_head = glm.residual(x)[: glm.d]
-    return x - min_norm_least_squares(glm.linear_head_jacobian(), r_head)
+def hybrid_linear_substep(glm: GLMProblem, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Minimum-norm solve of the affine head rows, given the residual ``r``
+    at ``x``.  The head Jacobian has full row rank (identity block on w), so
+    those rows are annihilated exactly by one projection."""
+    return x - min_norm_least_squares(glm.linear_head_jacobian(), r[: glm.d])
 
 
-def hybrid_tail_selection(glm: GLMProblem, x: np.ndarray, kind: SelectionKind, mode):
-    """Greedy capped selection restricted to the p nonlinear tail rows.
+def hybrid_tail_selection(glm: GLMProblem, x: np.ndarray, r: np.ndarray, kind: SelectionKind, mode):
+    """Greedy capped selection restricted to the p nonlinear tail rows,
+    given the residual ``r`` at ``x``.
 
     The geometry (norms, thresholds, row count) is that of the tail
     subsystem; returned indices are global row indices of the full system.
     """
-    r = glm.residual(x)
     J = glm.jacobian(x)
     tail_rows = slice(glm.d, glm.d + glm.p)
     g = RowGeometry.from_state(r[tail_rows], row_sq_norms(J[tail_rows]))
     sel = _greedy_selection(g, kind, mode)
-    return sel, sel.indices + glm.d, r, J
+    return sel, sel.indices + glm.d, J
 
 
 def solve_glm_hybrid(glm: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> SolveTrace:
@@ -226,7 +225,8 @@ def solve_glm_hybrid(glm: ProblemInstance, x0: np.ndarray, config: SolverConfig)
     k = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
-            residual_sq = float(np.sum(glm.residual(x) ** 2))
+            r = glm.residual(x)
+            residual_sq = float(np.sum(r**2))
         error_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
         if iterates is not None:
             iterates.append(x.copy())
@@ -245,14 +245,15 @@ def solve_glm_hybrid(glm: ProblemInstance, x0: np.ndarray, config: SolverConfig)
             break
 
         try:
-            x_mid = hybrid_linear_substep(glm, x)
-            tail_sq = float(np.sum(glm.residual(x_mid)[glm.d:] ** 2))
+            x_mid = hybrid_linear_substep(glm, x, r)
+            r_mid = glm.residual(x_mid)
+            tail_sq = float(np.sum(r_mid[glm.d:] ** 2))
             if tail_sq == 0.0:
                 # tail exactly solved: nothing left for the greedy block
                 x = x_mid
                 selected, set_size = (), 0
             else:
-                sel, global_rows, r_mid, J_mid = hybrid_tail_selection(glm, x_mid, kind, config.threshold)
+                sel, global_rows, J_mid = hybrid_tail_selection(glm, x_mid, r_mid, kind, config.threshold)
                 x = x_mid - min_norm_least_squares(J_mid[global_rows], r_mid[global_rows])
                 selected, set_size = tuple(int(j) for j in global_rows), len(sel)
         except _BREAKDOWN_ERRORS:

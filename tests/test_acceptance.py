@@ -348,7 +348,7 @@ def test_criterion_08_glm_end_to_end():
         glm, x0, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, record_iterates=True)
     )
     for x in trace.iterates[:-1]:
-        mid = hybrid_linear_substep(glm, x)
+        mid = hybrid_linear_substep(glm, x, glm.residual(x))
         head = glm.residual(mid)[: glm.d]
         assert np.all(np.abs(head) <= 1e-12)
     report(

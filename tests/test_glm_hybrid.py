@@ -45,7 +45,7 @@ def test_linear_substep_annihilates_head_rows(small_glm):
     rng = np.random.default_rng(1)
     for _ in range(20):
         x = rng.standard_normal(small_glm.n)
-        x_mid = hybrid_linear_substep(small_glm, x)
+        x_mid = hybrid_linear_substep(small_glm, x, small_glm.residual(x))
         head = small_glm.residual(x_mid)[: small_glm.d]
         assert np.all(np.abs(head) <= 1e-12)
 
@@ -58,7 +58,7 @@ def test_tail_selection_nonempty_and_global_indices(small_glm):
         if float(tail @ tail) == 0.0:
             continue
         for kind in (SelectionKind.DISTANCE, SelectionKind.RESIDUAL):
-            sel, global_rows, _, _ = hybrid_tail_selection(small_glm, x, kind, Convex(0.5))
+            sel, global_rows, _ = hybrid_tail_selection(small_glm, x, small_glm.residual(x), kind, Convex(0.5))
             assert len(sel) >= 1
             assert np.all(global_rows >= small_glm.d)
             assert np.all(global_rows < small_glm.m)

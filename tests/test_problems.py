@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capped_kaczmarz.errors import DimensionMismatch
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem,
     GLMProblem,
+    _leave_one_out_products,
     brown_grad_row,
     brown_residual,
     known_root_check,
@@ -48,6 +51,17 @@ class TestBrown:
         # division-free leave-one-out products stay exact with zero entries
         x = np.array([2.0, 0.0, 3.0])
         assert brown_grad_row(3, 2, x).tolist() == [0.0, 6.0, 0.0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
+    def test_leave_one_out_products_bitwise_match_concatenate_form(self, entries):
+        x = np.array(entries)
+        with np.errstate(all="ignore"):
+            prefix = np.concatenate(([1.0], np.cumprod(x)[:-1]))
+            suffix = np.concatenate((np.cumprod(x[::-1])[:-1][::-1], [1.0]))
+            expected = prefix * suffix
+            got = _leave_one_out_products(x)
+        assert got.tobytes() == expected.tobytes()
 
     def test_gradients_match_finite_differences(self):
         problem = BrownProblem(6)

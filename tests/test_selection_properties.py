@@ -1,11 +1,16 @@
 """Property tests for the greedy threshold identities."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capped_kaczmarz.core import Convex, Scaled
+from capped_kaczmarz.errors import AllWeightsZero, DegenerateState, EmptySet
+from capped_kaczmarz.problems import BrownProblem
 from capped_kaczmarz.selection import (
+    ACTIVE_ABS_FLOOR,
+    ACTIVE_REL_EPS,
     RowGeometry,
     build_distance_set,
     build_residual_set,
@@ -103,3 +108,149 @@ def test_homogeneity_under_common_rescaling(g, exponent):
                 scaled_d.weights / scaled_d.weights.sum(),
                 rtol=1e-12,
             )
+
+
+# --- the stored row arrays and the median shortcut against a reference -----
+#
+# The reference below always takes the median path of the eligibility rule
+# and recomputes the squares, ratios and maxima inside each rule, as the
+# selection layer did before it cached them.  ``RowGeometry.from_state`` may
+# skip the median only when that cannot change the mask, so every field and
+# every set must agree bit for bit.
+
+
+def reference_geometry(residual, grad_sq):
+    scale = float(np.median(grad_sq))
+    if not np.isfinite(scale):
+        scale = float(np.max(grad_sq[np.isfinite(grad_sq)], initial=0.0))
+    active = grad_sq > max(ACTIVE_ABS_FLOOR, ACTIVE_REL_EPS * scale)
+    res_sq = residual * residual
+    return {
+        "residual": residual,
+        "grad_sq": grad_sq,
+        "active": active,
+        "residual_sq": float(res_sq.sum()),
+        "active_residual_sq": float(res_sq[active].sum()),
+        "active_fro_sq": float(grad_sq[active].sum()),
+    }
+
+
+def reference_distance(ref, mode):
+    r, gsq, active = ref["residual"], ref["grad_sq"], ref["active"]
+    if ref["residual_sq"] <= 0.0 or not active.any() or ref["active_residual_sq"] <= 0.0:
+        raise DegenerateState("reference")
+    max_ratio = float((r[active] ** 2 / gsq[active]).max())
+    if isinstance(mode, Convex):
+        eps = mode.theta * max_ratio / ref["active_residual_sq"] + (1.0 - mode.theta) / ref["active_fro_sq"]
+    else:
+        eps = mode.xi * max_ratio / ref["active_residual_sq"]
+    res_sq = r * r
+    mask = active & (res_sq >= eps * ref["active_residual_sq"] * gsq)
+    mask[int(np.argmax(np.where(active, res_sq / np.where(active, gsq, 1.0), -np.inf)))] = True
+    indices = np.flatnonzero(mask)
+    return eps, indices, res_sq[indices]
+
+
+def reference_residual(ref, mode):
+    r, gsq, active = ref["residual"], ref["grad_sq"], ref["active"]
+    if ref["residual_sq"] <= 0.0:
+        raise DegenerateState("reference")
+    res_sq = r * r
+    if isinstance(mode, Convex):
+        delta = mode.theta * float(res_sq.max()) / ref["residual_sq"] + (1.0 - mode.theta) / len(r)
+    else:
+        delta = mode.xi * float(res_sq.max()) / ref["residual_sq"]
+    mask = res_sq >= delta * ref["residual_sq"]
+    mask[int(np.argmax(res_sq))] = True
+    indices = np.flatnonzero(mask)
+    weights = np.where(active[indices], res_sq[indices] / np.where(active[indices], gsq[indices], 1.0), 0.0)
+    if not weights.any():
+        raise AllWeightsZero("reference")
+    return delta, indices, weights
+
+
+def outcome(fn, *args):
+    """``fn(*args)`` as a comparable value: the result, or the error type."""
+    try:
+        return fn(*args)
+    except (DegenerateState, EmptySet, AllWeightsZero) as exc:
+        return type(exc)
+
+
+def same(a, b) -> bool:
+    if isinstance(a, type) or isinstance(b, type):
+        return a is b
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(same(x, y) for x, y in zip(a, b))
+    return np.array_equal(np.asarray(a), np.asarray(b), equal_nan=True)
+
+
+def as_tuple(sel):
+    return sel if isinstance(sel, type) else (sel.threshold, sel.indices, sel.weights)
+
+
+def assert_matches_reference(residual, grad_sq):
+    g = RowGeometry.from_state(residual, grad_sq)
+    ref = reference_geometry(residual, grad_sq)
+    assert np.array_equal(g.active, ref["active"])
+    assert same(g.residual_sq, ref["residual_sq"])
+    assert same(g.active_residual_sq, ref["active_residual_sq"])
+    assert same(g.active_fro_sq, ref["active_fro_sq"])
+    assert same(g.res_sq, residual * residual)
+    if ref["active"].any():
+        active_ratios = residual[ref["active"]] ** 2 / grad_sq[ref["active"]]
+        assert same(g.ratios[g.active], active_ratios)
+        assert same(g.ratios[g.top_ratio_row], active_ratios.max())
+    assert np.all(g.ratios[~g.active] == -np.inf)
+    assert g.top_residual_row == int(np.argmax(residual * residual))
+    for mode in (Convex(0.5), Convex(0.0), Convex(1.0), Scaled(0.5), Scaled(1.0)):
+        got = outcome(lambda: as_tuple(build_distance_set(g, compute_epsilon(g, mode))))
+        assert same(got, outcome(reference_distance, ref, mode)), mode
+        got = outcome(lambda: as_tuple(build_residual_set(g, compute_delta(g, mode))))
+        assert same(got, outcome(reference_residual, ref, mode)), mode
+
+
+# norms at the edges of the eligibility rule, mixed with ordinary ones
+edge_norms = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2e-308, 1e-301, 1e-300, 1.0000000000000002e-300, 1e-299, np.inf, np.nan]),
+    st.floats(min_value=1e-320, max_value=1e-280),
+    st.floats(min_value=1e-20, max_value=1e20),
+    st.floats(min_value=1.0, max_value=1.0 + 1e-12),
+)
+residual_entries = st.one_of(
+    st.sampled_from([0.0, 5e-324, 1e-160, -1e-160]),
+    st.floats(min_value=-1e3, max_value=1e3),
+)
+
+
+@st.composite
+def raw_states(draw):
+    m = draw(st.integers(min_value=1, max_value=25))
+    residual = np.array(draw(st.lists(residual_entries, min_size=m, max_size=m)))
+    grad_sq = np.array(draw(st.lists(edge_norms, min_size=m, max_size=m)))
+    return residual, grad_sq
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_states())
+def test_geometry_matches_median_reference(state):
+    with np.errstate(all="ignore"):
+        assert_matches_reference(*state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=25), st.floats(min_value=1e-200, max_value=1e200), st.data())
+def test_geometry_matches_reference_on_one_scale_rows(m, scale, data):
+    # every row within a factor 2 of the others: the shortcut path
+    residual = np.array(data.draw(st.lists(residual_entries, min_size=m, max_size=m)))
+    grad_sq = scale * np.array(data.draw(st.lists(st.floats(1.0, 2.0), min_size=m, max_size=m)))
+    assert_matches_reference(residual, grad_sq)
+
+
+@pytest.mark.parametrize("n", [8, 26, 27, 50, 200])
+def test_geometry_matches_reference_at_brown_start(n):
+    # at k = 0 the product row's norm n * 4**-(n - 1) sits far below the
+    # affine rows' n + 3, so only the median decides its eligibility
+    problem = BrownProblem(n)
+    x0 = 0.5 * np.ones(n)
+    assert_matches_reference(problem.residual(x0), problem.row_sq_norms_at(x0))

@@ -5,7 +5,13 @@ from capped_kaczmarz.core import Convex, MethodKind, Scaled, SolveStatus, Solver
 from capped_kaczmarz.errors import ZeroGradient
 from capped_kaczmarz.numerics import row_sq_norms, seeded_rng
 from capped_kaczmarz.problems import BrownProblem, make_linear
-from capped_kaczmarz.selection import RowGeometry, build_distance_set, compute_epsilon
+from capped_kaczmarz.selection import (
+    RowGeometry,
+    build_distance_set,
+    build_residual_set,
+    compute_delta,
+    compute_epsilon,
+)
 from capped_kaczmarz.solvers import block_step, kaczmarz_step, solve
 
 
@@ -222,11 +228,18 @@ class TestRecordedIterates:
         config = SolverConfig(method=MethodKind.RD_CNK, seed=2, record_iterates=True)
         trace = solve(problem, 0.5 * np.ones(8), config)
         assert len(trace.iterates) == len(trace.records)
-        # recomputing the greedy set at a recorded iterate reproduces the log
         x5 = trace.iterates[5]
         r = problem.residual(x5)
-        g = RowGeometry.from_state(r, row_sq_norms(problem.jacobian(x5)))
         assert trace.records[5].residual_sq == pytest.approx(float(r @ r), rel=1e-15)
+        # recomputing the residual set at every recorded iterate reproduces
+        # the logged set size, and the drawn row is a member of that set
+        for rec, x in zip(trace.records[:-1], trace.iterates[:-1]):
+            r = problem.residual(x)
+            g = RowGeometry.from_state(r, row_sq_norms(problem.jacobian(x)))
+            sel = build_residual_set(g, compute_delta(g, Convex(0.5)))
+            assert len(sel) == rec.set_size, rec.k
+            (drawn,) = rec.selected
+            assert drawn in sel.indices, rec.k
 
     def test_distance_set_replay_matches(self):
         problem = BrownProblem(8)
