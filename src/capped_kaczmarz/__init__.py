@@ -17,7 +17,6 @@ from .problems import (
     Dataset,
     GLMProblem,
     LinearProblem,
-    known_root_check,
     load_libsvm,
     make_glm,
     make_linear,
@@ -25,7 +24,7 @@ from .problems import (
     parse_libsvm,
 )
 from .selection import RowGeometry, SelectionKind, SelectionResult
-from .solvers import block_step, kaczmarz_step, solve, solve_glm_hybrid
+from .solvers import kaczmarz_step, solve
 
 __all__ = [
     "BrownProblem",
@@ -44,15 +43,12 @@ __all__ = [
     "SolveTrace",
     "SolverConfig",
     "StopDecision",
-    "block_step",
     "check_stop",
     "kaczmarz_step",
-    "known_root_check",
     "load_libsvm",
     "make_glm",
     "make_linear",
     "make_synthetic_glm",
     "parse_libsvm",
     "solve",
-    "solve_glm_hybrid",
 ]

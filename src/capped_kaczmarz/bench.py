@@ -1,15 +1,14 @@
 """Benchmark harness: multi-run averaging, summary tables, trace CSVs.
 
 A bench cell is one (problem, method, run) solve with its own seed and
-trace.  Cells are independent; ``jobs = 1`` guarantees strictly serial
-execution so wall-clock comparisons are undistorted.
+trace.  Cells run one after another, so wall-clock comparisons are
+undistorted.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -44,7 +43,6 @@ class BenchSpec:
     out_dir: Path | None = None
     track_error: bool = False
     diagnostics: bool = False
-    jobs: int = 1
     clock: Callable[[], float] = time.perf_counter
 
     def __post_init__(self):
@@ -52,8 +50,6 @@ class BenchSpec:
             raise BenchSpecError("runs must be at least 1")
         if not self.methods:
             raise BenchSpecError("method list must be nonempty")
-        if self.jobs < 1:
-            raise BenchSpecError("jobs must be at least 1")
 
 
 def resolve_problem(selector: str) -> tuple[ProblemInstance, np.ndarray]:
@@ -161,14 +157,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     IO excluded).
     """
     problem, x0 = resolve_problem(spec.problem)
-    cells = [(method, run) for method in spec.methods for run in range(spec.runs)]
-    if spec.jobs == 1:
-        results = [_run_cell(problem, x0, spec, method, run) for method, run in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            results = list(
-                pool.map(lambda cell: _run_cell(problem, x0, spec, *cell), cells)
-            )
+    results = [_run_cell(problem, x0, spec, method, run) for method in spec.methods for run in range(spec.runs)]
 
     summaries = []
     for method in spec.methods:

@@ -4,7 +4,7 @@ Subcommands::
 
     bench run --problem brown:50 --methods nrk,dr-cnk --runs 10 --seed 7 \
         --tol 1e-6 --max-iter 200000 --theta 0.5 --out results/ \
-        [--track-error] [--diagnostics] [--jobs N]
+        [--track-error] [--diagnostics]
     bench parse-libsvm <path> --info
 
 Exit codes: 0 full success, 1 specification errors, 2 any per-run
@@ -53,7 +53,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--out", type=Path, default=None, help="output directory")
     run.add_argument("--track-error", action="store_true")
     run.add_argument("--diagnostics", action="store_true")
-    run.add_argument("--jobs", type=int, default=1)
 
     info = sub.add_parser("parse-libsvm", help="parse a dataset file")
     info.add_argument("path", type=Path)
@@ -95,7 +94,6 @@ def _run_command(args) -> int:
         out_dir=out_dir,
         track_error=args.track_error,
         diagnostics=args.diagnostics,
-        jobs=args.jobs,
     )
     report = run_bench(spec)
     sys.stdout.write(emit_table(report))

@@ -24,11 +24,10 @@ class MethodKind(str, enum.Enum):
     GLM_HYBRID_RB = "glm-hybrid-rb"  # linear head solve + residual-capped tail block
 
 
-SINGLE_SAMPLE_KINDS = frozenset(
-    {MethodKind.NK, MethodKind.NURK, MethodKind.NRK, MethodKind.DR_CNK, MethodKind.RD_CNK}
-)
 BLOCK_KINDS = frozenset({MethodKind.DB_CNK, MethodKind.RB_CNK})
 HYBRID_KINDS = frozenset({MethodKind.GLM_HYBRID_DB, MethodKind.GLM_HYBRID_RB})
+# greedy methods that cap on the distance rule; the other greedy methods use the residual rule
+DISTANCE_KINDS = frozenset({MethodKind.DR_CNK, MethodKind.DB_CNK, MethodKind.GLM_HYBRID_DB})
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,7 @@ class ProblemInstance:
 
     Concrete problems subclass this and provide ``residual``, ``row_grad``
     and ``jacobian``.  Evaluation must be read-only so several solves can
-    share one instance concurrently; each solve owns its own iterate, PRNG
-    and trace.
+    share one instance; each solve owns its own iterate, PRNG and trace.
 
     Attributes
     ----------

@@ -13,12 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MethodKind, ProblemInstance, SolveTrace, ThresholdMode
+from .core import BLOCK_KINDS, DISTANCE_KINDS, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
 from .errors import HypothesisViolated, InvalidEta
 from .numerics import min_norm_least_squares, row_sq_norms, singular_extremes
 from .selection import (
     RowGeometry,
-    SelectionKind,
     build_distance_set,
     build_residual_set,
     compute_delta,
@@ -231,8 +230,8 @@ def build_factor_report(
     if trace.iterates is None:
         raise ValueError("trace must carry iterates; solve with record_iterates=True")
     _require_valid_eta(eta.eta)
-    distance_based = method in (MethodKind.DR_CNK, MethodKind.DB_CNK, MethodKind.GLM_HYBRID_DB)
-    is_block = method in (MethodKind.DB_CNK, MethodKind.RB_CNK)
+    distance_based = method in DISTANCE_KINDS
+    is_block = method in BLOCK_KINDS
 
     states = []
     for record, x in zip(trace.records[:-1], trace.iterates[:-1]):

@@ -20,12 +20,6 @@ def row_sq_norms(J: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", J, J)
 
 
-def frobenius_sq(J: np.ndarray) -> float:
-    """Squared Frobenius norm of ``J`` (sum of all squared entries)."""
-    J = np.asarray(J, dtype=float)
-    return float(np.einsum("ij,ij->", J, J))
-
-
 def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-2-norm minimizer of ``||J d - rhs||_2``.
 

@@ -311,31 +311,6 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
         return parse_libsvm(handle, num_features=num_features)
 
 
-def serialize_libsvm(dataset: Dataset) -> str:
-    """Inverse of :func:`parse_libsvm` up to label/whitespace normalization."""
-    lines = []
-    for label, entries in zip(dataset.labels, dataset.samples):
-        parts = [f"{int(label):+d}"] + [f"{index}:{value!r}" for index, value in entries]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def scale_features_minmax(dataset: Dataset) -> Dataset:
-    """Optional per-feature min-max rescale onto [-1, 1], zeros included.
-
-    Off by default everywhere; provided for unscaled dataset files."""
-    A = dataset.to_dense()
-    lo, hi = A.min(axis=1), A.max(axis=1)
-    span = np.where(hi > lo, hi - lo, 1.0)
-    scaled = 2.0 * (A - lo[:, None]) / span[:, None] - 1.0
-    scaled[hi == lo] = 0.0
-    samples = tuple(
-        tuple((j + 1, float(scaled[j, i])) for j in range(dataset.d) if scaled[j, i] != 0.0)
-        for i in range(dataset.p)
-    )
-    return Dataset(d=dataset.d, p=dataset.p, samples=samples, labels=dataset.labels.copy())
-
-
 def make_glm(dataset: Dataset, lam: float | None = None) -> GLMProblem:
     """Build the root-finding problem from a dataset; ``lam`` defaults to 1/p."""
     if dataset.p == 0:
@@ -363,12 +338,3 @@ def synthetic_dataset(p: int, d: int, seed: int, flip_fraction: float = 0.05) ->
 
 def make_synthetic_glm(p: int, d: int, seed: int, lam: float | None = None) -> GLMProblem:
     return make_glm(synthetic_dataset(p, d, seed), lam=lam)
-
-
-def known_root_check(problem: ProblemInstance, tol: float = 1e-12) -> bool:
-    """True when the problem carries a root and the residual there is below
-    ``tol`` in squared norm."""
-    if problem.known_root is None:
-        return False
-    r = problem.residual(problem.known_root)
-    return float(r @ r) < tol

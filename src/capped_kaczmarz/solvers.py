@@ -4,6 +4,12 @@ Every method shares the same skeleton: evaluate the full residual, apply the
 stopping rule, pick rows, update.  The full residual is recomputed each
 iteration (no stale caching) so iteration counts are comparable across
 methods.
+
+The GLM hybrids run the same loop.  Their update is two sub-steps under one
+iteration index: the exact minimum-norm solve of the affine head rows, reusing
+the residual at ``x``, then one greedy capped block projection on the
+nonlinear tail rows, with the residual evaluated once at the post-head
+iterate.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ import numpy as np
 
 from .core import (
     BLOCK_KINDS,
+    DISTANCE_KINDS,
     HYBRID_KINDS,
     IterationRecord,
     MethodKind,
@@ -53,17 +60,6 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     return x - (f_i / gsq) * grad_i
 
 
-def block_step(x: np.ndarray, tau, problem: ProblemInstance) -> np.ndarray:
-    """Project ``x`` onto the joint linearization of the rows in ``tau`` via
-    the minimum-norm least-squares correction (pseudoinverse action)."""
-    tau = np.asarray(tau, dtype=int)
-    if tau.size == 0:
-        raise EmptySet("block step needs a nonempty index set")
-    r = problem.residual(x)
-    J = problem.jacobian(x)
-    return x - min_norm_least_squares(J[tau], r[tau])
-
-
 def _greedy_selection(g: RowGeometry, kind: SelectionKind, mode):
     if kind is SelectionKind.DISTANCE:
         return build_distance_set(g, compute_epsilon(g, mode))
@@ -75,11 +71,12 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
 
     The trace starts with a record at k = 0 holding the initial residual.
     Numerical breakdown (underflowing denominators, non-finite residuals)
-    terminates the solve with a status instead of raising.
+    terminates the solve with a status instead of raising.  The hybrid
+    methods need a ``GLMProblem``.
     """
-    if config.method in HYBRID_KINDS:
-        return solve_glm_hybrid(problem, x0, config)
-
+    method = config.method
+    if method in HYBRID_KINDS and not isinstance(problem, GLMProblem):
+        raise TypeError("hybrid methods require a GLMProblem")
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have length {problem.n}, got shape {x.shape}")
@@ -89,7 +86,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     records: list[IterationRecord] = []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     x_star = problem.known_root if config.record_error else None
-    method = config.method
+    kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     m = problem.m
     status = SolveStatus.NUMERICAL_BREAKDOWN
 
@@ -134,11 +131,6 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
             elif method is MethodKind.DR_CNK or method is MethodKind.RD_CNK:
                 # single-sample greedy: needs row norms plus one gradient row
                 g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
-                kind = (
-                    SelectionKind.DISTANCE
-                    if method is MethodKind.DR_CNK
-                    else SelectionKind.RESIDUAL
-                )
                 sel = _greedy_selection(g, kind, config.threshold)
                 i = sample_index(sel, rng)
                 x = kaczmarz_step(x, r[i], problem.row_grad(i, x))
@@ -146,14 +138,21 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
             elif method in BLOCK_KINDS:
                 J = problem.jacobian(x)
                 g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
-                kind = (
-                    SelectionKind.DISTANCE
-                    if method is MethodKind.DB_CNK
-                    else SelectionKind.RESIDUAL
-                )
                 sel = _greedy_selection(g, kind, config.threshold)
                 x = x - min_norm_least_squares(J[sel.indices], r[sel.indices])
                 selected, set_size = tuple(int(j) for j in sel.indices), len(sel)
+            elif method in HYBRID_KINDS:
+                # a breakdown in either sub-step leaves x at the pre-head iterate
+                x_mid = hybrid_linear_substep(problem, x, r)
+                r_mid = problem.residual(x_mid)
+                if float(np.sum(r_mid[problem.d:] ** 2)) == 0.0:
+                    # tail exactly solved: nothing left for the greedy block
+                    x = x_mid
+                    selected, set_size = (), 0
+                else:
+                    sel, rows, J = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold)
+                    x = x_mid - min_norm_least_squares(J[rows], r_mid[rows])
+                    selected, set_size = tuple(int(j) for j in rows), len(sel)
             else:  # pragma: no cover - enum is exhaustive
                 raise ValueError(f"unhandled method {method}")
         except _BREAKDOWN_ERRORS:
@@ -193,81 +192,3 @@ def hybrid_tail_selection(glm: GLMProblem, x: np.ndarray, r: np.ndarray, kind: S
     g = RowGeometry.from_state(r[tail_rows], row_sq_norms(J[tail_rows]))
     sel = _greedy_selection(g, kind, mode)
     return sel, sel.indices + glm.d, J
-
-
-def solve_glm_hybrid(glm: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> SolveTrace:
-    """Hybrid block scheme for the logistic-regression system.
-
-    Each iteration performs, in order, (a) the exact minimum-norm solve of
-    the affine head rows, then (b) one greedy capped block projection on the
-    nonlinear tail rows evaluated at the post-(a) iterate.  Both sub-steps
-    share one iteration index in the trace.
-    """
-    if not isinstance(glm, GLMProblem):
-        raise TypeError("hybrid methods require a GLMProblem")
-    if config.method is MethodKind.GLM_HYBRID_DB:
-        kind = SelectionKind.DISTANCE
-    elif config.method is MethodKind.GLM_HYBRID_RB:
-        kind = SelectionKind.RESIDUAL
-    else:
-        raise ValueError(f"not a hybrid method: {config.method}")
-
-    x = np.array(x0, dtype=float)
-    if x.shape != (glm.n,):
-        raise ValueError(f"x0 must have length {glm.n}, got shape {x.shape}")
-    clock = config.clock
-    started = clock()
-    records: list[IterationRecord] = []
-    iterates: list[np.ndarray] | None = [] if config.record_iterates else None
-    x_star = glm.known_root if config.record_error else None
-    status = SolveStatus.NUMERICAL_BREAKDOWN
-
-    k = 0
-    while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = glm.residual(x)
-            residual_sq = float(np.sum(r**2))
-        error_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
-        if iterates is not None:
-            iterates.append(x.copy())
-
-        if not np.isfinite(residual_sq):
-            records.append(IterationRecord(k, residual_sq, (), 0, clock() - started, error_sq))
-            break
-        decision = check_stop(residual_sq, k, config)
-        if decision is not StopDecision.CONTINUE:
-            records.append(IterationRecord(k, residual_sq, (), 0, clock() - started, error_sq))
-            status = (
-                SolveStatus.CONVERGED
-                if decision is StopDecision.CONVERGED
-                else SolveStatus.ITERATION_CAP_REACHED
-            )
-            break
-
-        try:
-            x_mid = hybrid_linear_substep(glm, x, r)
-            r_mid = glm.residual(x_mid)
-            tail_sq = float(np.sum(r_mid[glm.d:] ** 2))
-            if tail_sq == 0.0:
-                # tail exactly solved: nothing left for the greedy block
-                x = x_mid
-                selected, set_size = (), 0
-            else:
-                sel, global_rows, J_mid = hybrid_tail_selection(glm, x_mid, r_mid, kind, config.threshold)
-                x = x_mid - min_norm_least_squares(J_mid[global_rows], r_mid[global_rows])
-                selected, set_size = tuple(int(j) for j in global_rows), len(sel)
-        except _BREAKDOWN_ERRORS:
-            records.append(IterationRecord(k, residual_sq, (), 0, clock() - started, error_sq))
-            break
-
-        records.append(IterationRecord(k, residual_sq, selected, set_size, clock() - started, error_sq))
-        k += 1
-
-    return SolveTrace(
-        records=records,
-        status=status,
-        final_x=x,
-        total_iterations=records[-1].k,
-        total_seconds=clock() - started,
-        iterates=iterates,
-    )

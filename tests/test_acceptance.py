@@ -40,7 +40,6 @@ from capped_kaczmarz.problems import (
     make_linear,
     make_synthetic_glm,
     parse_libsvm,
-    serialize_libsvm,
     synthetic_dataset,
 )
 from capped_kaczmarz.selection import (
@@ -51,7 +50,8 @@ from capped_kaczmarz.selection import (
     compute_delta,
     compute_epsilon,
 )
-from capped_kaczmarz.solvers import block_step, hybrid_linear_substep, kaczmarz_step, solve
+from capped_kaczmarz.solvers import hybrid_linear_substep, kaczmarz_step, solve
+from oracles import block_step, serialize_libsvm
 
 DATA = Path(__file__).parent / "data"
 
@@ -158,7 +158,6 @@ def test_criterion_03_speedup_trend_on_brown200():
         methods=(MethodKind.NRK, MethodKind.DR_CNK),
         runs=10,
         seed=100,
-        jobs=1,
     )
     summaries = {s.method: s for s in run_bench(spec).summaries}
     it_ratio = summaries[MethodKind.NRK].mean_iterations / summaries[MethodKind.DR_CNK].mean_iterations

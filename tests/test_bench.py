@@ -39,10 +39,6 @@ class TestSpecValidation:
         with pytest.raises(BenchSpecError):
             BenchSpec(problem="brown:10", methods=(MethodKind.NK,), runs=0)
 
-    def test_bad_jobs_rejected(self):
-        with pytest.raises(BenchSpecError):
-            BenchSpec(problem="brown:10", methods=(MethodKind.NK,), jobs=0)
-
 
 class TestResolveProblem:
     def test_brown_selector(self):
@@ -97,13 +93,6 @@ class TestRunBench:
         spec = BenchSpec(problem="linear:8,4,2", methods=(MethodKind.NURK,), runs=3, seed=10)
         report = run_bench(spec)
         assert [r.seed for r in report.results] == [10, 11, 12]
-
-    def test_jobs_parallel_matches_serial(self):
-        base = dict(problem="brown:10", methods=(MethodKind.DB_CNK, MethodKind.NRK), runs=2, seed=1)
-        serial = run_bench(BenchSpec(**base, jobs=1))
-        threaded = run_bench(BenchSpec(**base, jobs=4))
-        for a, b in zip(serial.summaries, threaded.summaries):
-            assert a.iterations == b.iterations
 
     def test_outputs_written(self, tmp_path):
         spec = BenchSpec(

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from capped_kaczmarz.core import Convex, MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.numerics import min_norm_least_squares
 from capped_kaczmarz.problems import make_glm, make_synthetic_glm, synthetic_dataset
 from capped_kaczmarz.selection import SelectionKind
-from capped_kaczmarz.solvers import hybrid_linear_substep, hybrid_tail_selection, solve, solve_glm_hybrid
+from capped_kaczmarz.solvers import hybrid_linear_substep, hybrid_tail_selection, solve
 
 
 def newton_root(glm, x0, iterations=60):
@@ -31,7 +32,7 @@ def test_newton_oracle_finds_root(small_glm):
 def test_converges_toward_newton_root(small_glm, method):
     root = newton_root(small_glm, np.zeros(small_glm.n))
     config = SolverConfig(method=method, seed=0, record_iterates=True)
-    trace = solve_glm_hybrid(small_glm, np.zeros(small_glm.n), config)
+    trace = solve(small_glm, np.zeros(small_glm.n), config)
     assert trace.status is SolveStatus.CONVERGED
     assert trace.records[-1].residual_sq < 1e-6
     # total residual oscillates (tail projections perturb the head rows);
@@ -62,6 +63,27 @@ def test_tail_selection_nonempty_and_global_indices(small_glm):
             assert len(sel) >= 1
             assert np.all(global_rows >= small_glm.d)
             assert np.all(global_rows < small_glm.m)
+
+
+@pytest.mark.parametrize("method", [MethodKind.GLM_HYBRID_DB, MethodKind.GLM_HYBRID_RB])
+def test_records_replay_head_solve_and_tail_block(small_glm, method):
+    kind = SelectionKind.DISTANCE if method is MethodKind.GLM_HYBRID_DB else SelectionKind.RESIDUAL
+    config = SolverConfig(method=method, seed=0, record_iterates=True)
+    trace = solve(small_glm, np.zeros(small_glm.n), config)
+    assert trace.status is SolveStatus.CONVERGED
+    for rec, x in zip(trace.records, trace.iterates):
+        r = small_glm.residual(x)
+        assert rec.residual_sq == float(r @ r)
+    # each iteration is the head solve at x, then the tail block at the
+    # post-head iterate, replayed here from the recorded iterate
+    for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+        x_mid = hybrid_linear_substep(small_glm, x, small_glm.residual(x))
+        r_mid = small_glm.residual(x_mid)
+        sel, rows, J = hybrid_tail_selection(small_glm, x_mid, r_mid, kind, config.threshold)
+        assert rec.selected == tuple(int(j) for j in rows)
+        assert rec.set_size == len(sel)
+        expected = x_mid - min_norm_least_squares(J[rows], r_mid[rows])
+        assert np.array_equal(x_next, expected)
 
 
 def test_solve_dispatches_hybrid_kinds(small_glm):

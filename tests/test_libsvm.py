@@ -2,13 +2,8 @@ import numpy as np
 import pytest
 
 from capped_kaczmarz.errors import ParseError
-from capped_kaczmarz.problems import (
-    Dataset,
-    load_libsvm,
-    parse_libsvm,
-    scale_features_minmax,
-    serialize_libsvm,
-)
+from capped_kaczmarz.problems import Dataset, load_libsvm, parse_libsvm
+from oracles import serialize_libsvm
 
 
 def test_single_well_formed_line():
@@ -100,15 +95,6 @@ def test_load_from_path(tmp_path):
     dataset = load_libsvm(path)
     assert dataset.p == 2 and dataset.d == 2
     assert dataset.density == pytest.approx(0.75)
-
-
-def test_minmax_scaler_bounds():
-    dataset = parse_libsvm("+1 1:2 2:10\n-1 1:6 2:30\n+1 1:4 2:20\n")
-    scaled = scale_features_minmax(dataset)
-    A = scaled.to_dense()
-    assert A.min() >= -1.0 and A.max() <= 1.0
-    assert np.allclose(A[:, 0], [-1.0, -1.0])
-    assert np.allclose(A[:, 1], [1.0, 1.0])
 
 
 def test_dense_materialization():

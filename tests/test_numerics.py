@@ -4,7 +4,6 @@ import pytest
 from capped_kaczmarz.errors import AllWeightsZero, FactorizationFailure
 from capped_kaczmarz.numerics import (
     draw_weighted_index,
-    frobenius_sq,
     min_norm_least_squares,
     row_sq_norms,
     seeded_rng,
@@ -101,15 +100,9 @@ class TestSingularExtremes:
 class TestRowNorms:
     def test_identity(self):
         assert np.allclose(row_sq_norms(np.eye(2)), [1.0, 1.0])
-        assert frobenius_sq(np.eye(2)) == 2.0
 
     def test_three_four_five(self):
         assert row_sq_norms(np.array([[3.0, 4.0]]))[0] == 25.0
-        assert frobenius_sq(np.array([[3.0, 4.0]])) == 25.0
-
-    def test_frobenius_equals_row_sum(self):
-        J = np.random.default_rng(0).standard_normal((10, 10))
-        assert frobenius_sq(J) == pytest.approx(row_sq_norms(J).sum(), rel=1e-12)
 
 
 class TestSeededRng:

@@ -11,7 +11,6 @@ from capped_kaczmarz.problems import (
     _leave_one_out_products,
     brown_grad_row,
     brown_residual,
-    known_root_check,
     make_glm,
     make_linear,
     make_synthetic_glm,
@@ -159,7 +158,8 @@ class TestLinear:
     def test_residual_at_root(self):
         problem = make_linear(np.eye(2), np.array([1.0, 2.0]), known_root=np.array([1.0, 2.0]))
         assert np.allclose(problem.residual(np.array([1.0, 2.0])), 0.0)
-        assert known_root_check(problem)
+        r = problem.residual(problem.known_root)
+        assert float(r @ r) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -191,4 +191,4 @@ class TestSynthetic:
         assert glm.lam == pytest.approx(1.0 / 20)
 
     def test_known_root_check_without_root(self):
-        assert not known_root_check(make_synthetic_glm(p=5, d=2, seed=0))
+        assert make_synthetic_glm(p=5, d=2, seed=0).known_root is None

