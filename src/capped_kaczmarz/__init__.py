@@ -9,7 +9,6 @@ from .core import (
     SolveStatus,
     SolveTrace,
     SolverConfig,
-    StopDecision,
     check_stop,
 )
 from .problems import (
@@ -19,7 +18,6 @@ from .problems import (
     LinearProblem,
     load_libsvm,
     make_glm,
-    make_linear,
     make_synthetic_glm,
     parse_libsvm,
 )
@@ -42,12 +40,10 @@ __all__ = [
     "SolveStatus",
     "SolveTrace",
     "SolverConfig",
-    "StopDecision",
     "check_stop",
     "kaczmarz_step",
     "load_libsvm",
     "make_glm",
-    "make_linear",
     "make_synthetic_glm",
     "parse_libsvm",
     "solve",

@@ -15,14 +15,18 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Convex, MethodKind, ProblemInstance, SolveStatus, SolveTrace, SolverConfig, ThresholdMode
+from .core import (
+    HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolveTrace, SolverConfig, ThresholdMode,
+)
 from .errors import CappedKaczmarzError
 from .diagnostics import build_factor_report, estimate_eta
 from .numerics import seeded_rng
-from .problems import BrownProblem, LinearProblem, load_libsvm, make_glm, make_synthetic_glm
+from .problems import BrownProblem, GLMProblem, LinearProblem, load_libsvm, make_glm, make_synthetic_glm
 from .solvers import solve
 
 TRACE_COLUMNS = ("k", "residual_sq", "elapsed_s", "selected_size")
+# the methods that get a factor report under --diagnostics
+_GREEDY = (MethodKind.DR_CNK, MethodKind.RD_CNK, MethodKind.DB_CNK, MethodKind.RB_CNK)
 
 
 class BenchSpecError(CappedKaczmarzError):
@@ -133,6 +137,8 @@ def _run_cell(problem, x0, spec: BenchSpec, method: MethodKind, run: int) -> Run
         max_iter=spec.max_iter,
         seed=spec.seed + run,
         record_error=spec.track_error and problem.known_root is not None,
+        # the factor report replays run 0's iterates instead of solving again
+        record_iterates=spec.diagnostics and run == 0 and method in _GREEDY,
         clock=spec.clock,
     )
     started = spec.clock()
@@ -153,10 +159,14 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     """Execute every (method, run) cell, assemble summaries, write outputs.
 
     Per-run numerical breakdown is recorded in the report, never fatal to
-    the batch.  Timing covers the solve only (problem construction and file
-    IO excluded).
+    the batch.  A hybrid method on a non-GLM problem is a specification
+    error, raised before any cell runs.  Timing covers the solve only
+    (problem construction and file IO excluded).
     """
     problem, x0 = resolve_problem(spec.problem)
+    hybrids = [m.value for m in spec.methods if m in HYBRID_KINDS]
+    if hybrids and not isinstance(problem, GLMProblem):
+        raise BenchSpecError(f"{', '.join(hybrids)} need a glm problem, not {spec.problem!r}")
     results = [_run_cell(problem, x0, spec, method, run) for method in spec.methods for run in range(spec.runs)]
 
     summaries = []
@@ -177,7 +187,7 @@ def run_bench(spec: BenchSpec) -> BenchReport:
         problem=spec.problem, runs=spec.runs, seed=spec.seed, summaries=summaries, results=results
     )
     if spec.out_dir is not None:
-        write_outputs(spec, report, problem, x0)
+        write_outputs(spec, report, problem)
     return report
 
 
@@ -240,7 +250,7 @@ def trace_filename(problem: str, method: MethodKind, run: int) -> str:
     return f"trace_{problem}_{method.value}_{run}.csv"
 
 
-def write_outputs(spec: BenchSpec, report: BenchReport, problem, x0) -> None:
+def write_outputs(spec: BenchSpec, report: BenchReport, problem) -> None:
     out = Path(spec.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "summary.json").write_text(
@@ -251,15 +261,13 @@ def write_outputs(spec: BenchSpec, report: BenchReport, problem, x0) -> None:
         name = trace_filename(spec.problem, result.method, result.run)
         (out / name).write_text(emit_csv(result.trace), encoding="utf-8", newline="\n")
     if spec.diagnostics:
-        _write_diagnostics(spec, problem, x0, out)
+        _write_diagnostics(spec, report, problem, out)
 
 
-_GREEDY = (MethodKind.DR_CNK, MethodKind.RD_CNK, MethodKind.DB_CNK, MethodKind.RB_CNK)
-
-
-def _write_diagnostics(spec: BenchSpec, problem, x0, out: Path) -> None:
-    """Factor reports for the greedy methods; needs a known root to anchor
-    the eta-estimation ball, otherwise a note is emitted instead."""
+def _write_diagnostics(spec: BenchSpec, report: BenchReport, problem, out: Path) -> None:
+    """Factor reports for the greedy methods, along the iterates recorded
+    on their run 0; needs a known root to anchor the eta-estimation ball,
+    otherwise a note is emitted instead."""
     if problem.known_root is None:
         (out / "diagnostics.json").write_text(
             json.dumps({"note": "no known root; eta estimation skipped"}) + "\n",
@@ -268,22 +276,12 @@ def _write_diagnostics(spec: BenchSpec, problem, x0, out: Path) -> None:
         return
     eta = estimate_eta(problem, problem.known_root, 0.05, 2000, seeded_rng(spec.seed))
     payload = {"eta": eta.eta, "radius": eta.radius, "methods": {}}
-    for method in spec.methods:
-        if method not in _GREEDY:
+    for result in report.results:
+        if result.run != 0 or result.method not in _GREEDY:
             continue
-        config = SolverConfig(
-            method=method,
-            threshold=spec.threshold,
-            tol=spec.tol,
-            max_iter=spec.max_iter,
-            seed=spec.seed,
-            record_iterates=True,
-            clock=spec.clock,
-        )
-        trace = solve(problem, x0, config)
         try:
-            rep = build_factor_report(problem, trace, eta, spec.threshold, method)
-            payload["methods"][method.value] = rep.to_jsonable()
+            rep = build_factor_report(problem, result.trace, eta, spec.threshold, result.method)
+            payload["methods"][result.method.value] = rep.to_jsonable()
         except CappedKaczmarzError as exc:
-            payload["methods"][method.value] = {"error": str(exc)}
+            payload["methods"][result.method.value] = {"error": str(exc)}
     (out / "diagnostics.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .bench import BenchSpec, BenchSpecError, emit_table, run_bench
 from .core import Convex, MethodKind, Scaled
-from .errors import CappedKaczmarzError, ParseError
+from .errors import CappedKaczmarzError
 from .problems import load_libsvm
 
 
@@ -120,10 +120,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run_command(args)
         return _parse_libsvm_command(args)
-    except (BenchSpecError, ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CappedKaczmarzError as exc:
+    except (CappedKaczmarzError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -117,29 +118,27 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
 
 
-class StopDecision(enum.Enum):
-    CONTINUE = "continue"
-    CONVERGED = "converged"
-    CAP_REACHED = "cap_reached"
-
-
-def check_stop(residual_sq: float, k: int, config: SolverConfig) -> StopDecision:
-    """Stopping rule shared by every method.
-
-    Converged iff ``residual_sq < tol`` (strict); the iteration cap fires at
-    ``k >= max_iter`` only when not converged.  Total on all valid inputs.
-    """
-    if residual_sq < config.tol:
-        return StopDecision.CONVERGED
-    if k >= config.max_iter:
-        return StopDecision.CAP_REACHED
-    return StopDecision.CONTINUE
-
-
 class SolveStatus(enum.Enum):
     CONVERGED = "converged"
     ITERATION_CAP_REACHED = "iteration_cap_reached"
     NUMERICAL_BREAKDOWN = "numerical_breakdown"
+
+
+def check_stop(residual_sq: float, k: int, config: SolverConfig) -> SolveStatus | None:
+    """Stopping rule shared by every method: the status that ends the solve
+    at iterate ``k``, or None to continue.
+
+    A non-finite ``residual_sq`` is a numerical breakdown.  Otherwise the
+    solve converged iff ``residual_sq < tol`` (strict), and the iteration
+    cap fires at ``k >= max_iter`` only when not converged.
+    """
+    if not math.isfinite(residual_sq):
+        return SolveStatus.NUMERICAL_BREAKDOWN
+    if residual_sq < config.tol:
+        return SolveStatus.CONVERGED
+    if k >= config.max_iter:
+        return SolveStatus.ITERATION_CAP_REACHED
+    return None
 
 
 @dataclass(frozen=True, slots=True)

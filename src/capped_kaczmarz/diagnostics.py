@@ -16,13 +16,8 @@ import numpy as np
 from .core import BLOCK_KINDS, DISTANCE_KINDS, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
 from .errors import HypothesisViolated, InvalidEta
 from .numerics import min_norm_least_squares, row_sq_norms, singular_extremes
-from .selection import (
-    RowGeometry,
-    build_distance_set,
-    build_residual_set,
-    compute_delta,
-    compute_epsilon,
-)
+from .selection import RowGeometry, SelectionKind
+from .solvers import greedy_selection
 
 # Numerators this close to the rounding noise of their operands count as
 # exact cancellations, so affine rows estimate to exactly zero.
@@ -230,27 +225,21 @@ def build_factor_report(
     if trace.iterates is None:
         raise ValueError("trace must carry iterates; solve with record_iterates=True")
     _require_valid_eta(eta.eta)
-    distance_based = method in DISTANCE_KINDS
+    kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     is_block = method in BLOCK_KINDS
 
+    # replay each iterate's set through the solver's own selection and norms
     states = []
     for record, x in zip(trace.records[:-1], trace.iterates[:-1]):
-        r = problem.residual(x)
-        J = problem.jacobian(x)
-        g = RowGeometry.from_state(r, row_sq_norms(J))
-        if distance_based:
-            threshold = compute_epsilon(g, mode)
-            sel = build_distance_set(g, threshold)
-        else:
-            threshold = compute_delta(g, mode)
-            sel = build_residual_set(g, threshold)
-        states.append((record, x, J, g, threshold, sel))
+        g = RowGeometry.from_state(problem.residual(x), problem.row_sq_norms_at(x))
+        sel = greedy_selection(g, kind, mode)
+        states.append((record, x, problem.jacobian(x), g, sel))
 
     margin = None
     step_margins: list[float | None] = [None] * len(states)
     if is_block and states:
         h2_min, sig_max = np.inf, 0.0
-        for idx, (_, _, J, _, _, sel) in enumerate(states):
+        for idx, (_, _, J, _, sel) in enumerate(states):
             sig, h2p = pseudoinverse_extremes(J[sel.indices])
             step_margins[idx] = block_margin(h2p * h2p, sig * sig, eta.eta)
             h2_min = min(h2_min, h2p * h2p)
@@ -259,7 +248,7 @@ def build_factor_report(
 
     report = FactorReport(method=method, eta=eta.eta, radius=eta.radius)
     x_star = problem.known_root
-    for idx, (record, x, J, g, threshold, sel) in enumerate(states):
+    for idx, (record, x, J, g, sel) in enumerate(states):
         _, h2 = singular_extremes(J)
         max_grad = float(g.grad_sq_norms.max())
         min_grad = float(g.grad_sq_norms[g.active].min())
@@ -268,16 +257,16 @@ def build_factor_report(
         hypothesis_ok = None
         step_margin = step_margins[idx]
         if method is MethodKind.DR_CNK:
-            rho_method = factor_dr_cnk(threshold, h2, eta.eta)
+            rho_method = factor_dr_cnk(sel.threshold, h2, eta.eta)
         elif method is MethodKind.RD_CNK:
-            rho_method = factor_rd_cnk(threshold, h2, max_grad, eta.eta)
+            rho_method = factor_rd_cnk(sel.threshold, h2, max_grad, eta.eta)
         elif is_block:
             hypothesis_ok = step_margin is not None and step_margin > 0.0
             if hypothesis_ok:
                 rho_method = factor_block(
                     step_margin,
                     len(sel),
-                    threshold,
+                    sel.threshold,
                     h2,
                     min_grad if method is MethodKind.DB_CNK else 1.0,
                     eta.eta,
@@ -304,7 +293,7 @@ def build_factor_report(
         report.rows.append(
             FactorRow(
                 k=record.k,
-                threshold=threshold,
+                threshold=sel.threshold,
                 set_size=len(sel),
                 h2=h2,
                 max_grad_sq=max_grad,

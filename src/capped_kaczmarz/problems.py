@@ -34,25 +34,6 @@ def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def brown_residual(n: int, x: np.ndarray) -> np.ndarray:
-    """Rows k < n: x_k + sum(x) - (n + 1).  Row n: prod(x) - 1."""
-    x = np.asarray(x, dtype=float)
-    out = x + (x.sum() - (n + 1.0))
-    out[n - 1] = np.prod(x) - 1.0
-    return out
-
-
-def brown_grad_row(n: int, i: int, x: np.ndarray) -> np.ndarray:
-    """Gradient of row ``i`` (0-based).  Affine rows are ones plus an extra
-    1 on their own coordinate; the product row is the leave-one-out products."""
-    x = np.asarray(x, dtype=float)
-    if i < n - 1:
-        grad = np.ones(n)
-        grad[i] = 2.0
-        return grad
-    return _leave_one_out_products(x)
-
-
 class BrownProblem(ProblemInstance):
     """Brown almost linear function in dimension n (m = n), root = ones."""
 
@@ -70,7 +51,11 @@ class BrownProblem(ProblemInstance):
         self._norms_template = np.full(n, n + 3.0)
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        return brown_residual(self.n, x)
+        """Rows k < n: x_k + sum(x) - (n + 1).  Row n: prod(x) - 1."""
+        x = np.asarray(x, dtype=float)
+        out = x + (x.sum() - (self.n + 1.0))
+        out[self.n - 1] = np.prod(x) - 1.0
+        return out
 
     def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         if i < self.n - 1:
@@ -114,10 +99,6 @@ class LinearProblem(ProblemInstance):
 
     def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
         return self._row_norms
-
-
-def make_linear(A: np.ndarray, b: np.ndarray, known_root: np.ndarray | None = None) -> LinearProblem:
-    return LinearProblem(A, b, known_root)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -22,6 +22,12 @@ with a positive constant keeps that order, so every row is active either
 way, and the active sums are then the full sums over the same array.
 The result is the same mask and the same floats as the median path, which
 every other input (NaN or infinite norms included) still takes.
+
+Known limitation: rescaling the residual by c and the squared norms by c^2
+leaves every set unchanged only while the nonzero ``|f_i|^2`` are normal
+floats.  A subnormal square can give a zero distance ratio on a healthy row
+(``AllWeightsZero`` if it is the residual set's only weight), or a
+``theta``-scaled maximum of zero, which admits every row.
 """
 
 from __future__ import annotations
@@ -167,9 +173,10 @@ def build_distance_set(g: RowGeometry, eps: float) -> SelectionResult:
 
     ``eps`` must come from :func:`compute_epsilon` on the same geometry.
     Weights are the squared residual entries of the kept rows.  Ties at the
-    threshold are included.  The argmax-ratio row satisfies the inequality
-    in exact arithmetic, so it is kept unconditionally; this pins the set
-    nonempty when rounding perturbs an exact tie.
+    threshold are included in exact arithmetic only: the rounded right-hand
+    side can exclude rows that tie the maximum ratio (Brown at n = 30 from
+    ``0.5 * ones`` keeps 1 of 29 tied rows).  The argmax-ratio row is kept
+    unconditionally, which pins the set nonempty under such rounding.
     """
     mask = g.active & (g.res_sq >= eps * g.active_residual_sq * g.grad_sq_norms)
     mask[g.top_ratio_row] = True

@@ -1,9 +1,9 @@
 """Method drivers: single-row projection, block projection, and the solve loop.
 
 Every method shares the same skeleton: evaluate the full residual, apply the
-stopping rule, pick rows, update.  The full residual is recomputed each
-iteration (no stale caching) so iteration counts are comparable across
-methods.
+stopping rule (``check_stop``), pick rows, update, and record the iteration
+once.  The full residual is recomputed each iteration (no stale caching) so
+iteration counts are comparable across methods.
 
 The GLM hybrids run the same loop.  Their update is two sub-steps under one
 iteration index: the exact minimum-norm solve of the affine head rows, reusing
@@ -26,7 +26,6 @@ from .core import (
     SolveStatus,
     SolveTrace,
     SolverConfig,
-    StopDecision,
     check_stop,
 )
 from .errors import (
@@ -60,7 +59,9 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     return x - (f_i / gsq) * grad_i
 
 
-def _greedy_selection(g: RowGeometry, kind: SelectionKind, mode):
+def greedy_selection(g: RowGeometry, kind: SelectionKind, mode):
+    """The capped set of rule ``kind`` at geometry ``g``, with its threshold
+    and sampling weights; every greedy method selects through this."""
     if kind is SelectionKind.DISTANCE:
         return build_distance_set(g, compute_epsilon(g, mode))
     return build_residual_set(g, compute_delta(g, mode))
@@ -87,80 +88,63 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     x_star = problem.known_root if config.record_error else None
     kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
+    hybrid, block = method in HYBRID_KINDS, method in BLOCK_KINDS
     m = problem.m
-    status = SolveStatus.NUMERICAL_BREAKDOWN
 
     k = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow here is an anticipated outcome of a wild projection
-            # step; the finiteness check below turns it into a breakdown
+            # step; check_stop turns a non-finite residual into a breakdown
             r = problem.residual(x)
             residual_sq = float(r @ r)
         error_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
         if iterates is not None:
             iterates.append(x.copy())
 
-        if not np.isfinite(residual_sq):
-            records.append(IterationRecord(k, residual_sq, (), 0, clock() - started, error_sq))
-            status = SolveStatus.NUMERICAL_BREAKDOWN
-            break
-        decision = check_stop(residual_sq, k, config)
-        if decision is not StopDecision.CONTINUE:
-            records.append(IterationRecord(k, residual_sq, (), 0, clock() - started, error_sq))
-            status = (
-                SolveStatus.CONVERGED
-                if decision is StopDecision.CONVERGED
-                else SolveStatus.ITERATION_CAP_REACHED
-            )
-            break
-
-        try:
-            if method is MethodKind.NK:
-                i = k % m
-                x = kaczmarz_step(x, r[i], problem.row_grad(i, x))
-                selected, set_size = (i,), 1
-            elif method is MethodKind.NURK:
-                i = int(rng.integers(m))
-                x = kaczmarz_step(x, r[i], problem.row_grad(i, x))
-                selected, set_size = (i,), 1
-            elif method is MethodKind.NRK:
-                i = draw_weighted_index(rng, r * r)
-                x = kaczmarz_step(x, r[i], problem.row_grad(i, x))
-                selected, set_size = (i,), 1
-            elif method is MethodKind.DR_CNK or method is MethodKind.RD_CNK:
-                # single-sample greedy: needs row norms plus one gradient row
-                g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
-                sel = _greedy_selection(g, kind, config.threshold)
-                i = sample_index(sel, rng)
-                x = kaczmarz_step(x, r[i], problem.row_grad(i, x))
-                selected, set_size = (i,), len(sel)
-            elif method in BLOCK_KINDS:
-                J = problem.jacobian(x)
-                g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
-                sel = _greedy_selection(g, kind, config.threshold)
-                x = x - min_norm_least_squares(J[sel.indices], r[sel.indices])
-                selected, set_size = tuple(int(j) for j in sel.indices), len(sel)
-            elif method in HYBRID_KINDS:
-                # a breakdown in either sub-step leaves x at the pre-head iterate
-                x_mid = hybrid_linear_substep(problem, x, r)
-                r_mid = problem.residual(x_mid)
-                if float(np.sum(r_mid[problem.d:] ** 2)) == 0.0:
-                    # tail exactly solved: nothing left for the greedy block
-                    x = x_mid
-                    selected, set_size = (), 0
+        # the selection is recorded only once the update has gone through;
+        # stopping and breakdown records carry an empty one
+        selected, set_size = (), 0
+        status = check_stop(residual_sq, k, config)
+        if status is None:
+            try:
+                if hybrid:
+                    # a breakdown in either sub-step leaves x at the pre-head iterate
+                    x_mid = hybrid_linear_substep(problem, x, r)
+                    r_mid = problem.residual(x_mid)
+                    if float(np.sum(r_mid[problem.d:] ** 2)) == 0.0:
+                        # tail exactly solved: nothing left for the greedy block
+                        x = x_mid
+                    else:
+                        sel, rows, J = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold)
+                        x = x_mid - min_norm_least_squares(J[rows], r_mid[rows])
+                        selected, set_size = tuple(int(j) for j in rows), len(sel)
+                elif block:
+                    J = problem.jacobian(x)
+                    g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
+                    sel = greedy_selection(g, kind, config.threshold)
+                    x = x - min_norm_least_squares(J[sel.indices], r[sel.indices])
+                    selected, set_size = tuple(int(j) for j in sel.indices), len(sel)
                 else:
-                    sel, rows, J = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold)
-                    x = x_mid - min_norm_least_squares(J[rows], r_mid[rows])
-                    selected, set_size = tuple(int(j) for j in rows), len(sel)
-            else:  # pragma: no cover - enum is exhaustive
-                raise ValueError(f"unhandled method {method}")
-        except _BREAKDOWN_ERRORS:
-            records.append(IterationRecord(k, residual_sq, (), 0, clock() - started, error_sq))
-            status = SolveStatus.NUMERICAL_BREAKDOWN
-            break
+                    if method is MethodKind.NK:
+                        i, size = k % m, 1
+                    elif method is MethodKind.NURK:
+                        i, size = int(rng.integers(m)), 1
+                    elif method is MethodKind.NRK:
+                        i, size = draw_weighted_index(rng, r * r), 1
+                    else:
+                        # single-sample greedy: needs row norms plus one gradient row
+                        g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
+                        sel = greedy_selection(g, kind, config.threshold)
+                        i, size = sample_index(sel, rng), len(sel)
+                    x = kaczmarz_step(x, r[i], problem.row_grad(i, x))
+                    selected, set_size = (i,), size
+            except _BREAKDOWN_ERRORS:
+                status = SolveStatus.NUMERICAL_BREAKDOWN
 
         records.append(IterationRecord(k, residual_sq, selected, set_size, clock() - started, error_sq))
+        if status is not None:
+            break
         k += 1
 
     return SolveTrace(
@@ -190,5 +174,5 @@ def hybrid_tail_selection(glm: GLMProblem, x: np.ndarray, r: np.ndarray, kind: S
     J = glm.jacobian(x)
     tail_rows = slice(glm.d, glm.d + glm.p)
     g = RowGeometry.from_state(r[tail_rows], row_sq_norms(J[tail_rows]))
-    sel = _greedy_selection(g, kind, mode)
+    sel = greedy_selection(g, kind, mode)
     return sel, sel.indices + glm.d, J

@@ -36,8 +36,8 @@ from capped_kaczmarz.errors import ParseError
 from capped_kaczmarz.numerics import min_norm_least_squares, row_sq_norms, seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem,
+    LinearProblem,
     make_glm,
-    make_linear,
     make_synthetic_glm,
     parse_libsvm,
     synthetic_dataset,
@@ -199,7 +199,7 @@ def test_criterion_04_linear_reduction_matches_reference_selections():
         A = rng.standard_normal((100, 50))
         x_star = rng.standard_normal(50)
         b = A @ x_star
-        problem = make_linear(A, b, known_root=x_star)
+        problem = LinearProblem(A, b, known_root=x_star)
         norms = row_sq_norms(A)
         for method, mine, oracle in (
             (MethodKind.DR_CNK, "distance", grk_reference_set),
@@ -285,7 +285,7 @@ def test_criterion_06_gradient_correctness():
         assert np.allclose(J, fd, rtol=1e-5, atol=1e-7)
 
     A = seeded_rng(61).standard_normal((20, 10))
-    linear = make_linear(A, np.zeros(20))
+    linear = LinearProblem(A, np.zeros(20))
     est = estimate_eta(linear, np.zeros(10), radius=2.0, pairs=10_000, rng=seeded_rng(62))
     assert est.eta == 0.0
     report(6, True, "Jacobian rows match central differences; linear eta estimate is exactly 0")
@@ -424,7 +424,7 @@ def test_criterion_10_reproducibility_and_formats(tmp_path):
             parse_libsvm(bad)
 
     # golden trace file
-    problem = make_linear(
+    problem = LinearProblem(
         np.eye(4), np.array([1.0, 2.0, 3.0, 4.0]), known_root=np.array([1.0, 2.0, 3.0, 4.0])
     )
     config = SolverConfig(method=MethodKind.NK, seed=123, record_error=True, clock=counting_clock())

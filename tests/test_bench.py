@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capped_kaczmarz import cli
+from capped_kaczmarz import bench, cli
 from capped_kaczmarz.bench import (
     BenchReport,
     BenchSpec,
@@ -19,7 +19,9 @@ from capped_kaczmarz.bench import (
     trace_filename,
 )
 from capped_kaczmarz.core import MethodKind, SolveStatus, SolverConfig
-from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem, make_linear
+from capped_kaczmarz.diagnostics import build_factor_report, estimate_eta
+from capped_kaczmarz.numerics import seeded_rng
+from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem
 from capped_kaczmarz.solvers import solve
 
 DATA = Path(__file__).parent / "data"
@@ -126,11 +128,39 @@ class TestRunBench:
         assert payload["eta"] < 0.5
         assert "dr-cnk" in payload["methods"]
 
+    def test_diagnostics_report_on_run_zero_without_solving_again(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_solve(problem, x0, config):
+            calls.append((config.method, config.seed))
+            return solve(problem, x0, config)
+
+        monkeypatch.setattr(bench, "solve", counting_solve)
+        methods = (MethodKind.NRK, MethodKind.DR_CNK, MethodKind.DB_CNK)
+        spec = BenchSpec(
+            problem="linear:12,6,3", methods=methods, runs=2, seed=4, out_dir=tmp_path, diagnostics=True
+        )
+        report = run_bench(spec)
+        assert sorted(calls) == sorted((m, seed) for m in methods for seed in (4, 5))
+        # only the greedy methods' run 0 carries iterates
+        assert [(r.method, r.run) for r in report.results if r.trace.iterates is not None] == [
+            (MethodKind.DR_CNK, 0), (MethodKind.DB_CNK, 0)
+        ]
+        payload = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert list(payload["methods"]) == ["dr-cnk", "db-cnk"]
+        # the same report as from a separate solve of run 0 that records iterates
+        problem, x0 = resolve_problem(spec.problem)
+        eta = estimate_eta(problem, problem.known_root, 0.05, 2000, seeded_rng(spec.seed))
+        for method in (MethodKind.DR_CNK, MethodKind.DB_CNK):
+            config = SolverConfig(method=method, seed=spec.seed, record_iterates=True)
+            fresh = build_factor_report(problem, solve(problem, x0, config), eta, spec.threshold, method)
+            assert payload["methods"][method.value] == json.loads(json.dumps(fresh.to_jsonable()))
+
 
 class TestEmitCsv:
     def test_golden_file(self):
         clock = counting_clock()
-        problem = make_linear(
+        problem = LinearProblem(
             np.eye(4), np.array([1.0, 2.0, 3.0, 4.0]), known_root=np.array([1.0, 2.0, 3.0, 4.0])
         )
         config = SolverConfig(method=MethodKind.NK, seed=123, record_error=True, clock=clock)
@@ -160,7 +190,7 @@ class TestEmitCsv:
             assert int(size) == rec.set_size
 
     def test_lf_endings_and_header(self):
-        problem = make_linear(np.eye(2), np.array([1.0, 1.0]))
+        problem = LinearProblem(np.eye(2), np.array([1.0, 1.0]))
         trace = solve(problem, np.zeros(2), SolverConfig(method=MethodKind.NK, seed=0))
         text = emit_csv(trace)
         assert "\r" not in text
@@ -268,6 +298,16 @@ class TestCli:
         path.write_text("+1 2:abc\n", encoding="utf-8")
         assert cli.main(["parse-libsvm", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
+
+    def test_hybrid_on_non_glm_problem_exits_one_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "solve", lambda *args: pytest.fail("a cell ran"))
+        code = cli.main(
+            ["run", "--problem", "brown:10", "--methods", "nrk,glm-hybrid-db", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "glm-hybrid-db" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_xi_mode_accepted(self, capsys):
         assert cli.main(["run", "--problem", "brown:10", "--methods", "rb-cnk",

@@ -1,0 +1,70 @@
+"""The benchmark's per-layer spans still reach the solver.
+
+``benchmark/tracing.py`` times each layer by rebinding, by name, the module
+globals through which ``solve`` calls into selection, numerics and the
+hybrid head step.  A rename or an inlined call in the package would leave a
+span silently empty, so these tiny solves run under its ``instrumented``
+block and check that every span the per-layer metrics read is entered.
+The benchmark file is executed from source, read only.
+"""
+
+import types
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from capped_kaczmarz.core import MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.numerics import seeded_rng
+from capped_kaczmarz.problems import LinearProblem, make_synthetic_glm
+from capped_kaczmarz.solvers import solve
+
+TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    # exec rather than import, so nothing (not even bytecode) is written there
+    module = types.ModuleType("benchmark_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(encoding="utf-8"), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+def linear_problem():
+    rng = seeded_rng(3)
+    A = rng.standard_normal((12, 4))
+    return LinearProblem(A, A @ rng.standard_normal(4)), np.zeros(4)
+
+
+def glm_problem():
+    glm = make_synthetic_glm(p=12, d=3, seed=2)
+    return glm, np.zeros(glm.n)
+
+
+SELECTION = {"selection.geometry", "selection.threshold", "selection.set"}
+CASES = [
+    (MethodKind.DR_CNK, linear_problem, SELECTION | {"selection.sample", "numerics.draw", "solvers.step"}),
+    (MethodKind.RD_CNK, linear_problem, SELECTION | {"selection.sample", "numerics.draw", "solvers.step"}),
+    (MethodKind.DB_CNK, linear_problem, SELECTION | {"numerics.lstsq"}),
+    (
+        MethodKind.GLM_HYBRID_DB,
+        glm_problem,
+        SELECTION | {"solvers.hybrid_head", "numerics.lstsq", "numerics.row_norms"},
+    ),
+]
+
+
+@pytest.mark.parametrize("method, build, spans", CASES, ids=[case[0].value for case in CASES])
+def test_spans_are_entered(tracing, method, build, spans):
+    problem, x0 = build()
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, [problem]):
+        trace = solve(problem, x0, SolverConfig(method=method, seed=1, max_iter=3))
+    assert trace.status is SolveStatus.ITERATION_CAP_REACHED
+    calls = {name: entry["calls"] for name, entry in tracer.totals().items() if name != "counts"}
+    missing = sorted(name for name in spans if not calls.get(name))
+    assert not missing, f"{method.value}: spans never entered: {missing}"
+    # the selection layers run once per iteration
+    assert calls["selection.geometry"] == calls["selection.threshold"] == calls["selection.set"] == 3
+

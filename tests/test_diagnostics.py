@@ -15,7 +15,7 @@ from capped_kaczmarz.diagnostics import (
 )
 from capped_kaczmarz.errors import HypothesisViolated, InvalidEta
 from capped_kaczmarz.numerics import seeded_rng
-from capped_kaczmarz.problems import BrownProblem, make_linear
+from capped_kaczmarz.problems import BrownProblem, LinearProblem
 from capped_kaczmarz.solvers import solve
 
 
@@ -41,7 +41,7 @@ class TestEstimateEta:
     def test_linear_problem_exactly_zero(self):
         rng = seeded_rng(0)
         A = rng.standard_normal((8, 5))
-        problem = make_linear(A, np.zeros(8))
+        problem = LinearProblem(A, np.zeros(8))
         est = estimate_eta(problem, np.zeros(5), radius=1.0, pairs=2000, rng=seeded_rng(1))
         assert est.eta == 0.0
         assert np.all(est.eta_per_row == 0.0)
@@ -177,7 +177,7 @@ class TestStepInequalityChecks:
         rng = seeded_rng(10)
         A = rng.standard_normal((6, 4))
         x_star = rng.standard_normal(4)
-        return make_linear(A, A @ x_star, known_root=x_star)
+        return LinearProblem(A, A @ x_star, known_root=x_star)
 
     def pairs(self, n, count, rng):
         return [(rng.standard_normal(n), rng.standard_normal(n)) for _ in range(count)]
@@ -244,7 +244,7 @@ class TestStepInequalityChecks:
         assert report.total_violations > 0
 
     def test_requires_known_root(self):
-        problem = make_linear(np.eye(2), np.zeros(2))
+        problem = LinearProblem(np.eye(2), np.zeros(2))
         eta = EtaEstimate(np.zeros(2), 0.0, 1, np.zeros(2), 1.0, ())
         with pytest.raises(ValueError):
             check_step_inequalities(problem, [], [], eta)
@@ -255,7 +255,7 @@ class TestFactorReport:
         rng = seeded_rng(16)
         A = rng.standard_normal((10, 6))
         x_star = rng.standard_normal(6)
-        problem = make_linear(A, A @ x_star, known_root=x_star)
+        problem = LinearProblem(A, A @ x_star, known_root=x_star)
         eta = estimate_eta(problem, np.zeros(6), radius=1.0, pairs=200, rng=seeded_rng(17))
         config = SolverConfig(method=MethodKind.DB_CNK, seed=0, record_iterates=True, max_iter=50)
         trace = solve(problem, np.zeros(6), config)
@@ -273,7 +273,7 @@ class TestFactorReport:
         rng = seeded_rng(20)
         A = rng.standard_normal((12, 5))
         x_star = rng.standard_normal(5)
-        problem = make_linear(A, A @ x_star, known_root=x_star)
+        problem = LinearProblem(A, A @ x_star, known_root=x_star)
         eta = estimate_eta(problem, np.zeros(5), radius=1.0, pairs=300, rng=seeded_rng(21))
         assert eta.eta == 0.0
         for method in (MethodKind.DR_CNK, MethodKind.RD_CNK):

@@ -5,7 +5,7 @@ import pytest
 
 from capped_kaczmarz.core import Convex, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.numerics import min_norm_least_squares
-from capped_kaczmarz.problems import make_glm, make_synthetic_glm, synthetic_dataset
+from capped_kaczmarz.problems import LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
 from capped_kaczmarz.selection import SelectionKind
 from capped_kaczmarz.solvers import hybrid_linear_substep, hybrid_tail_selection, solve
 
@@ -92,9 +92,7 @@ def test_solve_dispatches_hybrid_kinds(small_glm):
 
 
 def test_hybrid_requires_glm_problem():
-    from capped_kaczmarz.problems import make_linear
-
-    linear = make_linear(np.eye(2), np.zeros(2))
+    linear = LinearProblem(np.eye(2), np.zeros(2))
     with pytest.raises(TypeError):
         solve(linear, np.zeros(2), SolverConfig(method=MethodKind.GLM_HYBRID_DB))
 

@@ -8,11 +8,9 @@ from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem,
     GLMProblem,
+    LinearProblem,
     _leave_one_out_products,
-    brown_grad_row,
-    brown_residual,
     make_glm,
-    make_linear,
     make_synthetic_glm,
     synthetic_dataset,
 )
@@ -31,25 +29,26 @@ def central_diff_row(problem, i, x, step=1e-6):
 
 class TestBrown:
     def test_root_at_ones(self):
-        assert np.allclose(brown_residual(3, np.ones(3)), 0.0)
+        assert np.allclose(BrownProblem(3).residual(np.ones(3)), 0.0)
         for n in (2, 5, 50, 200, 400):
             r = BrownProblem(n).residual(np.ones(n))
             assert np.allclose(r[:-1], 0.0)  # affine rows exact
             assert abs(r[-1]) <= 1e-12
 
     def test_half_start_values(self):
-        r = brown_residual(3, 0.5 * np.ones(3))
+        problem = BrownProblem(3)
+        r = problem.residual(0.5 * np.ones(3))
         assert np.allclose(r, [-2.0, -2.0, -0.875])
-        assert np.allclose(brown_grad_row(3, 2, 0.5 * np.ones(3)), [0.25, 0.25, 0.25])
+        assert np.allclose(problem.row_grad(2, 0.5 * np.ones(3)), [0.25, 0.25, 0.25])
 
     def test_affine_gradient_shape(self):
-        grad = brown_grad_row(4, 1, np.zeros(4))
+        grad = BrownProblem(4).row_grad(1, np.zeros(4))
         assert grad.tolist() == [1.0, 2.0, 1.0, 1.0]
 
     def test_product_gradient_handles_zeros(self):
         # division-free leave-one-out products stay exact with zero entries
         x = np.array([2.0, 0.0, 3.0])
-        assert brown_grad_row(3, 2, x).tolist() == [0.0, 6.0, 0.0]
+        assert BrownProblem(3).row_grad(2, x).tolist() == [0.0, 6.0, 0.0]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=60))
@@ -156,18 +155,18 @@ class TestGLM:
 
 class TestLinear:
     def test_residual_at_root(self):
-        problem = make_linear(np.eye(2), np.array([1.0, 2.0]), known_root=np.array([1.0, 2.0]))
+        problem = LinearProblem(np.eye(2), np.array([1.0, 2.0]), known_root=np.array([1.0, 2.0]))
         assert np.allclose(problem.residual(np.array([1.0, 2.0])), 0.0)
         r = problem.residual(problem.known_root)
         assert float(r @ r) < 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            make_linear(np.eye(2), np.array([1.0, 2.0, 3.0]))
+            LinearProblem(np.eye(2), np.array([1.0, 2.0, 3.0]))
 
     def test_jacobian_is_constant(self):
         A = np.arange(6.0).reshape(2, 3)
-        problem = make_linear(A, np.zeros(2))
+        problem = LinearProblem(A, np.zeros(2))
         assert np.array_equal(problem.jacobian(np.zeros(3)), A)
         assert np.array_equal(problem.row_grad(1, np.ones(3)), A[1])
         assert np.array_equal(problem.row_sq_norms_at(np.zeros(3)), [5.0, 50.0])

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from capped_kaczmarz.core import Convex, Scaled
@@ -88,13 +88,21 @@ def test_normalized_weights_form_distribution(g):
         assert abs(sel.weights.sum() / total - 1.0) <= 1e-12
 
 
+def squares_stay_normal(g: RowGeometry) -> bool:
+    """Every nonzero ``|f_i|^2`` and ``||grad_i||^2`` is a normal float."""
+    squares = np.concatenate((g.res_sq, g.grad_sq_norms))
+    return bool(np.all(np.abs(squares[squares != 0.0]) >= np.finfo(np.float64).tiny))
+
+
 @settings(max_examples=250, deadline=None)
 @given(geometries(), st.integers(min_value=-40, max_value=40))
 def test_homogeneity_under_common_rescaling(g, exponent):
-    # powers of two keep every float product exact, so set membership cannot
-    # drift through rounding at threshold ties
+    # powers of two keep every float product exact while the squares stay
+    # normal, so set membership cannot drift through rounding at threshold
+    # ties; subnormal squares lose bits and break that premise (pinned below)
     c = float(2.0**exponent)
     scaled = RowGeometry.from_state(c * g.residual, c * c * g.grad_sq_norms)
+    assume(squares_stay_normal(g) and squares_stay_normal(scaled))
     for mode in (Convex(0.5), Scaled(1.0)):
         base_d = build_distance_set(g, compute_epsilon(g, mode))
         scaled_d = build_distance_set(scaled, compute_epsilon(scaled, mode))
@@ -108,6 +116,29 @@ def test_homogeneity_under_common_rescaling(g, exponent):
                 scaled_d.weights / scaled_d.weights.sum(),
                 rtol=1e-12,
             )
+
+
+def test_subnormal_distance_ratio_underflows_to_all_weights_zero():
+    # |f|^2 = 6.6e-321 is subnormal; divided by ||grad||^2 = 2654 it
+    # underflows to 0, so the only member of the residual set carries no
+    # sampling weight even though its gradient is healthy
+    g = RowGeometry.from_state(np.array([8.09741838e-161]), np.array([2654.0]))
+    assert g.active.all() and g.res_sq[0] > 0.0 and g.ratios[0] == 0.0
+    with pytest.raises(AllWeightsZero, match="vanishing gradient"):
+        build_residual_set(g, compute_delta(g, Convex(0.5)))
+
+
+def test_subnormal_rescaling_changes_the_residual_set():
+    # scaling by 2^-5 takes |f_3|^2 from 6.6e-321 down to the smallest
+    # subnormal 5e-324.  Half of it rounds to zero, so delta drops to the
+    # mean term 1/8, delta * ||f||^2 rounds to zero too, and every row meets
+    # it: rescaling is not exact once squares leave the normal range
+    residual = np.array([0.0, 0.0, 0.0, 8.09741838e-161])
+    c = 2.0**-5
+    base = RowGeometry.from_state(residual, np.ones(4))
+    scaled = RowGeometry.from_state(c * residual, c * c * np.ones(4))
+    assert build_residual_set(base, compute_delta(base, Convex(0.5))).indices.tolist() == [3]
+    assert build_residual_set(scaled, compute_delta(scaled, Convex(0.5))).indices.tolist() == [0, 1, 2, 3]
 
 
 # --- the stored row arrays and the median shortcut against a reference -----

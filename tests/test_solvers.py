@@ -4,7 +4,7 @@ import pytest
 from capped_kaczmarz.core import Convex, MethodKind, Scaled, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import ZeroGradient
 from capped_kaczmarz.numerics import row_sq_norms, seeded_rng
-from capped_kaczmarz.problems import BrownProblem, make_linear
+from capped_kaczmarz.problems import BrownProblem, LinearProblem
 from capped_kaczmarz.selection import (
     RowGeometry,
     build_distance_set,
@@ -52,7 +52,7 @@ class TestKaczmarzStep:
 
 class TestBlockStep:
     def test_identity_jacobian(self):
-        problem = make_linear(np.eye(2), np.array([-1.0, -2.0]))
+        problem = LinearProblem(np.eye(2), np.array([-1.0, -2.0]))
         out = block_step(np.zeros(2), [0, 1], problem)
         assert np.allclose(out, [-1.0, -2.0])
 
@@ -78,7 +78,7 @@ class TestBlockStep:
         A = rng.standard_normal((4, 6))
         A[3] = A[0] + A[1]
         x_star = rng.standard_normal(6)
-        problem = make_linear(A, A @ x_star)
+        problem = LinearProblem(A, A @ x_star)
         x = rng.standard_normal(6)
         out = block_step(x, [0, 1, 2, 3], problem)
         delta = x - out
@@ -96,7 +96,7 @@ def brown_product_projection_floor(n):
     return (2.0 ** (n - 1) / n) ** (2 * n)
 
 
-FIXTURE = make_linear(np.eye(2), np.array([3.0, 4.0]), known_root=np.array([3.0, 4.0]))
+FIXTURE = LinearProblem(np.eye(2), np.array([3.0, 4.0]), known_root=np.array([3.0, 4.0]))
 SINGLE_METHODS = [MethodKind.NK, MethodKind.NURK, MethodKind.NRK, MethodKind.DR_CNK, MethodKind.RD_CNK]
 
 
@@ -116,7 +116,7 @@ class TestSolveBaselines:
 
     def test_nk_cycles_from_first_row(self):
         A = np.eye(3)
-        problem = make_linear(A, np.array([1.0, 1.0, 1.0]))
+        problem = LinearProblem(A, np.array([1.0, 1.0, 1.0]))
         trace = solve(problem, np.zeros(3), SolverConfig(method=MethodKind.NK, seed=0))
         picks = [rec.selected[0] for rec in trace.records[:-1]]
         assert picks == [0, 1, 2]
@@ -136,7 +136,7 @@ class TestErrorMonotoneOnConsistentLinear:
             m, n = 12, 6
             A = rng.standard_normal((m, n))
             x_star = rng.standard_normal(n)
-            problem = make_linear(A, A @ x_star, known_root=x_star)
+            problem = LinearProblem(A, A @ x_star, known_root=x_star)
             config = SolverConfig(
                 method=method, seed=trial, max_iter=40, tol=1e-28, record_error=True
             )
@@ -170,7 +170,7 @@ class TestGreedySolvers:
         rng = np.random.default_rng(3)
         A = rng.standard_normal((8, 4)) * np.array([1, 2, 4, 8, 1, 3, 5, 7])[:, None]
         x_star = rng.standard_normal(4)
-        problem = make_linear(A, A @ x_star, known_root=x_star)
+        problem = LinearProblem(A, A @ x_star, known_root=x_star)
         config = SolverConfig(
             method=MethodKind.DB_CNK, threshold=Scaled(1.0), seed=0,
             max_iter=60, tol=1e-20, record_iterates=True,
@@ -193,6 +193,75 @@ class TestGreedySolvers:
         assert first.set_size == len(first.selected) >= 1
 
 
+def brown_first_step(n, method, threshold=Convex(0.5)):
+    config = SolverConfig(method=method, threshold=threshold, max_iter=1, seed=5)
+    return solve(BrownProblem(n), 0.5 * np.ones(n), config)
+
+
+BROWN_SWEEP = list(range(2, 41)) + [50]
+DISTANCE_METHODS = [MethodKind.DR_CNK, MethodKind.DB_CNK]
+
+
+class TestBrownFirstStepSweep:
+    """What the eligibility cutoff and rounding decide on the first
+    distance-rule step from the Brown start ``0.5 * ones`` (ROADMAP item 3).
+    These pin the current outcomes; they are not claims about the method."""
+
+    @pytest.mark.parametrize("n", BROWN_SWEEP)
+    def test_product_row_eligible_iff_n_at_most_26(self, n):
+        problem = BrownProblem(n)
+        x0 = 0.5 * np.ones(n)
+        g = RowGeometry.from_state(problem.residual(x0), problem.row_sq_norms_at(x0))
+        assert g.active[:-1].all()
+        assert bool(g.active[-1]) == (n <= 26)
+
+    @pytest.mark.parametrize("method", DISTANCE_METHODS)
+    @pytest.mark.parametrize("n", range(2, 27))
+    def test_eligible_product_row_is_the_whole_first_set(self, n, method):
+        trace = brown_first_step(n, method)
+        first, after = trace.records
+        assert first.selected == (n - 1,) and first.set_size == 1
+        if n == 2:
+            # the one size where the projection helps (2.81 -> 0.88)
+            assert first.residual_sq == 2.8125
+            assert after.residual_sq == pytest.approx(0.87890625, rel=1e-12)
+            assert trace.status is SolveStatus.ITERATION_CAP_REACHED
+        elif n < 26:
+            assert after.residual_sq >= brown_product_projection_floor(n)
+            assert trace.status is SolveStatus.ITERATION_CAP_REACHED
+        else:
+            assert after.residual_sq == np.inf
+            assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+
+    @pytest.mark.parametrize("method", DISTANCE_METHODS)
+    @pytest.mark.parametrize("n", [n for n in BROWN_SWEEP if n >= 27])
+    def test_hidden_product_row_leaves_the_tied_affine_rows(self, n, method):
+        trace = brown_first_step(n, method)
+        first = trace.records[0]
+        # rounding at the exact tie keeps only the argmax row at n = 30 and 34
+        expected = (0,) if n in (30, 34) else tuple(range(n - 1))
+        assert first.set_size == len(expected)
+        if method is MethodKind.DB_CNK:
+            assert first.selected == expected
+        else:
+            assert set(first.selected) <= set(expected)
+
+    @pytest.mark.parametrize(
+        "n, threshold, size",
+        [
+            (30, Convex(0.5), 1), (30, Scaled(1.0), 1), (30, Scaled(0.5), 29),
+            (34, Convex(0.5), 1), (34, Scaled(1.0), 33), (34, Scaled(0.5), 33),
+        ],
+    )
+    def test_rounding_at_exact_tie_depends_on_threshold(self, n, threshold, size):
+        problem = BrownProblem(n)
+        x0 = 0.5 * np.ones(n)
+        g = RowGeometry.from_state(problem.residual(x0), problem.row_sq_norms_at(x0))
+        assert len(set(g.ratios[:-1].tolist())) == 1  # the affine rows tie exactly
+        first = brown_first_step(n, MethodKind.DB_CNK, threshold).records[0]
+        assert first.selected == ((0,) if size == 1 else tuple(range(n - 1)))
+
+
 class TestSolveStatuses:
     def test_cap_reached(self):
         problem = BrownProblem(30)
@@ -205,7 +274,7 @@ class TestSolveStatuses:
     def test_zero_gradient_row_breaks_down(self):
         # a zero row with nonzero right-hand side cannot be projected onto
         A = np.array([[1.0, 0.0], [0.0, 0.0]])
-        problem = make_linear(A, np.array([1.0, 1.0]))
+        problem = LinearProblem(A, np.array([1.0, 1.0]))
         trace = solve(problem, np.zeros(2), SolverConfig(method=MethodKind.NK, seed=0, max_iter=10))
         assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
 
