@@ -62,8 +62,9 @@ class ProblemInstance:
     """A square or rectangular nonlinear system ``f(x) = 0``.
 
     Concrete problems subclass this and provide ``residual``, ``row_grad``
-    and ``jacobian``.  Evaluation must be read-only so several solves can
-    share one instance; each solve owns its own iterate, PRNG and trace.
+    and ``jacobian`` (whole, or a subset of its rows).  Evaluation must be
+    read-only so several solves can share one instance; each solve owns its
+    own iterate, PRNG and trace.
 
     Attributes
     ----------
@@ -81,7 +82,10 @@ class ProblemInstance:
     def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
+        """The m x n Jacobian at ``x``, or with ``rows`` (integer indices in
+        ``[0, m)``, any order, repeats allowed) only those rows: bit for bit
+        ``jacobian(x)[rows]``, without building the others."""
         raise NotImplementedError
 
     def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:

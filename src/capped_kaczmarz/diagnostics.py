@@ -9,7 +9,7 @@ reported as such: eta is a supremum over sampled pairs, never assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -228,40 +228,33 @@ def build_factor_report(
     kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     is_block = method in BLOCK_KINDS
 
-    # replay each iterate's set through the solver's own selection and norms
-    states = []
-    for record, x in zip(trace.records[:-1], trace.iterates[:-1]):
-        g = RowGeometry.from_state(problem.residual(x), problem.row_sq_norms_at(x))
-        sel = greedy_selection(g, kind, mode)
-        states.append((record, x, problem.jacobian(x), g, sel))
-
-    margin = None
-    step_margins: list[float | None] = [None] * len(states)
-    if is_block and states:
-        h2_min, sig_max = np.inf, 0.0
-        for idx, (_, _, J, _, sel) in enumerate(states):
-            sig, h2p = pseudoinverse_extremes(J[sel.indices])
-            step_margins[idx] = block_margin(h2p * h2p, sig * sig, eta.eta)
-            h2_min = min(h2_min, h2p * h2p)
-            sig_max = max(sig_max, sig * sig)
-        margin = block_margin(h2_min, sig_max, eta.eta)
-
+    # one pass that keeps only each iterate's report row: replay the set
+    # through the solver's own selection and norms, and hold that iterate's
+    # Jacobian only while its row is built
     report = FactorReport(method=method, eta=eta.eta, radius=eta.radius)
     x_star = problem.known_root
-    for idx, (record, x, J, g, sel) in enumerate(states):
+    h2_min, sig_max = np.inf, 0.0
+    for idx, (record, x) in enumerate(zip(trace.records[:-1], trace.iterates[:-1])):
+        g = RowGeometry.from_state(problem.residual(x), problem.row_sq_norms_at(x))
+        sel = greedy_selection(g, kind, mode)
+        J = problem.jacobian(x)
         _, h2 = singular_extremes(J)
         max_grad = float(g.grad_sq_norms.max())
         min_grad = float(g.grad_sq_norms[g.active].min())
         rho_ref = factor_nrk(h2, g.jac_fro_sq, g.m, eta.eta)
         rho_method = None
         hypothesis_ok = None
-        step_margin = step_margins[idx]
+        step_margin = None
         if method is MethodKind.DR_CNK:
             rho_method = factor_dr_cnk(sel.threshold, h2, eta.eta)
         elif method is MethodKind.RD_CNK:
             rho_method = factor_rd_cnk(sel.threshold, h2, max_grad, eta.eta)
         elif is_block:
-            hypothesis_ok = step_margin is not None and step_margin > 0.0
+            sig, h2p = pseudoinverse_extremes(J[sel.indices])
+            step_margin = block_margin(h2p * h2p, sig * sig, eta.eta)
+            h2_min = min(h2_min, h2p * h2p)
+            sig_max = max(sig_max, sig * sig)
+            hypothesis_ok = step_margin > 0.0
             if hypothesis_ok:
                 rho_method = factor_block(
                     step_margin,
@@ -300,13 +293,16 @@ def build_factor_report(
                 min_grad_sq=min_grad,
                 rho_method=rho_method,
                 rho_nrk=rho_ref,
-                margin=margin,
                 step_margin=step_margin,
                 hypothesis_ok=hypothesis_ok,
                 measured_ratio=measured,
                 expected_ratio=expected,
             )
         )
+    if is_block and report.rows:
+        # the uniform margin is over every realized set, so it is known only now
+        margin = block_margin(h2_min, sig_max, eta.eta)
+        report.rows = [replace(row, margin=margin) for row in report.rows]
     return report
 
 

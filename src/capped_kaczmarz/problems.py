@@ -62,9 +62,12 @@ class BrownProblem(ProblemInstance):
             return self._jac_template[i]
         return _leave_one_out_products(np.asarray(x, dtype=float))
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        J = self._jac_template.copy()
-        J[self.n - 1] = _leave_one_out_products(np.asarray(x, dtype=float))
+    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
+        rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
+        J = self._jac_template[rows]
+        product = rows == self.n - 1
+        if product.any():
+            J[product] = _leave_one_out_products(np.asarray(x, dtype=float))
         return J
 
     def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
@@ -94,8 +97,8 @@ class LinearProblem(ProblemInstance):
     def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
         return self.A[i]
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        return self.A
+    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
+        return self.A if rows is None else self.A[rows]
 
     def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
         return self._row_norms
@@ -104,12 +107,8 @@ class LinearProblem(ProblemInstance):
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) evaluated with non-positive exponents only."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def logistic_loss_grad(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -156,9 +155,6 @@ class GLMProblem(ProblemInstance):
         head[np.arange(d), p + np.arange(d)] = -1.0
         self._head_jac = head
         self._head_norms = np.einsum("ij,ij->i", head, head)
-        tail_template = np.zeros((p, p + d))
-        tail_template[np.arange(p), np.arange(p)] = 1.0
-        self._tail_template = tail_template
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         alpha, w = x[: self.p], x[self.p:]
@@ -177,12 +173,19 @@ class GLMProblem(ProblemInstance):
         grad[self.p:] = curv * self.A[:, s]
         return grad
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
-        w = x[self.p:]
-        curv = logistic_loss_hess(self.y, self.A.T @ w)
-        tail = self._tail_template.copy()
-        tail[:, self.p:] = curv[:, None] * self.A.T
-        return np.concatenate((self._head_jac, tail))
+    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
+        # the margin is the full matvec even for a few rows: a matvec over
+        # the selected samples alone rounds differently in the last bits
+        margin = self.A.T @ x[self.p:]
+        rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
+        J = np.zeros((rows.size, self.n))
+        head = rows < self.d
+        J[head] = self._head_jac[rows[head]]
+        (at,) = np.nonzero(~head)
+        s = rows[at] - self.d
+        J[at, s] = 1.0
+        J[at, self.p:] = logistic_loss_hess(self.y[s], margin[s])[:, None] * self.A.T[s]
+        return J
 
     def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
         # head norms are constant; tail rows are a unit coordinate plus the

@@ -5,6 +5,10 @@ stopping rule (``check_stop``), pick rows, update, and record the iteration
 once.  The full residual is recomputed each iteration (no stale caching) so
 iteration counts are comparable across methods.
 
+Block steps select first and then build only the selected Jacobian rows
+(``problem.jacobian(x, rows)``); the selection reads the row norms from
+``problem.row_sq_norms_at``.
+
 The GLM hybrids run the same loop.  Their update is two sub-steps under one
 iteration index: the exact minimum-norm solve of the affine head rows, reusing
 the residual at ``x``, then one greedy capped block projection on the
@@ -35,7 +39,9 @@ from .errors import (
     FactorizationFailure,
     ZeroGradient,
 )
-from .numerics import draw_weighted_index, min_norm_least_squares, row_sq_norms, seeded_rng
+from .numerics import draw_weighted_index, min_norm_least_squares, seeded_rng
+# not called here: benchmark/tracing.py rebinds this name for its numerics.row_norms span
+from .numerics import row_sq_norms  # noqa: F401
 from .problems import GLMProblem
 from .selection import (
     RowGeometry,
@@ -116,14 +122,13 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                         # tail exactly solved: nothing left for the greedy block
                         x = x_mid
                     else:
-                        sel, rows, J = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold)
-                        x = x_mid - min_norm_least_squares(J[rows], r_mid[rows])
+                        sel, rows = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold)
+                        x = x_mid - min_norm_least_squares(problem.jacobian(x_mid, rows), r_mid[rows])
                         selected, set_size = tuple(int(j) for j in rows), len(sel)
                 elif block:
-                    J = problem.jacobian(x)
                     g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
                     sel = greedy_selection(g, kind, config.threshold)
-                    x = x - min_norm_least_squares(J[sel.indices], r[sel.indices])
+                    x = x - min_norm_least_squares(problem.jacobian(x, sel.indices), r[sel.indices])
                     selected, set_size = tuple(int(j) for j in sel.indices), len(sel)
                 else:
                     if method is MethodKind.NK:
@@ -169,10 +174,9 @@ def hybrid_tail_selection(glm: GLMProblem, x: np.ndarray, r: np.ndarray, kind: S
     given the residual ``r`` at ``x``.
 
     The geometry (norms, thresholds, row count) is that of the tail
-    subsystem; returned indices are global row indices of the full system.
+    subsystem.  Returns the selection and its rows as global row indices of
+    the full system.
     """
-    J = glm.jacobian(x)
-    tail_rows = slice(glm.d, glm.d + glm.p)
-    g = RowGeometry.from_state(r[tail_rows], row_sq_norms(J[tail_rows]))
+    g = RowGeometry.from_state(r[glm.d:], glm.row_sq_norms_at(x)[glm.d:])
     sel = greedy_selection(g, kind, mode)
-    return sel, sel.indices + glm.d, J
+    return sel, sel.indices + glm.d

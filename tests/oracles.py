@@ -2,7 +2,9 @@
 
 ``block_step`` is the block projection written out from its definition,
 against which the capped block methods are compared; ``serialize_libsvm``
-writes a dataset back out so the parser can be checked by a round trip.
+writes a dataset back out so the parser can be checked by a round trip;
+``masked_stable_sigmoid`` is the two-branch sigmoid the package's mask-free
+one must equal bit for bit.
 """
 
 from __future__ import annotations
@@ -24,6 +26,17 @@ def block_step(x: np.ndarray, tau, problem: ProblemInstance) -> np.ndarray:
     r = problem.residual(x)
     J = problem.jacobian(x)
     return x - min_norm_least_squares(J[tau], r[tau])
+
+
+def masked_stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) evaluated with non-positive exponents only."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
 
 
 def serialize_libsvm(dataset: Dataset) -> str:

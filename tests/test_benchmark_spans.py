@@ -43,15 +43,13 @@ def glm_problem():
 
 
 SELECTION = {"selection.geometry", "selection.threshold", "selection.set"}
+# block steps build only the Jacobian rows they hand to least squares
+BLOCK = {"problems.row_norms", "problems.jacobian", "numerics.lstsq"}
 CASES = [
     (MethodKind.DR_CNK, linear_problem, SELECTION | {"selection.sample", "numerics.draw", "solvers.step"}),
     (MethodKind.RD_CNK, linear_problem, SELECTION | {"selection.sample", "numerics.draw", "solvers.step"}),
-    (MethodKind.DB_CNK, linear_problem, SELECTION | {"numerics.lstsq"}),
-    (
-        MethodKind.GLM_HYBRID_DB,
-        glm_problem,
-        SELECTION | {"solvers.hybrid_head", "numerics.lstsq", "numerics.row_norms"},
-    ),
+    (MethodKind.DB_CNK, linear_problem, SELECTION | BLOCK),
+    (MethodKind.GLM_HYBRID_DB, glm_problem, SELECTION | BLOCK | {"solvers.hybrid_head"}),
 ]
 
 
@@ -67,4 +65,8 @@ def test_spans_are_entered(tracing, method, build, spans):
     assert not missing, f"{method.value}: spans never entered: {missing}"
     # the selection layers run once per iteration
     assert calls["selection.geometry"] == calls["selection.threshold"] == calls["selection.set"] == 3
+    if "problems.jacobian" in spans:
+        counts = tracer.totals()["counts"]
+        assert counts["problems.jacobian.rows_used"] > 0
+        assert counts["problems.jacobian.rows_built"] == counts["problems.jacobian.rows_used"]
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -297,6 +299,23 @@ class TestFactorReport:
             report = build_factor_report(problem, trace, eta, Convex(0.5), method)
             for row in report.rows:
                 assert row.rho_method < row.rho_nrk
+
+    def test_report_keeps_no_jacobian_per_iterate(self):
+        # 470 iterates of brown:40 would hold 470 x 12.8 kB of Jacobians
+        # (7.6 MB); streaming holds one at a time
+        problem = BrownProblem(40)
+        config = SolverConfig(method=MethodKind.DR_CNK, seed=0, record_iterates=True)
+        trace = solve(problem, 0.5 * np.ones(40), config)
+        assert trace.total_iterations > 400
+        eta = EtaEstimate(np.zeros(40), 0.1, 1, np.ones(40), 0.05, ())
+        tracemalloc.start()
+        try:
+            report = build_factor_report(problem, trace, eta, Convex(0.5), MethodKind.DR_CNK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.rows) == trace.total_iterations
+        assert peak < 2e6, f"factor report peaked at {peak / 1e6:.1f} MB"
 
     def test_requires_iterates(self):
         problem = BrownProblem(4)

@@ -10,10 +10,12 @@ from capped_kaczmarz.problems import (
     GLMProblem,
     LinearProblem,
     _leave_one_out_products,
+    _stable_sigmoid,
     make_glm,
     make_synthetic_glm,
     synthetic_dataset,
 )
+from oracles import masked_stable_sigmoid
 
 
 def central_diff_row(problem, i, x, step=1e-6):
@@ -153,6 +155,62 @@ class TestGLM:
             GLMProblem(np.ones((1, 2)), np.array([0.0, 1.0]), lam=1.0)
 
 
+def index_sets(m: int, d: int, rng) -> list[np.ndarray]:
+    """Head-only, tail-only, mixed, unsorted, single-row, repeated and
+    all-rows index sets of an m-row system whose first d rows are the head."""
+    head = np.arange(d)
+    tail = np.arange(d, m)
+    return [
+        head,
+        tail,
+        np.array([0, m - 1]),
+        rng.permutation(m)[: max(2, m // 3)],
+        np.array([m - 1, d, 0, m // 2]),
+        np.array([m - 1]),
+        np.array([d]),
+        np.array([m // 2, m // 2]),
+        np.arange(m),
+        rng.permutation(m),
+    ]
+
+
+class TestJacobianRows:
+    """``jacobian(x, rows)`` equals ``jacobian(x)[rows]`` bit for bit."""
+
+    def assert_rows_match(self, problem, x, sets):
+        full = problem.jacobian(x)
+        for rows in sets:
+            got = problem.jacobian(x, rows)
+            assert got.shape == (len(rows), problem.n)
+            assert np.array_equal(got, full[rows]), rows
+
+    def test_brown_including_product_row(self):
+        rng = seeded_rng(11)
+        for n in (2, 7, 50):
+            problem = BrownProblem(n)
+            for scale in (0.5, 1.0, 3.0):
+                x = scale * (0.5 + rng.random(n))
+                # d = n - 1 puts the product row alone in the "tail"
+                self.assert_rows_match(problem, x, index_sets(n, n - 1, rng))
+
+    def test_linear(self):
+        rng = seeded_rng(12)
+        A = rng.standard_normal((9, 4))
+        problem = LinearProblem(A, rng.standard_normal(9))
+        self.assert_rows_match(problem, rng.standard_normal(4), index_sets(9, 3, rng))
+
+    @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8), (7, 3, 1)])
+    def test_glm_head_and_tail_rows(self, p, d, seed):
+        glm = make_synthetic_glm(p, d, seed)
+        rng = seeded_rng(seed + 100)
+        # large |w| puts the curvature far from 1/4, where a margin that
+        # rounds differently from the full matvec shows in the last bits
+        for scale in (0.1, 1.0, 5.0, 30.0):
+            for _ in range(5):
+                x = scale * rng.standard_normal(glm.n)
+                self.assert_rows_match(glm, x, index_sets(glm.m, glm.d, rng))
+
+
 class TestLinear:
     def test_residual_at_root(self):
         problem = LinearProblem(np.eye(2), np.array([1.0, 2.0]), known_root=np.array([1.0, 2.0]))
@@ -170,6 +228,16 @@ class TestLinear:
         assert np.array_equal(problem.jacobian(np.zeros(3)), A)
         assert np.array_equal(problem.row_grad(1, np.ones(3)), A[1])
         assert np.array_equal(problem.row_sq_norms_at(np.zeros(3)), [5.0, 50.0])
+
+
+def test_sigmoid_matches_masked_oracle_bit_for_bit():
+    rng = seeded_rng(13)
+    special = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+    z = np.concatenate((special, 40.0 * rng.standard_normal(30_000), np.ldexp(1.0, rng.integers(-1074, 1000, 2000))))
+    z = np.concatenate((z, -z[len(special):]))
+    assert _stable_sigmoid(z).tobytes() == masked_stable_sigmoid(z).tobytes()
+    # NaN stays NaN; only its sign bit may differ from the oracle's
+    assert np.isnan(_stable_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 class TestSynthetic:
