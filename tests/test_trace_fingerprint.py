@@ -39,6 +39,7 @@ NON_HYBRID = tuple(m for m in MethodKind if m not in HYBRID_KINDS)
 CELLS = {
     "brown:8": NON_HYBRID,
     "brown:50": NON_HYBRID,
+    "brown:200": (MethodKind.NRK, MethodKind.DR_CNK, MethodKind.RD_CNK),
     "linear:300,40,2": NON_HYBRID,
     "glm:synthetic:60,6,3": tuple(MethodKind),
 }
