@@ -82,7 +82,7 @@ def draw_weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     package: one ``rng.random()`` call per draw, resolved by binary search.
     """
     weights = np.asarray(weights, dtype=float)
-    cumulative = np.cumsum(weights)
+    cumulative = weights.cumsum()
     total = float(cumulative[-1]) if cumulative.size else 0.0
     if not math.isfinite(total) or total <= 0.0:
         raise AllWeightsZero("sampling weights must have a positive finite sum")

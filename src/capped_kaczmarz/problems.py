@@ -24,12 +24,12 @@ from .numerics import seeded_rng
 def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
     """Entry j is the product of all entries except x[j], division-free so
     zero entries stay exact."""
-    out = np.empty_like(x)
-    suffix = np.empty_like(x)
+    out = np.empty(x.shape)
+    suffix = np.empty(x.shape)
     out[0] = 1.0
     suffix[-1] = 1.0
-    np.cumprod(x[:-1], out=out[1:])
-    np.cumprod(x[:0:-1], out=suffix[-2::-1])
+    x[:-1].cumprod(out=out[1:])
+    x[:0:-1].cumprod(out=suffix[-2::-1])
     out *= suffix
     return out
 
@@ -54,7 +54,7 @@ class BrownProblem(ProblemInstance):
         """Rows k < n: x_k + sum(x) - (n + 1).  Row n: prod(x) - 1."""
         x = np.asarray(x, dtype=float)
         out = x + (x.sum() - (self.n + 1.0))
-        out[self.n - 1] = np.prod(x) - 1.0
+        out[self.n - 1] = x.prod() - 1.0
         return out
 
     def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:

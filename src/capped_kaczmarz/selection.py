@@ -21,7 +21,15 @@ median of finite norms is at most their maximum, and rounding a product
 with a positive constant keeps that order, so every row is active either
 way, and the active sums are then the full sums over the same array.
 The result is the same mask and the same floats as the median path, which
-every other input (NaN or infinite norms included) still takes.
+every other input (NaN or infinite norms included) still takes.  The
+smallest and largest norms are read by ``argmin``/``argmax``, which stop at
+the first NaN as ``min``/``max`` do.  Such an all-active geometry carries a
+read-only all-true mask shared by every geometry of its row count, and the
+rules skip each pass over it: the ``any()`` check in
+:func:`compute_epsilon`, the ``&`` in :func:`build_distance_set` and the
+``where`` that zeroes inactive weights in :func:`build_residual_set`.  Each
+pass is the identity on an all-true mask, so the sets and weights are the
+same floats.
 
 Known limitation: rescaling the residual by c and the squared norms by c^2
 leaves every set unchanged only while the nonzero ``|f_i|^2`` are normal
@@ -50,6 +58,27 @@ from .numerics import draw_weighted_index
 # exploded gradients must not shift the cutoff for the healthy majority.
 ACTIVE_REL_EPS = float(np.finfo(np.float64).eps)
 ACTIVE_ABS_FLOOR = 1e-300
+
+
+# one read-only all-true mask per row count, shared by every all-active
+# geometry of that size; a geometry with an inactive row builds its own
+_ALL_ACTIVE: dict[int, np.ndarray] = {}
+
+
+def _all_active_mask(m: int) -> np.ndarray:
+    mask = _ALL_ACTIVE.get(m)
+    if mask is None:
+        mask = np.ones(m, dtype=bool)
+        mask.flags.writeable = False
+        _ALL_ACTIVE[m] = mask
+    return mask
+
+
+def _every_row_active(g: "RowGeometry") -> bool:
+    """True when ``g`` carries the shared all-true mask, so the rules may
+    skip every pass over ``active``.  Any other mask takes the masked path,
+    which gives the same floats when it happens to be all true."""
+    return g.active is _ALL_ACTIVE.get(g.active.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,13 +118,14 @@ class RowGeometry:
         res_sq = residual * residual
         residual_sq = float(res_sq.sum())
         jac_fro_sq = float(grad_sq_norms.sum())
-        lo = grad_sq_norms.min()
-        if lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq_norms.max():
+        # read by index: argmin/argmax stop at the first NaN, as min/max do
+        lo = grad_sq_norms[grad_sq_norms.argmin()]
+        if lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq_norms[grad_sq_norms.argmax()]:
             # the median cannot matter (see the module docstring): every row
             # is active, and the active sums are the full sums over the same
             # array in the same order.  NaN or infinite norms fail a
             # comparison and take the median path.
-            active = np.ones(residual.shape, dtype=bool)
+            active = _all_active_mask(residual.size)
             active_residual_sq, active_fro_sq = residual_sq, jac_fro_sq
             ratios = res_sq / grad_sq_norms
         else:
@@ -156,7 +186,7 @@ def compute_epsilon(g: RowGeometry, mode: ThresholdMode) -> float:
     """
     if g.residual_sq <= 0.0:
         raise DegenerateState("distance threshold undefined at zero residual")
-    if not g.active.any():
+    if not _every_row_active(g) and not g.active.any():
         raise DegenerateState("every row gradient vanished")
     if g.active_residual_sq <= 0.0:
         raise DegenerateState("all residual mass sits on zero-gradient rows")
@@ -178,9 +208,11 @@ def build_distance_set(g: RowGeometry, eps: float) -> SelectionResult:
     ``0.5 * ones`` keeps 1 of 29 tied rows).  The argmax-ratio row is kept
     unconditionally, which pins the set nonempty under such rounding.
     """
-    mask = g.active & (g.res_sq >= eps * g.active_residual_sq * g.grad_sq_norms)
+    mask = g.res_sq >= eps * g.active_residual_sq * g.grad_sq_norms
+    if not _every_row_active(g):
+        mask &= g.active
     mask[g.top_ratio_row] = True
-    indices = np.flatnonzero(mask)
+    indices = mask.nonzero()[0]
     if indices.size == 0:
         raise EmptySet("distance set came out empty; threshold inconsistent with geometry")
     return SelectionResult(
@@ -221,10 +253,12 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
     """
     mask = g.res_sq >= delta * g.residual_sq
     mask[g.top_residual_row] = True
-    indices = np.flatnonzero(mask)
+    indices = mask.nonzero()[0]
     if indices.size == 0:
         raise EmptySet("residual set came out empty; threshold inconsistent with geometry")
-    weights = np.where(g.active[indices], g.ratios[indices], 0.0)
+    weights = g.ratios[indices]
+    if not _every_row_active(g):
+        weights = np.where(g.active[indices], weights, 0.0)
     if not weights.any():
         raise AllWeightsZero("every selected row has a vanishing gradient")
     return SelectionResult(

@@ -152,6 +152,7 @@ def test_criterion_02_block_methods_converge_instantly(n):
     report(2, ok, f"brown n={n}: " + "; ".join(details))
 
 
+@pytest.mark.slow
 def test_criterion_03_speedup_trend_on_brown200():
     spec = BenchSpec(
         problem="brown:200",
@@ -324,6 +325,7 @@ def test_criterion_07_block_kernel_matches_svd_oracle():
     report(7, True, "least-squares kernel matches the SVD oracle; singleton blocks equal row steps")
 
 
+@pytest.mark.slow
 def test_criterion_08_glm_end_to_end():
     pairs = (
         (MethodKind.DR_CNK, MethodKind.GLM_HYBRID_DB),

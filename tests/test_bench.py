@@ -168,6 +168,7 @@ class TestEmitCsv:
         golden = (DATA / "golden_trace.csv").read_text(encoding="utf-8")
         assert emit_csv(trace) == golden
 
+    @pytest.mark.slow
     def test_round_trip_preserves_floats(self):
         problem = BrownProblem(10)
         config = SolverConfig(method=MethodKind.DR_CNK, seed=5)

@@ -121,7 +121,60 @@ class TestSeededRng:
         assert 0.498 <= draws.mean() <= 0.502
 
 
+def clone(rng):
+    """A generator that replays ``rng``'s stream from its current state."""
+    twin = np.random.Generator(np.random.PCG64())
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+def weight_vectors():
+    """Random weights with zeros, one-hot vectors and subnormal weights."""
+    rng = seeded_rng(11)
+    vectors = []
+    for m in (1, 2, 3, 7, 50, 200):
+        w = rng.random(m)
+        w[rng.random(m) < 0.4] = 0.0
+        w[rng.integers(m)] = rng.random() + 0.5
+        vectors.append(w)
+        for j in {0, m // 2, m - 1}:
+            one_hot = np.zeros(m)
+            one_hot[j] = rng.random() + 0.5
+            vectors.append(one_hot)
+        vectors.append(w * 5e-324 / w.max())
+        vectors.append(np.where(rng.random(m) < 0.5, 1e-310, w))
+    return vectors
+
+
 class TestDrawWeightedIndex:
+    def test_replays_cumulative_sum_inversion(self):
+        rng = seeded_rng(5)
+        for w in weight_vectors():
+            for _ in range(25):
+                twin = clone(rng)
+                cumulative = np.cumsum(w)
+                u = twin.random()
+                expected = min(int(np.searchsorted(cumulative, u * cumulative[-1], "right")), len(w) - 1)
+                assert draw_weighted_index(rng, w) == expected
+
+    def test_consumes_exactly_one_variate(self):
+        rng = seeded_rng(6)
+        for w in weight_vectors():
+            twin = clone(rng)
+            draw_weighted_index(rng, w)
+            twin.random()
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        rng = seeded_rng(0)
+        state = rng.bit_generator.state
+        for w in ([bad], [1.0, bad], [bad, 2.0, 3.0]):
+            with pytest.raises(AllWeightsZero):
+                draw_weighted_index(rng, np.array(w))
+        # a rejected draw consumes nothing
+        assert rng.bit_generator.state == state
+
     def test_degenerate_weight(self):
         rng = seeded_rng(0)
         assert all(draw_weighted_index(rng, np.array([4.0])) == 0 for _ in range(10))

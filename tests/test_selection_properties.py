@@ -128,6 +128,29 @@ def test_subnormal_distance_ratio_underflows_to_all_weights_zero():
         build_residual_set(g, compute_delta(g, Convex(0.5)))
 
 
+@pytest.mark.parametrize("all_active_first", [True, False])
+def test_shared_all_active_mask_does_not_leak(all_active_first):
+    # an all-active geometry carries a read-only mask shared by its row
+    # count; a geometry of the same length with an inactive row keeps its own
+    residual = np.array([3.0, -1.0, 2.0, 2.5])
+    states = [(residual, np.array([1.0, 2.0, 4.0, 1.0])), (residual, np.array([1.0, 2.0, 4.0, 0.0]))]
+    if not all_active_first:
+        states.reverse()
+    built = [RowGeometry.from_state(*state) for state in states]
+    full, partial = built if all_active_first else built[::-1]
+    assert full.active.tolist() == [True, True, True, True]
+    assert partial.active.tolist() == [True, True, True, False]
+    for g, distance, residual_weights in ((full, [0, 3], [9.0, 6.25]), (partial, [0], [9.0, 0.0])):
+        assert build_distance_set(g, compute_epsilon(g, Convex(0.5))).indices.tolist() == distance
+        sel = build_residual_set(g, compute_delta(g, Scaled(0.5)))
+        assert sel.indices.tolist() == [0, 3]
+        assert sel.weights.tolist() == residual_weights
+    with pytest.raises(ValueError):
+        full.active[3] = False
+    assert full.active.all()
+    assert RowGeometry.from_state(residual, np.ones(4)).active.all()
+
+
 def test_subnormal_rescaling_changes_the_residual_set():
     # scaling by 2^-5 takes |f_3|^2 from 6.6e-321 down to the smallest
     # subnormal 5e-324.  Half of it rounds to zero, so delta drops to the

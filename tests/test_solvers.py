@@ -147,6 +147,7 @@ class TestErrorMonotoneOnConsistentLinear:
 
 
 class TestGreedySolvers:
+    @pytest.mark.slow
     def test_dr_and_db_share_first_set(self):
         # below n = 27 the product row passes the eligibility cutoff at the
         # half-ones start, so both distance-rule methods project onto it
