@@ -42,6 +42,13 @@ CELLS = {
     "brown:200": (MethodKind.NRK, MethodKind.DR_CNK, MethodKind.RD_CNK),
     "linear:300,40,2": NON_HYBRID,
     "glm:synthetic:60,6,3": tuple(MethodKind),
+    "glm:synthetic:200,10,8": (
+        MethodKind.DR_CNK,
+        MethodKind.DB_CNK,
+        MethodKind.RB_CNK,
+        MethodKind.GLM_HYBRID_DB,
+        MethodKind.GLM_HYBRID_RB,
+    ),
 }
 
 
