@@ -58,6 +58,30 @@ class Scaled:
 ThresholdMode = Convex | Scaled
 
 
+class IterateMemo:
+    """Values a problem derives from one iterate, shared by its evaluations
+    there.
+
+    :meth:`at` returns the store for ``x`` and empties it first when ``x`` is
+    not the array it last served, so the memo holds one iterate's values and
+    never hands them out for another array.  The key is the array's
+    identity, and the memo keeps a reference to it, so ``x`` must not be
+    changed in place while it is evaluated at.
+    """
+
+    __slots__ = ("_x", "_values")
+
+    def __init__(self):
+        self._x = None
+        self._values: dict = {}
+
+    def at(self, x) -> dict:
+        if x is not self._x:
+            self._x = x
+            self._values = {}
+        return self._values
+
+
 class ProblemInstance:
     """A square or rectangular nonlinear system ``f(x) = 0``.
 
@@ -65,6 +89,14 @@ class ProblemInstance:
     and ``jacobian`` (whole, or a subset of its rows).  Evaluation must be
     read-only so several solves can share one instance; each solve owns its
     own iterate, PRNG and trace.
+
+    Every evaluation takes an optional trailing ``memo`` (an
+    :class:`IterateMemo`).  ``solve`` creates one per solve and hands it to
+    every evaluation, so the values an iterate shares between them (the GLM
+    margin and curvature, the Brown leave-one-out products) are computed
+    once per iterate.  The memo belongs to the solve, not to the instance,
+    and is keyed to one iterate.  With or without it an evaluation returns
+    the same bits; called without it, it computes everything afresh.
 
     Attributes
     ----------
@@ -76,19 +108,19 @@ class ProblemInstance:
     n: int
     known_root: np.ndarray | None = None
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
+    def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+    def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         raise NotImplementedError
 
-    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
         """The m x n Jacobian at ``x``, or with ``rows`` (integer indices in
         ``[0, m)``, any order, repeats allowed) only those rows: bit for bit
         ``jacobian(x)[rows]``, without building the others."""
         raise NotImplementedError
 
-    def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
+    def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         """Squared gradient norm of every row at ``x``.
 
         Default materializes the Jacobian; problems with structure override

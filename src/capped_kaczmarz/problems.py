@@ -16,9 +16,14 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import ProblemInstance
+from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
 from .numerics import seeded_rng
+
+
+def _values_at(x: np.ndarray, memo: IterateMemo | None) -> dict:
+    """The memo's store for iterate ``x``, or a throwaway one without a memo."""
+    return {} if memo is None else memo.at(x)
 
 
 def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
@@ -50,29 +55,37 @@ class BrownProblem(ProblemInstance):
         # affine rows have the constant norm n + 3; only the product row moves
         self._norms_template = np.full(n, n + 3.0)
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
+    def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         """Rows k < n: x_k + sum(x) - (n + 1).  Row n: prod(x) - 1."""
         x = np.asarray(x, dtype=float)
         out = x + (x.sum() - (self.n + 1.0))
         out[self.n - 1] = x.prod() - 1.0
         return out
 
-    def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+    def _products(self, x: np.ndarray, memo: IterateMemo | None) -> np.ndarray:
+        """The product row's gradient at ``x``, built once per iterate."""
+        values = _values_at(x, memo)
+        products = values.get("products")
+        if products is None:
+            products = values["products"] = _leave_one_out_products(np.asarray(x, dtype=float))
+        return products
+
+    def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         if i < self.n - 1:
             return self._jac_template[i]
-        return _leave_one_out_products(np.asarray(x, dtype=float))
+        return self._products(x, memo)
 
-    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
         rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
         J = self._jac_template[rows]
         product = rows == self.n - 1
         if product.any():
-            J[product] = _leave_one_out_products(np.asarray(x, dtype=float))
+            J[product] = self._products(x, memo)
         return J
 
-    def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
+    def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         norms = self._norms_template.copy()
-        products = _leave_one_out_products(np.asarray(x, dtype=float))
+        products = self._products(x, memo)
         norms[self.n - 1] = np.einsum("i,i->", products, products)
         return norms
 
@@ -91,29 +104,34 @@ class LinearProblem(ProblemInstance):
         self.known_root = None if known_root is None else np.asarray(known_root, dtype=float)
         self._row_norms = np.einsum("ij,ij->i", A, A)
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
+    def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         return self.A @ x - self.b
 
-    def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+    def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         return self.A[i]
 
-    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
+    def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
         return self.A if rows is None else self.A[rows]
 
-    def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
+    def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         return self._row_norms
+
+
+def _sigmoid_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two branches of the stable sigmoid from one exp: ``1 / (1 + e)``,
+    the sigmoid where z >= 0, and ``e / (1 + e)``, the sigmoid where z < 0,
+    with ``e = exp(-|z|)``.  Both branches of ``-z`` are the same two arrays
+    swapped."""
+    e = np.exp(-np.abs(z))
+    denom = 1.0 + e
+    return 1.0 / denom, e / denom
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)) evaluated with non-positive exponents only."""
     z = np.asarray(z, dtype=float)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
-def logistic_loss_grad(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d/dt of ln(1 + exp(-y t)):  -y / (1 + exp(y t))."""
-    return -y * _stable_sigmoid(-y * t)
+    hi, lo = _sigmoid_branches(z)
+    return np.where(z >= 0, hi, lo)
 
 
 def logistic_loss_hess(y: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -129,6 +147,11 @@ class GLMProblem(ProblemInstance):
     ``(1/(lam p)) A alpha - w``, are affine in x and encode stationarity of
     the regularized objective; the last p rows, ``alpha_i + phi_i'(a_i^T w)``,
     tie the duals to the logistic loss derivative.
+
+    Every evaluation at an iterate starts from one full matvec ``A^T w`` and
+    one exp (:meth:`_margin_parts`); with a memo, the residual, the row
+    norms and the Jacobian rows at one iterate share them, and the norms and
+    the tail rows share one curvature-scaled sample block.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float):
@@ -155,14 +178,45 @@ class GLMProblem(ProblemInstance):
         head[np.arange(d), p + np.arange(d)] = -1.0
         self._head_jac = head
         self._head_norms = np.einsum("ij,ij->i", head, head)
+        self._neg_y = -y
 
-    def residual(self, x: np.ndarray) -> np.ndarray:
-        alpha, w = x[: self.p], x[self.p:]
-        head = (self.A @ alpha) / (self.lam * self.p) - w
-        tail = alpha + logistic_loss_grad(self.y, self.A.T @ w)
-        return np.concatenate((head, tail))
+    def _margin_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The signed margins ``z = y * (A^T w)`` and both sigmoid branches of
+        ``z``.  The matvec is always the full one: a matvec over a subset of
+        the samples rounds differently in the last bits."""
+        z = self.y * (self.A.T @ w)
+        return (z, *_sigmoid_branches(z))
 
-    def row_grad(self, i: int, x: np.ndarray) -> np.ndarray:
+    def _margin_at(self, x: np.ndarray, values: dict):
+        """:meth:`_margin_parts` at ``x``, computed once per store."""
+        parts = values.get("margin")
+        if parts is None:
+            parts = values["margin"] = self._margin_parts(x[self.p:])
+        return parts
+
+    def _scaled_samples(self, x: np.ndarray, values: dict) -> np.ndarray:
+        """The p x d block ``phi''(a_i^T w) a_i^T``: the w part of every tail
+        row, whose alpha part is a unit coordinate."""
+        scaled = values.get("scaled")
+        if scaled is None:
+            z, hi, lo = self._margin_at(x, values)
+            s = np.where(z >= 0, hi, lo)
+            scaled = values["scaled"] = (s * (1.0 - s))[:, None] * self.A.T
+        return scaled
+
+    def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
+        p, d = self.p, self.d
+        z, hi, lo = self._margin_at(x, _values_at(x, memo))
+        out = np.empty(self.m)
+        np.subtract((self.A @ x[:p]) / (self.lam * p), x[p:], out=out[:d])
+        # phi'(t) = -y sigma(-y t); y is +-1, so |-y t| = |z| and -y t >= 0
+        # exactly where z <= 0: the branches of z, swapped
+        np.add(x[:p], self._neg_y * np.where(z <= 0, hi, lo), out=out[d:])
+        return out
+
+    def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
+        # a tail row takes its curvature from its own sample's dot product,
+        # not from the memo's full matvec: the two round differently
         if i < self.d:
             return self._head_jac[i]
         s = i - self.d
@@ -173,27 +227,31 @@ class GLMProblem(ProblemInstance):
         grad[self.p:] = curv * self.A[:, s]
         return grad
 
-    def jacobian(self, x: np.ndarray, rows=None) -> np.ndarray:
-        # the margin is the full matvec even for a few rows: a matvec over
-        # the selected samples alone rounds differently in the last bits
-        margin = self.A.T @ x[self.p:]
+    def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
+        scaled = self._scaled_samples(x, _values_at(x, memo))
         rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
         J = np.zeros((rows.size, self.n))
-        head = rows < self.d
-        J[head] = self._head_jac[rows[head]]
-        (at,) = np.nonzero(~head)
+        if rows.size and rows.min() >= self.d:
+            # tail rows only (every hybrid step): no head rows to place
+            at = np.arange(rows.size)
+        else:
+            head = rows < self.d
+            J[head] = self._head_jac[rows[head]]
+            (at,) = np.nonzero(~head)
         s = rows[at] - self.d
         J[at, s] = 1.0
-        J[at, self.p:] = logistic_loss_hess(self.y[s], margin[s])[:, None] * self.A.T[s]
+        J[at, self.p:] = scaled[s]
         return J
 
-    def row_sq_norms_at(self, x: np.ndarray) -> np.ndarray:
-        # head norms are constant; tail rows are a unit coordinate plus the
-        # curvature-scaled sample, so only a p x d block is touched
-        w = x[self.p:]
-        curv = logistic_loss_hess(self.y, self.A.T @ w)
-        scaled = curv[:, None] * self.A.T
-        return np.concatenate((self._head_norms, 1.0 + np.einsum("ij,ij->i", scaled, scaled)))
+    def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
+        # head norms are constant; a tail row is a unit coordinate plus its
+        # scaled sample
+        scaled = self._scaled_samples(x, _values_at(x, memo))
+        out = np.empty(self.m)
+        out[: self.d] = self._head_norms
+        tail = np.einsum("ij,ij->i", scaled, scaled, out=out[self.d:])
+        tail += 1.0
+        return out
 
     def linear_head_jacobian(self) -> np.ndarray:
         """Constant Jacobian of the first d (affine) rows."""

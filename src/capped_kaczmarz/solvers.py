@@ -2,8 +2,14 @@
 
 Every method shares the same skeleton: evaluate the full residual, apply the
 stopping rule (``check_stop``), pick rows, update, and record the iteration
-once.  The full residual is recomputed each iteration (no stale caching) so
+once.  The full residual is evaluated at every iterate (no stale caching) so
 iteration counts are comparable across methods.
+
+Each solve owns one ``IterateMemo`` and hands it to every problem
+evaluation.  It holds what one iterate's evaluations share (the GLM margin,
+exp and curvature-scaled samples, the Brown leave-one-out products) and is
+emptied when the next iterate arrives; it changes no value, only how often
+it is computed.
 
 Block steps select first and then build only the selected Jacobian rows
 (``problem.jacobian(x, rows)``); the selection reads the row norms from
@@ -24,6 +30,7 @@ from .core import (
     BLOCK_KINDS,
     DISTANCE_KINDS,
     HYBRID_KINDS,
+    IterateMemo,
     IterationRecord,
     MethodKind,
     ProblemInstance,
@@ -96,13 +103,14 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     hybrid, block = method in HYBRID_KINDS, method in BLOCK_KINDS
     m = problem.m
+    memo = IterateMemo()
 
     k = 0
     while True:
         with np.errstate(over="ignore", invalid="ignore"):
             # overflow here is an anticipated outcome of a wild projection
             # step; check_stop turns a non-finite residual into a breakdown
-            r = problem.residual(x)
+            r = problem.residual(x, memo)
             residual_sq = float(r @ r)
         error_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
         if iterates is not None:
@@ -117,19 +125,19 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                 if hybrid:
                     # a breakdown in either sub-step leaves x at the pre-head iterate
                     x_mid = hybrid_linear_substep(problem, x, r)
-                    r_mid = problem.residual(x_mid)
+                    r_mid = problem.residual(x_mid, memo)
                     if float(np.sum(r_mid[problem.d:] ** 2)) == 0.0:
                         # tail exactly solved: nothing left for the greedy block
                         x = x_mid
                     else:
-                        sel, rows = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold)
-                        x = x_mid - min_norm_least_squares(problem.jacobian(x_mid, rows), r_mid[rows])
-                        selected, set_size = tuple(int(j) for j in rows), len(sel)
+                        sel, rows = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold, memo)
+                        x = x_mid - min_norm_least_squares(problem.jacobian(x_mid, rows, memo), r_mid[rows])
+                        selected, set_size = tuple(rows.tolist()), len(sel)
                 elif block:
-                    g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
+                    g = RowGeometry.from_state(r, problem.row_sq_norms_at(x, memo))
                     sel = greedy_selection(g, kind, config.threshold)
-                    x = x - min_norm_least_squares(problem.jacobian(x, sel.indices), r[sel.indices])
-                    selected, set_size = tuple(int(j) for j in sel.indices), len(sel)
+                    x = x - min_norm_least_squares(problem.jacobian(x, sel.indices, memo), r[sel.indices])
+                    selected, set_size = tuple(sel.indices.tolist()), len(sel)
                 else:
                     if method is MethodKind.NK:
                         i, size = k % m, 1
@@ -139,10 +147,10 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                         i, size = draw_weighted_index(rng, r * r), 1
                     else:
                         # single-sample greedy: needs row norms plus one gradient row
-                        g = RowGeometry.from_state(r, problem.row_sq_norms_at(x))
+                        g = RowGeometry.from_state(r, problem.row_sq_norms_at(x, memo))
                         sel = greedy_selection(g, kind, config.threshold)
                         i, size = sample_index(sel, rng), len(sel)
-                    x = kaczmarz_step(x, r[i], problem.row_grad(i, x))
+                    x = kaczmarz_step(x, r[i], problem.row_grad(i, x, memo))
                     selected, set_size = (i,), size
             except _BREAKDOWN_ERRORS:
                 status = SolveStatus.NUMERICAL_BREAKDOWN
@@ -169,14 +177,16 @@ def hybrid_linear_substep(glm: GLMProblem, x: np.ndarray, r: np.ndarray) -> np.n
     return x - min_norm_least_squares(glm.linear_head_jacobian(), r[: glm.d])
 
 
-def hybrid_tail_selection(glm: GLMProblem, x: np.ndarray, r: np.ndarray, kind: SelectionKind, mode):
+def hybrid_tail_selection(
+    glm: GLMProblem, x: np.ndarray, r: np.ndarray, kind: SelectionKind, mode, memo: IterateMemo | None = None
+):
     """Greedy capped selection restricted to the p nonlinear tail rows,
-    given the residual ``r`` at ``x``.
+    given the residual ``r`` at ``x``; ``memo`` is passed on to the norms.
 
     The geometry (norms, thresholds, row count) is that of the tail
     subsystem.  Returns the selection and its rows as global row indices of
     the full system.
     """
-    g = RowGeometry.from_state(r[glm.d:], glm.row_sq_norms_at(x)[glm.d:])
+    g = RowGeometry.from_state(r[glm.d:], glm.row_sq_norms_at(x, memo)[glm.d:])
     sel = greedy_selection(g, kind, mode)
     return sel, sel.indices + glm.d

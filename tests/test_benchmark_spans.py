@@ -14,9 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capped_kaczmarz.core import MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.core import HYBRID_KINDS, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.numerics import seeded_rng
-from capped_kaczmarz.problems import LinearProblem, make_synthetic_glm
+from capped_kaczmarz.problems import BrownProblem, LinearProblem, make_synthetic_glm
 from capped_kaczmarz.solvers import solve
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
@@ -42,18 +42,26 @@ def glm_problem():
     return glm, np.zeros(glm.n)
 
 
+def brown_problem():
+    # n >= 27: the product row stays out of the first distance-capped set
+    return BrownProblem(30), 0.5 * np.ones(30)
+
+
 SELECTION = {"selection.geometry", "selection.threshold", "selection.set"}
 # block steps build only the Jacobian rows they hand to least squares
 BLOCK = {"problems.row_norms", "problems.jacobian", "numerics.lstsq"}
-CASES = [
-    (MethodKind.DR_CNK, linear_problem, SELECTION | {"selection.sample", "numerics.draw", "solvers.step"}),
-    (MethodKind.RD_CNK, linear_problem, SELECTION | {"selection.sample", "numerics.draw", "solvers.step"}),
-    (MethodKind.DB_CNK, linear_problem, SELECTION | BLOCK),
-    (MethodKind.GLM_HYBRID_DB, glm_problem, SELECTION | BLOCK | {"solvers.hybrid_head"}),
-]
+SINGLE = {"selection.sample", "numerics.draw", "solvers.step"}
+CASES = {
+    "dr-cnk": (MethodKind.DR_CNK, linear_problem, SELECTION | SINGLE),
+    "rd-cnk": (MethodKind.RD_CNK, linear_problem, SELECTION | SINGLE),
+    "db-cnk": (MethodKind.DB_CNK, linear_problem, SELECTION | BLOCK),
+    "glm-hybrid-db": (MethodKind.GLM_HYBRID_DB, glm_problem, SELECTION | BLOCK | {"solvers.hybrid_head"}),
+    "db-cnk-glm": (MethodKind.DB_CNK, glm_problem, SELECTION | BLOCK),
+    "dr-cnk-brown": (MethodKind.DR_CNK, brown_problem, SELECTION | SINGLE | {"problems.row_norms", "problems.row_grad"}),
+}
 
 
-@pytest.mark.parametrize("method, build, spans", CASES, ids=[case[0].value for case in CASES])
+@pytest.mark.parametrize("method, build, spans", list(CASES.values()), ids=list(CASES))
 def test_spans_are_entered(tracing, method, build, spans):
     problem, x0 = build()
     tracer = tracing.Tracer()
@@ -69,4 +77,8 @@ def test_spans_are_entered(tracing, method, build, spans):
         counts = tracer.totals()["counts"]
         assert counts["problems.jacobian.rows_used"] > 0
         assert counts["problems.jacobian.rows_built"] == counts["problems.jacobian.rows_used"]
+    # the residual is evaluated once per iterate: the hybrids have a second
+    # iterate in each iteration, after the head step
+    expected = len(trace.records) + (trace.total_iterations if method in HYBRID_KINDS else 0)
+    assert calls["problems.residual"] == expected
 
