@@ -231,13 +231,9 @@ class GLMProblem(ProblemInstance):
         scaled = self._scaled_samples(x, _values_at(x, memo))
         rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
         J = np.zeros((rows.size, self.n))
-        if rows.size and rows.min() >= self.d:
-            # tail rows only (every hybrid step): no head rows to place
-            at = np.arange(rows.size)
-        else:
-            head = rows < self.d
-            J[head] = self._head_jac[rows[head]]
-            (at,) = np.nonzero(~head)
+        head = rows < self.d
+        J[head] = self._head_jac[rows[head]]
+        (at,) = np.nonzero(~head)
         s = rows[at] - self.d
         J[at, s] = 1.0
         J[at, self.p:] = scaled[s]

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from capped_kaczmarz.core import Convex, MethodKind, ProblemInstance, SolverConfig
+from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolverConfig
 from capped_kaczmarz.diagnostics import (
     EtaEstimate,
     build_factor_report,
@@ -29,14 +29,23 @@ class Quadratic1D(ProblemInstance):
     n = 1
     known_root = None
 
-    def residual(self, x):
+    def residual(self, x, memo=None):
         return np.array([x[0] ** 2])
 
-    def row_grad(self, i, x):
+    def row_grad(self, i, x, memo=None):
         return np.array([2.0 * x[0]])
 
-    def jacobian(self, x):
-        return np.array([[2.0 * x[0]]])
+    def jacobian(self, x, rows=None, memo=None):
+        J = np.array([[2.0 * x[0]]])
+        return J if rows is None else J[np.asarray(rows, dtype=np.intp)]
+
+
+@pytest.mark.parametrize("method", sorted(set(MethodKind) - HYBRID_KINDS))
+def test_user_subclass_solves_under_the_memo_contract(method):
+    # solve hands every evaluation its memo; a subclass that accepts the
+    # trailing argument and ignores it still converges (x halves per step)
+    trace = solve(Quadratic1D(), np.array([1.0]), SolverConfig(method=method, max_iter=100))
+    assert trace.status is SolveStatus.CONVERGED
 
 
 class TestEstimateEta:
@@ -81,14 +90,15 @@ class TestEstimateEta:
             n = 1
             known_root = None
 
-            def residual(self, x):
+            def residual(self, x, memo=None):
                 return np.array([x[0], 3.0])
 
-            def row_grad(self, i, x):
+            def row_grad(self, i, x, memo=None):
                 return np.array([1.0 if i == 0 else 0.0])
 
-            def jacobian(self, x):
-                return np.array([[1.0], [0.0]])
+            def jacobian(self, x, rows=None, memo=None):
+                J = np.array([[1.0], [0.0]])
+                return J if rows is None else J[np.asarray(rows, dtype=np.intp)]
 
         est = estimate_eta(WithConstantRow(), np.zeros(1), radius=1.0, pairs=100, rng=seeded_rng(6))
         assert est.flagged_rows == (1,)
