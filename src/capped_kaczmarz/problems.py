@@ -127,19 +127,6 @@ def _sigmoid_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 1.0 / denom, e / denom
 
 
-def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)) evaluated with non-positive exponents only."""
-    z = np.asarray(z, dtype=float)
-    hi, lo = _sigmoid_branches(z)
-    return np.where(z >= 0, hi, lo)
-
-
-def logistic_loss_hess(y: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """d^2/dt^2 of ln(1 + exp(-y t)):  exp(y t) / (1 + exp(y t))^2."""
-    s = _stable_sigmoid(y * t)
-    return s * (1.0 - s)
-
-
 class GLMProblem(ProblemInstance):
     """Regularized logistic regression as a square nonlinear system.
 
@@ -220,11 +207,15 @@ class GLMProblem(ProblemInstance):
         if i < self.d:
             return self._head_jac[i]
         s = i - self.d
-        w = x[self.p:]
+        a = self.A[:, s]
         grad = np.zeros(self.n)
         grad[s] = 1.0
-        curv = logistic_loss_hess(self.y[s : s + 1], self.A[:, s] @ w)[0]
-        grad[self.p:] = curv * self.A[:, s]
+        # the curvature phi''(a^T w) = sig(z) (1 - sig(z)) from numpy
+        # scalars: the same exp and the same branches as _sigmoid_branches
+        z = self.y[s] * (a @ x[self.p:])
+        e = np.exp(-abs(z))
+        sig = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
+        grad[self.p:] = sig * (1.0 - sig) * a
         return grad
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Reference oracles the tests check the package against.
 
 ``block_step`` is the block projection written out from its definition,
-against which the capped block methods are compared; ``serialize_libsvm``
+with numpy's own ``lstsq`` (not the package's least-squares kernel), against
+which the capped block methods are compared; ``serialize_libsvm``
 writes a dataset back out so the parser can be checked by a round trip;
 ``masked_stable_sigmoid`` is the two-branch sigmoid the package's mask-free
 one must equal bit for bit.
@@ -13,19 +14,19 @@ import numpy as np
 
 from capped_kaczmarz.core import ProblemInstance
 from capped_kaczmarz.errors import EmptySet
-from capped_kaczmarz.numerics import min_norm_least_squares
 from capped_kaczmarz.problems import Dataset
 
 
 def block_step(x: np.ndarray, tau, problem: ProblemInstance) -> np.ndarray:
     """Project ``x`` onto the joint linearization of the rows in ``tau`` via
-    the minimum-norm least-squares correction (pseudoinverse action)."""
+    the minimum-norm least-squares correction (pseudoinverse action, from
+    LAPACK ``gelsd``)."""
     tau = np.asarray(tau, dtype=int)
     if tau.size == 0:
         raise EmptySet("block step needs a nonempty index set")
     r = problem.residual(x)
     J = problem.jacobian(x)
-    return x - min_norm_least_squares(J[tau], r[tau])
+    return x - np.linalg.lstsq(J[tau], r[tau], rcond=None)[0]
 
 
 def masked_stable_sigmoid(z: np.ndarray) -> np.ndarray:

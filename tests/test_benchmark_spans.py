@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.core import HYBRID_KINDS, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import BrownProblem, LinearProblem, make_synthetic_glm
@@ -65,7 +66,17 @@ CASES = {
 def test_spans_are_entered(tracing, method, build, spans):
     problem, x0 = build()
     tracer = tracing.Tracer()
+    lstsq_parents = []
     with tracing.instrumented(tracer, [problem]):
+        # both least-squares paths sit behind the one traced name; log the
+        # span each call is made from (the hybrid head, or the loop itself)
+        traced = solvers_mod.min_norm_least_squares
+
+        def logged(J, rhs):
+            lstsq_parents.append(tracer.parent())
+            return traced(J, rhs)
+
+        solvers_mod.min_norm_least_squares = logged
         trace = solve(problem, x0, SolverConfig(method=method, seed=1, max_iter=3))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
     calls = {name: entry["calls"] for name, entry in tracer.totals().items() if name != "counts"}
@@ -81,4 +92,12 @@ def test_spans_are_entered(tracing, method, build, spans):
     # iterate in each iteration, after the head step
     expected = len(trace.records) + (trace.total_iterations if method in HYBRID_KINDS else 0)
     assert calls["problems.residual"] == expected
+    # least squares: once per block iteration, and the head then the tail
+    # per hybrid iteration
+    if "numerics.lstsq" in spans:
+        per_iteration = ["solvers.hybrid_head", None] if method in HYBRID_KINDS else [None]
+        assert lstsq_parents == per_iteration * trace.total_iterations
+        assert calls["numerics.lstsq"] == len(lstsq_parents)
+    else:
+        assert not lstsq_parents
 

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capped_kaczmarz.core import MethodKind, SolverConfig
 from capped_kaczmarz.errors import AllWeightsZero, FactorizationFailure
 from capped_kaczmarz.numerics import (
     draw_weighted_index,
@@ -9,6 +12,8 @@ from capped_kaczmarz.numerics import (
     seeded_rng,
     singular_extremes,
 )
+from capped_kaczmarz.problems import GLMProblem, make_synthetic_glm
+from capped_kaczmarz.solvers import hybrid_linear_substep, solve
 
 
 def svd_pinv_solve(J, rhs):
@@ -66,6 +71,121 @@ class TestMinNormLeastSquares:
             Q, _ = np.linalg.qr(J)
             projected = Q @ (Q.T @ rhs)
             assert np.allclose(J @ delta, projected, rtol=1e-8, atol=1e-8)
+
+
+def with_condition(k, n, cond, rng):
+    """A k x n matrix with singular values spread geometrically from 1 down
+    to ``1 / cond``, between random orthonormal bases."""
+    r = min(k, n)
+    U, _ = np.linalg.qr(rng.standard_normal((k, r)))
+    W, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    return (U * np.geomspace(1.0, 1.0 / cond, r)) @ W.T
+
+
+def lstsq_bytes(J, rhs):
+    return np.linalg.lstsq(J, rhs, rcond=None)[0].tobytes()
+
+
+def gram_solve(J, rhs):
+    """The Gram path written out: one eigh of J J^T, applied through J^T."""
+    lam, V = np.linalg.eigh(J @ J.T)
+    return J.T @ (V @ ((V.T @ rhs) / lam))
+
+
+class TestLeastSquaresRouting:
+    """Which blocks take the Gram path, and that every other block keeps the
+    bytes of ``numpy.linalg.lstsq``."""
+
+    def test_wide_ill_conditioned_block_keeps_gelsd(self):
+        rng = seeded_rng(31)
+        J = with_condition(8, 40, 1e6, rng)
+        rhs = rng.standard_normal(8)
+        assert min_norm_least_squares(J, rhs).tobytes() == lstsq_bytes(J, rhs)
+
+    def test_wide_block_with_repeated_row_keeps_gelsd(self):
+        rng = seeded_rng(32)
+        J = rng.standard_normal((6, 30))
+        J[4] = J[1]
+        rhs = rng.standard_normal(6)
+        assert min_norm_least_squares(J, rhs).tobytes() == lstsq_bytes(J, rhs)
+
+    @pytest.mark.parametrize("shape", [(12, 12), (30, 7), (7, 13)], ids=["square", "tall", "2k>n"])
+    def test_square_tall_and_not_short_blocks_keep_gelsd(self, shape):
+        rng = seeded_rng(33)
+        J = rng.standard_normal(shape)
+        rhs = rng.standard_normal(shape[0])
+        assert min_norm_least_squares(J, rhs).tobytes() == lstsq_bytes(J, rhs)
+
+    @pytest.mark.parametrize("scale, rhs_scale", [(1e-155, 1.0), (1e-160, 1e-170), (1e-150, 1e10), (1e155, 1.0)])
+    def test_blocks_out_of_gram_range_keep_gelsd(self, scale, rhs_scale):
+        # a tiny block's G has subnormal eigenvalues; a small one with a
+        # large rhs overflows in (V^T rhs) / lam, though the solution is
+        # finite; a huge block's G overflows
+        rng = seeded_rng(34)
+        J = scale * rng.standard_normal((4, 20))
+        rhs = rhs_scale * rng.standard_normal(4)
+        with np.errstate(all="ignore"):
+            delta = min_norm_least_squares(J, rhs)
+        assert delta.tobytes() == lstsq_bytes(J, rhs)
+        assert np.isfinite(delta).all()
+
+    def test_glm_tail_block_and_head_take_the_gram_path(self):
+        glm = make_synthetic_glm(200, 10, 8)
+        config = SolverConfig(method=MethodKind.DB_CNK, seed=0, max_iter=30, record_iterates=True)
+        trace = solve(glm, np.zeros(glm.n), config)
+        x = trace.iterates[20]
+        rows = np.array(trace.records[20].selected)
+        r = glm.residual(x)
+        blocks = {"tail": (glm.jacobian(x, rows), r[rows]), "head": (glm.linear_head_jacobian(), r[: glm.d])}
+        for name, (J, rhs) in blocks.items():
+            assert 2 * J.shape[0] <= J.shape[1], name
+            delta = min_norm_least_squares(J, rhs)
+            assert delta.tobytes() == gram_solve(J, rhs).tobytes(), name
+            oracle = svd_pinv_solve(J, rhs)
+            assert np.linalg.norm(delta - oracle) <= 1e-13 * np.linalg.norm(oracle), name
+
+    def test_nearly_collinear_head_falls_back_to_gelsd(self):
+        # unscaled libsvm-style features: one direction plus 1e-5 noise,
+        # times 1e3, so cond(H H^T) is about 1e10
+        rng = seeded_rng(21)
+        p, d = 500, 20
+        A = 1e3 * (rng.standard_normal(p) + 1e-5 * rng.standard_normal((d, p)))
+        glm = GLMProblem(A, np.where(rng.random(p) < 0.5, -1.0, 1.0), 1.0 / p)
+        H = glm.linear_head_jacobian()
+        lam = np.linalg.eigvalsh(H @ H.T)
+        assert lam[-1] / lam[0] > 1e9
+        x = rng.standard_normal(glm.n)
+        rhs = glm.residual(x)[:d]
+        assert min_norm_least_squares(H, rhs).tobytes() == lstsq_bytes(H, rhs)
+        # so the head residual after the linear sub-step is what lstsq reaches
+        reached = glm.residual(x - np.linalg.lstsq(H, rhs, rcond=None)[0])[:d]
+        assert glm.residual(hybrid_linear_substep(glm, x, glm.residual(x)))[:d].tobytes() == reached.tobytes()
+
+    # derandomized, and no zeroed rows: on one square block with a zeroed
+    # row in 30000 draws, gelsd computed the zero singular value as 7e-15,
+    # above its rank cutoff, where the SVD oracle cut it; that rank decision
+    # is gelsd's own, not the Gram path's
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 60),
+        st.integers(1, 60),
+        st.floats(0.0, 6.0),
+        st.sampled_from(["none", "repeated row", "scaled column"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_svd_oracle_up_to_cond_1e6(self, k, n, log_cond, deficiency, seed):
+        # above cond 1e6 even gelsd's forward error, about cond * eps, can
+        # miss the bound
+        rng = seeded_rng(seed)
+        J = with_condition(k, n, 10.0**log_cond, rng)
+        if deficiency == "repeated row" and k > 1:
+            J[-1] = J[0]
+        elif deficiency == "scaled column" and n > 1:
+            J[:, -1] = 2.0 * J[:, 0]
+        rhs = rng.standard_normal(k)
+        oracle = svd_pinv_solve(J, rhs)
+        mine = min_norm_least_squares(J, rhs)
+        assert np.linalg.norm(mine - oracle) <= 1e-8 * max(1.0, float(np.linalg.norm(oracle)))
 
 
 class TestSingularExtremes:

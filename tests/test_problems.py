@@ -10,7 +10,7 @@ from capped_kaczmarz.problems import (
     GLMProblem,
     LinearProblem,
     _leave_one_out_products,
-    _stable_sigmoid,
+    _sigmoid_branches,
     make_glm,
     make_synthetic_glm,
     synthetic_dataset,
@@ -235,9 +235,44 @@ def test_sigmoid_matches_masked_oracle_bit_for_bit():
     special = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
     z = np.concatenate((special, 40.0 * rng.standard_normal(30_000), np.ldexp(1.0, rng.integers(-1074, 1000, 2000))))
     z = np.concatenate((z, -z[len(special):]))
-    assert _stable_sigmoid(z).tobytes() == masked_stable_sigmoid(z).tobytes()
+    hi, lo = _sigmoid_branches(z)
+    assert np.where(z >= 0, hi, lo).tobytes() == masked_stable_sigmoid(z).tobytes()
     # NaN stays NaN; only its sign bit may differ from the oracle's
-    assert np.isnan(_stable_sigmoid(np.array([np.nan, -np.nan]))).all()
+    assert np.isnan(_sigmoid_branches(np.array([np.nan, -np.nan]))).all()
+
+
+def array_tail_row(glm, i, x):
+    """A tail row with its curvature taken through one-element arrays: the
+    sample's own dot product, then the two-branch sigmoid of ``z``."""
+    s = i - glm.d
+    z = glm.y[s : s + 1] * (glm.A[:, s] @ x[glm.p:])
+    hi, lo = _sigmoid_branches(z)
+    sig = np.where(z >= 0, hi, lo)
+    row = np.zeros(glm.n)
+    row[s] = 1.0
+    row[glm.p:] = (sig * (1.0 - sig))[0] * glm.A[:, s]
+    return row
+
+
+def test_glm_tail_row_grad_matches_array_form_bit_for_bit():
+    # 2 x 47011 special and random margins, then 12000 full-width ones
+    rng = seeded_rng(14)
+    # one feature of value 1 makes the margin of sample s exactly y_s * w,
+    # so the special margins, NaN included, are hit as given
+    glm = GLMProblem(np.ones((1, 2)), np.array([1.0, -1.0]), 0.5)
+    special = [0.0, -0.0, 1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+    ws = np.concatenate((special, 40.0 * rng.standard_normal(45_000), np.ldexp(1.0, rng.integers(-1074, 1000, 2000))))
+    for w in ws:
+        x = np.array([0.3, -0.7, w])
+        for i in (1, 2):
+            assert glm.row_grad(i, x).tobytes() == array_tail_row(glm, i, x).tobytes(), (i, w)
+    # full-width margins, from a dot product that rounds in its last bits
+    glm = make_synthetic_glm(200, 10, 8)
+    for scale in (0.01, 0.3, 3.0, 30.0):
+        for _ in range(15):
+            x = scale * rng.standard_normal(glm.n)
+            for i in range(glm.d, glm.m):
+                assert glm.row_grad(i, x).tobytes() == array_tail_row(glm, i, x).tobytes(), (scale, i)
 
 
 class TestSynthetic:

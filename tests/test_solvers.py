@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from capped_kaczmarz.bench import resolve_problem
 from capped_kaczmarz.core import Convex, MethodKind, Scaled, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import ZeroGradient
 from capped_kaczmarz.numerics import row_sq_norms, seeded_rng
@@ -71,6 +72,15 @@ class TestBlockStep:
             blocked = block_step(x, [i], problem)
             single = kaczmarz_step(x, problem.residual(x)[i], problem.row_grad(i, x))
             assert np.allclose(blocked, single, atol=1e-12, rtol=1e-12)
+
+    @pytest.mark.parametrize("selector", ["glm:synthetic:60,6,3", "linear:300,40,2"])
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_solve_block_steps_match_oracle(self, selector, method):
+        problem, x0 = resolve_problem(selector)
+        config = SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True)
+        trace = solve(problem, x0, config)
+        for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+            assert np.allclose(x_next, block_step(x, rec.selected, problem), rtol=1e-10, atol=1e-12), rec.k
 
     def test_min_norm_among_corrections(self):
         # rank-deficient block: the step is the smallest correction that fits
