@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BLOCK_KINDS, DISTANCE_KINDS, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
+from .core import BLOCK_KINDS, DISTANCE_KINDS, IterateMemo, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
 from .errors import HypothesisViolated, InvalidEta
 from .numerics import min_norm_least_squares, row_sq_norms, singular_extremes
 from .selection import RowGeometry, SelectionKind
@@ -230,14 +230,16 @@ def build_factor_report(
 
     # one pass that keeps only each iterate's report row: replay the set
     # through the solver's own selection and norms, and hold that iterate's
-    # Jacobian only while its row is built
+    # Jacobian only while its row is built; one memo per iterate lets its
+    # evaluations share what they derive from it, as in ``solve``
     report = FactorReport(method=method, eta=eta.eta, radius=eta.radius)
     x_star = problem.known_root
     h2_min, sig_max = np.inf, 0.0
     for idx, (record, x) in enumerate(zip(trace.records[:-1], trace.iterates[:-1])):
-        g = RowGeometry.from_state(problem.residual(x), problem.row_sq_norms_at(x))
+        memo = IterateMemo()
+        g = RowGeometry.from_state(problem.residual(x, memo), problem.row_sq_norms_at(x, memo))
         sel = greedy_selection(g, kind, mode)
-        J = problem.jacobian(x)
+        J = problem.jacobian(x, None, memo)
         _, h2 = singular_extremes(J)
         max_grad = float(g.grad_sq_norms.max())
         min_grad = float(g.grad_sq_norms[g.active].min())

@@ -12,6 +12,13 @@ Two families of data-dependent thresholds over the current residual
 A sampled index is then drawn from the kept set with probability
 proportional to the rule-specific weights.
 
+Each set is one comparison of a row's ranking value with its threshold
+clamped to the largest value: ``ratios >= min(eps * ||f||^2, max ratio)``
+and ``|f_i|^2 >= min(delta * ||f||^2, max |f_i|^2)``.  In exact
+arithmetic neither product exceeds the maximum, so the clamp changes
+nothing there; in rounded arithmetic it keeps the argmax row, and rows
+that tie exactly share one float value, so they pass or fail together.
+
 Only rows with a numerically nonzero gradient are eligible for the distance
 ratios: row i is active when ``||grad_i||^2 > max(ACTIVE_ABS_FLOOR,
 ACTIVE_REL_EPS * median_j ||grad_j||^2)``.  The median costs a partial sort,
@@ -20,16 +27,11 @@ both ``ACTIVE_ABS_FLOOR`` and ``ACTIVE_REL_EPS * max_j ||grad_j||^2``: the
 median of finite norms is at most their maximum, and rounding a product
 with a positive constant keeps that order, so every row is active either
 way, and the active sums are then the full sums over the same array.
-The result is the same mask and the same floats as the median path, which
-every other input (NaN or infinite norms included) still takes.  The
-smallest and largest norms are read by ``argmin``/``argmax``, which stop at
-the first NaN as ``min``/``max`` do.  Such an all-active geometry carries a
-read-only all-true mask shared by every geometry of its row count, and the
-rules skip each pass over it: the ``any()`` check in
-:func:`compute_epsilon`, the ``&`` in :func:`build_distance_set` and the
-``where`` that zeroes inactive weights in :func:`build_residual_set`.  Each
-pass is the identity on an all-true mask, so the sets and weights are the
-same floats.
+The result is the same floats as the median path, which every other
+input (NaN or infinite norms included) still takes.  The smallest and
+largest norms are read by ``argmin``/``argmax``, which stop at the first
+NaN as ``min``/``max`` do.  An inactive row's ratio is ``-inf``, which no
+threshold admits, so the rules need no separate mask.
 
 Known limitation: rescaling the residual by c and the squared norms by c^2
 leaves every set unchanged only while the nonzero ``|f_i|^2`` are normal
@@ -60,46 +62,24 @@ ACTIVE_REL_EPS = float(np.finfo(np.float64).eps)
 ACTIVE_ABS_FLOOR = 1e-300
 
 
-# one read-only all-true mask per row count, shared by every all-active
-# geometry of that size; a geometry with an inactive row builds its own
-_ALL_ACTIVE: dict[int, np.ndarray] = {}
-
-
-def _all_active_mask(m: int) -> np.ndarray:
-    mask = _ALL_ACTIVE.get(m)
-    if mask is None:
-        mask = np.ones(m, dtype=bool)
-        mask.flags.writeable = False
-        _ALL_ACTIVE[m] = mask
-    return mask
-
-
-def _every_row_active(g: "RowGeometry") -> bool:
-    """True when ``g`` carries the shared all-true mask, so the rules may
-    skip every pass over ``active``.  Any other mask takes the masked path,
-    which gives the same floats when it happens to be all true."""
-    return g.active is _ALL_ACTIVE.get(g.active.size)
-
-
 @dataclass(frozen=True, eq=False)
 class RowGeometry:
     """Per-row quantities of the system at one iterate.
 
-    ``active`` masks the rows eligible for distance ratios;
-    ``active_residual_sq`` / ``active_fro_sq`` are the same norms restricted
-    to those rows (identical to the full norms whenever every row is
-    active, which is the generic case).  ``res_sq`` holds ``|f_i|^2`` and
-    ``ratios`` holds ``|f_i|^2 / ||grad_i||^2`` on active rows and ``-inf``
+    ``res_sq`` holds ``|f_i|^2`` and ``ratios`` holds ``|f_i|^2 /
+    ||grad_i||^2`` on the rows eligible for distance ratios and ``-inf``
     elsewhere; ``top_ratio_row`` and ``top_residual_row`` are their argmax
-    rows.  Both rules read these arrays, so one selection pass squares the
-    residual once.
+    rows.  ``active_residual_sq`` / ``active_fro_sq`` are the norms
+    restricted to the eligible rows (identical to the full norms whenever
+    ``every_row_active``, which is the generic case).  Both rules read these
+    arrays, so one selection pass squares the residual once.
     """
 
     residual: np.ndarray
     grad_sq_norms: np.ndarray
     residual_sq: float
     jac_fro_sq: float
-    active: np.ndarray
+    every_row_active: bool
     active_residual_sq: float
     active_fro_sq: float
     res_sq: np.ndarray
@@ -125,7 +105,7 @@ class RowGeometry:
             # is active, and the active sums are the full sums over the same
             # array in the same order.  NaN or infinite norms fail a
             # comparison and take the median path.
-            active = _all_active_mask(residual.size)
+            every_row_active = True
             active_residual_sq, active_fro_sq = residual_sq, jac_fro_sq
             ratios = res_sq / grad_sq_norms
         else:
@@ -134,6 +114,7 @@ class RowGeometry:
                 scale = float(np.max(grad_sq_norms[np.isfinite(grad_sq_norms)], initial=0.0))
             cutoff = max(ACTIVE_ABS_FLOOR, ACTIVE_REL_EPS * scale)
             active = grad_sq_norms > cutoff
+            every_row_active = bool(active.all())
             active_residual_sq = float(res_sq[active].sum())
             active_fro_sq = float(grad_sq_norms[active].sum())
             ratios = np.where(active, res_sq / np.where(active, grad_sq_norms, 1.0), -np.inf)
@@ -142,7 +123,7 @@ class RowGeometry:
             grad_sq_norms=grad_sq_norms,
             residual_sq=residual_sq,
             jac_fro_sq=jac_fro_sq,
-            active=active,
+            every_row_active=every_row_active,
             active_residual_sq=active_residual_sq,
             active_fro_sq=active_fro_sq,
             res_sq=res_sq,
@@ -154,6 +135,12 @@ class RowGeometry:
     @property
     def m(self) -> int:
         return len(self.residual)
+
+    @property
+    def active(self) -> np.ndarray:
+        """The rows eligible for distance ratios.  An eligible row's ratio
+        divides by a positive norm, so it is never ``-inf``."""
+        return self.ratios != -np.inf
 
 
 class SelectionKind(enum.Enum):
@@ -181,13 +168,11 @@ def compute_epsilon(g: RowGeometry, mode: ThresholdMode) -> float:
                           + (1 - theta) / ||J||_F^2
     Scaled(xi):     eps = xi * max_i(|f_i|^2 / ||grad_i||^2) / ||f||^2
 
-    The maximum, ``||f||^2`` and ``||J||_F^2`` all run over the active rows,
-    which keeps the argmax row inside the selected set by construction.
+    The maximum, ``||f||^2`` and ``||J||_F^2`` all run over the active rows.
+    A zero ``||f||^2`` over them also covers the case of no active row.
     """
     if g.residual_sq <= 0.0:
         raise DegenerateState("distance threshold undefined at zero residual")
-    if not _every_row_active(g) and not g.active.any():
-        raise DegenerateState("every row gradient vanished")
     if g.active_residual_sq <= 0.0:
         raise DegenerateState("all residual mass sits on zero-gradient rows")
     max_ratio = float(g.ratios[g.top_ratio_row])
@@ -199,19 +184,17 @@ def compute_epsilon(g: RowGeometry, mode: ThresholdMode) -> float:
 
 
 def build_distance_set(g: RowGeometry, eps: float) -> SelectionResult:
-    """Rows whose squared residual meets ``eps * ||f||^2 * ||grad_i||^2``.
+    """Rows whose distance ratio meets ``min(eps * ||f||^2, max ratio)``.
 
-    ``eps`` must come from :func:`compute_epsilon` on the same geometry.
-    Weights are the squared residual entries of the kept rows.  Ties at the
-    threshold are included in exact arithmetic only: the rounded right-hand
-    side can exclude rows that tie the maximum ratio (Brown at n = 30 from
-    ``0.5 * ones`` keeps 1 of 29 tied rows).  The argmax-ratio row is kept
-    unconditionally, which pins the set nonempty under such rounding.
+    ``eps`` must come from :func:`compute_epsilon` on the same geometry, and
+    ``||f||^2`` runs over the active rows.  In exact arithmetic ``eps *
+    ||f||^2`` never exceeds the maximum ratio; the clamp keeps that true
+    after rounding, so the argmax row and every row tied with it are kept.
+    Inactive rows carry ``-inf`` ratios and never qualify.  Weights are the
+    squared residual entries of the kept rows.  Only a NaN ratio or
+    threshold can leave the set empty.
     """
-    mask = g.res_sq >= eps * g.active_residual_sq * g.grad_sq_norms
-    if not _every_row_active(g):
-        mask &= g.active
-    mask[g.top_ratio_row] = True
+    mask = g.ratios >= min(eps * g.active_residual_sq, g.ratios[g.top_ratio_row])
     indices = mask.nonzero()[0]
     if indices.size == 0:
         raise EmptySet("distance set came out empty; threshold inconsistent with geometry")
@@ -242,23 +225,24 @@ def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
 
 
 def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
-    """Rows whose squared residual meets ``delta * ||f||^2``.
+    """Rows whose squared residual meets ``min(delta * ||f||^2, max |f_i|^2)``.
 
-    ``delta`` must come from :func:`compute_delta` on the same geometry.
-    Weights are ``|f_i|^2 / ||grad_i||^2`` for active member rows and zero
-    for zero-gradient members (they stay in the set but are never sampled).
-    The largest-residual row is kept unconditionally (it meets the
-    threshold in exact arithmetic), pinning the set nonempty under
-    rounding.
+    ``delta`` must come from :func:`compute_delta` on the same geometry.  In
+    exact arithmetic ``delta * ||f||^2`` never exceeds the largest squared
+    residual; the clamp keeps that true after rounding, so the
+    largest-residual row and every row tied with it are kept.  Weights are
+    ``|f_i|^2 / ||grad_i||^2`` for active member rows and zero for
+    zero-gradient members (they stay in the set but are never sampled).
+    Only a NaN square or threshold can leave the set empty.
     """
-    mask = g.res_sq >= delta * g.residual_sq
-    mask[g.top_residual_row] = True
+    mask = g.res_sq >= min(delta * g.residual_sq, g.res_sq[g.top_residual_row])
     indices = mask.nonzero()[0]
     if indices.size == 0:
         raise EmptySet("residual set came out empty; threshold inconsistent with geometry")
     weights = g.ratios[indices]
-    if not _every_row_active(g):
-        weights = np.where(g.active[indices], weights, 0.0)
+    if not g.every_row_active:
+        # an active row's ratio is >= 0 or NaN, so this zeroes the -inf ones
+        weights = np.maximum(weights, 0.0)
     if not weights.any():
         raise AllWeightsZero("every selected row has a vanishing gradient")
     return SelectionResult(

@@ -106,6 +106,17 @@ class TestResidualSet:
             build_residual_set(g, compute_delta(g, Convex(0.9)))
 
 
+def test_rounded_threshold_keeps_every_exact_tie():
+    # with 26 equal residuals and unit norms both thresholds times ||f||^2
+    # round an ulp above the common value; the clamp to the maximum keeps
+    # all 26 rows
+    g = geom(np.full(26, 9.357216995498906), np.ones(26))
+    eps, delta = compute_epsilon(g, Convex(0.5)), compute_delta(g, Convex(0.5))
+    assert eps * g.active_residual_sq > g.ratios[0] and delta * g.residual_sq > g.res_sq[0]
+    assert build_distance_set(g, eps).indices.tolist() == list(range(26))
+    assert build_residual_set(g, delta).indices.tolist() == list(range(26))
+
+
 class TestSampleIndex:
     def test_singleton_always_returned(self):
         g = geom([0.0, 0.0, 0.0, 2.0], [1.0] * 4)

@@ -128,27 +128,30 @@ def test_subnormal_distance_ratio_underflows_to_all_weights_zero():
         build_residual_set(g, compute_delta(g, Convex(0.5)))
 
 
-@pytest.mark.parametrize("all_active_first", [True, False])
-def test_shared_all_active_mask_does_not_leak(all_active_first):
-    # an all-active geometry carries a read-only mask shared by its row
-    # count; a geometry of the same length with an inactive row keeps its own
+@pytest.mark.parametrize(
+    "grad_sq, shortcut, distance, residual_weights",
+    [
+        ([1.0, 2.0, 4.0, 1.0], True, [0, 3], [9.0, 6.25]),
+        ([1.0, 2.0, 4.0, 0.0], False, [0], [9.0, 0.0]),
+        ([1e-15, 1.0, 1.0, 100.0], False, [0], [9.0 / 1e-15, 0.0625]),
+    ],
+)
+def test_active_mask_matches_the_median_path(grad_sq, shortcut, distance, residual_weights):
+    # ``active`` is read off the -inf ratios; on the shortcut path and on
+    # the median path (with and without an inactive row) it must be the
+    # mask the median rule gives
     residual = np.array([3.0, -1.0, 2.0, 2.5])
-    states = [(residual, np.array([1.0, 2.0, 4.0, 1.0])), (residual, np.array([1.0, 2.0, 4.0, 0.0]))]
-    if not all_active_first:
-        states.reverse()
-    built = [RowGeometry.from_state(*state) for state in states]
-    full, partial = built if all_active_first else built[::-1]
-    assert full.active.tolist() == [True, True, True, True]
-    assert partial.active.tolist() == [True, True, True, False]
-    for g, distance, residual_weights in ((full, [0, 3], [9.0, 6.25]), (partial, [0], [9.0, 0.0])):
-        assert build_distance_set(g, compute_epsilon(g, Convex(0.5))).indices.tolist() == distance
-        sel = build_residual_set(g, compute_delta(g, Scaled(0.5)))
-        assert sel.indices.tolist() == [0, 3]
-        assert sel.weights.tolist() == residual_weights
-    with pytest.raises(ValueError):
-        full.active[3] = False
-    assert full.active.all()
-    assert RowGeometry.from_state(residual, np.ones(4)).active.all()
+    grad_sq = np.array(grad_sq)
+    lo = grad_sq.min()
+    assert bool(lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq.max()) is shortcut
+    g = RowGeometry.from_state(residual, grad_sq)
+    active = reference_geometry(residual, grad_sq)["active"]
+    assert np.array_equal(g.active, active)
+    assert g.every_row_active is bool(active.all())
+    assert build_distance_set(g, compute_epsilon(g, Convex(0.5))).indices.tolist() == distance
+    sel = build_residual_set(g, compute_delta(g, Scaled(0.5)))
+    assert sel.indices.tolist() == [0, 3]
+    assert sel.weights.tolist() == residual_weights
 
 
 def test_subnormal_rescaling_changes_the_residual_set():
@@ -168,9 +171,11 @@ def test_subnormal_rescaling_changes_the_residual_set():
 #
 # The reference below always takes the median path of the eligibility rule
 # and recomputes the squares, ratios and maxima inside each rule, as the
-# selection layer did before it cached them.  ``RowGeometry.from_state`` may
-# skip the median only when that cannot change the mask, so every field and
-# every set must agree bit for bit.
+# selection layer did before it cached them.  Each set is the clamped
+# comparison of the paper's definition: a row's value against the threshold
+# times ||f||^2, clamped to the largest value, with inactive rows masked out.
+# ``RowGeometry.from_state`` may skip the median only when that cannot
+# change the mask, so every field and every set must agree bit for bit.
 
 
 def reference_geometry(residual, grad_sq):
@@ -199,9 +204,11 @@ def reference_distance(ref, mode):
     else:
         eps = mode.xi * max_ratio / ref["active_residual_sq"]
     res_sq = r * r
-    mask = active & (res_sq >= eps * ref["active_residual_sq"] * gsq)
-    mask[int(np.argmax(np.where(active, res_sq / np.where(active, gsq, 1.0), -np.inf)))] = True
+    ratios = res_sq / np.where(active, gsq, 1.0)
+    mask = active & (ratios >= np.minimum(eps * ref["active_residual_sq"], max_ratio))
     indices = np.flatnonzero(mask)
+    if indices.size == 0:
+        raise EmptySet("reference")
     return eps, indices, res_sq[indices]
 
 
@@ -214,9 +221,10 @@ def reference_residual(ref, mode):
         delta = mode.theta * float(res_sq.max()) / ref["residual_sq"] + (1.0 - mode.theta) / len(r)
     else:
         delta = mode.xi * float(res_sq.max()) / ref["residual_sq"]
-    mask = res_sq >= delta * ref["residual_sq"]
-    mask[int(np.argmax(res_sq))] = True
+    mask = res_sq >= np.minimum(delta * ref["residual_sq"], res_sq.max())
     indices = np.flatnonzero(mask)
+    if indices.size == 0:
+        raise EmptySet("reference")
     weights = np.where(active[indices], res_sq[indices] / np.where(active[indices], gsq[indices], 1.0), 0.0)
     if not weights.any():
         raise AllWeightsZero("reference")
@@ -247,6 +255,7 @@ def assert_matches_reference(residual, grad_sq):
     g = RowGeometry.from_state(residual, grad_sq)
     ref = reference_geometry(residual, grad_sq)
     assert np.array_equal(g.active, ref["active"])
+    assert g.every_row_active is bool(ref["active"].all())
     assert same(g.residual_sq, ref["residual_sq"])
     assert same(g.active_residual_sq, ref["active_residual_sq"])
     assert same(g.active_fro_sq, ref["active_fro_sq"])
@@ -290,6 +299,22 @@ def raw_states(draw):
 def test_geometry_matches_median_reference(state):
     with np.errstate(all="ignore"):
         assert_matches_reference(*state)
+
+
+def test_infinite_norm_row_meets_a_zero_distance_threshold():
+    # an infinite norm is active and gives the ratio 0.  Here the maximum
+    # ratio is 0 too, so eps = 0 and the clamped threshold is 0, which the
+    # infinite-norm row meets (eps * ||f||^2 * ||grad_1||^2 would be NaN)
+    residual = np.array([0.0, 1e-160])
+    grad_sq = np.array([1.0000000000000002e-300, np.inf])
+    g = RowGeometry.from_state(residual, grad_sq)
+    assert g.active.tolist() == [True, True] and g.ratios.tolist() == [0.0, 0.0]
+    for mode in (Convex(0.5), Scaled(1.0)):
+        sel = build_distance_set(g, compute_epsilon(g, mode))
+        assert sel.threshold == 0.0
+        assert sel.indices.tolist() == [0, 1]
+        assert sel.weights.tolist() == [0.0, 1e-160 * 1e-160]
+    assert_matches_reference(residual, grad_sq)
 
 
 @settings(max_examples=200, deadline=None)
