@@ -66,7 +66,8 @@ class IterateMemo:
     not the array it last served, so the memo holds one iterate's values and
     never hands them out for another array.  The key is the array's
     identity, and the memo keeps a reference to it, so ``x`` must not be
-    changed in place while it is evaluated at.
+    changed in place while it is evaluated at.  Problems store vectors
+    here (GLM margins and curvature, Brown products), never Jacobian blocks.
     """
 
     __slots__ = ("_x", "_values")

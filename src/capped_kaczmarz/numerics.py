@@ -10,8 +10,9 @@ has two paths behind one name:
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k
   Gram matrix ``G = J J^T`` when one ``eigh``, ``G = V diag(lam) V^T``,
   certifies it well conditioned, ``lam_min > GRAM_TAU * lam_max``, with
-  normal-float eigenvalues; the step is ``J^T V diag(1/lam) V^T rhs``,
-  kept only if finite;
+  normal-float eigenvalues (:func:`gram_factor`, the one home of this
+  guard); the step is ``J^T V diag(1/lam) V^T rhs``, kept only if finite.
+  A constant block (the GLM head) is factored once and its factor passed in;
 * every other block (square or tall, ill-conditioned, rank-deficient, out
   of that floating-point range, or one whose eigensolver fails) goes to
   ``numpy.linalg.lstsq`` (LAPACK ``gelsd``), and its step is bit for bit
@@ -58,19 +59,30 @@ def row_sq_norms(J: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", J, J)
 
 
-def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def gram_factor(J: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(lam, V)`` with ``J J^T = V diag(lam) V^T`` if ``J`` takes the Gram
+    path, else None: ``J`` is short (``2 k <= n``) and one ``eigh`` finds
+    ``lam_min`` a normal float above ``GRAM_TAU * lam_max``."""
+    k, n = J.shape
+    if not 0 < 2 * k <= n:
+        return None
+    try:
+        lam, V = np.linalg.eigh(J @ J.T)
+    except np.linalg.LinAlgError:
+        return None
+    return (lam, V) if _TINY <= lam[0] and GRAM_TAU * lam[-1] < lam[0] else None
+
+
+def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray, factor: tuple | None = None) -> np.ndarray:
     """Minimum-2-norm minimizer of ``||J d - rhs||_2``.
 
-    A short block (``2 k <= n`` for k rows and n columns) is solved through
-    its Gram matrix ``G = J J^T`` when one ``eigh`` certifies it well
-    conditioned, ``lam_min > GRAM_TAU * lam_max`` with ``lam_min`` a normal
-    float: the result is ``J^T V diag(1/lam) V^T rhs`` if finite, with a
-    relative error of at most about ``cond(J)^2 (n + k) k eps`` (see the
-    module docstring).  Every other block, including any that is
-    rank-deficient, takes the SVD-backed LAPACK driver behind
-    ``numpy.linalg.lstsq`` with the standard rank cutoff
-    ``max(rows, cols) * eps`` relative to the largest singular value, so it
-    gets the pseudoinverse action bit for bit as that driver gives it.
+    With a Gram factor (``factor`` must be ``gram_factor(J)``; without it
+    ``J`` is factored here) the result is ``J^T V diag(1/lam) V^T rhs`` if
+    finite, with a relative error of at most about ``cond(J)^2 (n + k) k
+    eps`` (see the module docstring).  Every other block, including any
+    that is rank-deficient, gets the pseudoinverse action of
+    ``numpy.linalg.lstsq`` bit for bit, with the standard rank cutoff
+    ``max(rows, cols) * eps`` relative to the largest singular value.
     Non-finite input, a shape mismatch or a failing driver raise
     :class:`FactorizationFailure`.
     """
@@ -82,17 +94,12 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
     if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
         raise FactorizationFailure("non-finite entries in least-squares input")
-    k, n = J.shape
-    if 0 < 2 * k <= n:
-        try:
-            lam, V = np.linalg.eigh(J @ J.T)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if _TINY <= lam[0] and GRAM_TAU * lam[-1] < lam[0]:
-                delta = J.T @ (V @ ((V.T @ rhs) / lam))
-                if np.isfinite(delta).all():
-                    return delta
+    factor = gram_factor(J) if factor is None else factor
+    if factor is not None:
+        lam, V = factor
+        delta = J.T @ (V @ ((V.T @ rhs) / lam))
+        if np.isfinite(delta).all():
+            return delta
     try:
         delta, *_ = np.linalg.lstsq(J, rhs, rcond=None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

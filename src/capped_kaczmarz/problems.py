@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
-from .numerics import seeded_rng
+from .numerics import gram_factor, seeded_rng
 
 
 def _values_at(x: np.ndarray, memo: IterateMemo | None) -> dict:
@@ -138,7 +138,8 @@ class GLMProblem(ProblemInstance):
     Every evaluation at an iterate starts from one full matvec ``A^T w`` and
     one exp (:meth:`_margin_parts`); with a memo, the residual, the row
     norms and the Jacobian rows at one iterate share them, and the norms and
-    the tail rows share one curvature-scaled sample block.
+    the tail rows share one curvature vector ``c`` (:meth:`_curvature_at`).
+    The constant head is Gram-factored once, here, for the hybrids.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float):
@@ -165,6 +166,12 @@ class GLMProblem(ProblemInstance):
         head[np.arange(d), p + np.arange(d)] = -1.0
         self._head_jac = head
         self._head_norms = np.einsum("ij,ij->i", head, head)
+        # read-only; None when the head leaves the Gram path (a collinear libsvm head)
+        self.head_factor = gram_factor(head)
+        for array in self.head_factor or ():
+            array.flags.writeable = False
+        self._samples = np.ascontiguousarray(A.T)  # sample s as a contiguous row
+        self._sample_sq_norms = np.einsum("ij,ij->i", self._samples, self._samples)
         self._neg_y = -y
 
     def _margin_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -181,15 +188,16 @@ class GLMProblem(ProblemInstance):
             parts = values["margin"] = self._margin_parts(x[self.p:])
         return parts
 
-    def _scaled_samples(self, x: np.ndarray, values: dict) -> np.ndarray:
-        """The p x d block ``phi''(a_i^T w) a_i^T``: the w part of every tail
-        row, whose alpha part is a unit coordinate."""
-        scaled = values.get("scaled")
-        if scaled is None:
+    def _curvature_at(self, x: np.ndarray, values: dict) -> np.ndarray:
+        """``c_s = phi''(a_s^T w) = sig(z_s) (1 - sig(z_s))``, once per store:
+        tail row s is a unit coordinate in its alpha part and ``c_s a_s`` in
+        its w part, of squared norm ``1 + c_s^2 ||a_s||^2``."""
+        c = values.get("curvature")
+        if c is None:
             z, hi, lo = self._margin_at(x, values)
             s = np.where(z >= 0, hi, lo)
-            scaled = values["scaled"] = (s * (1.0 - s))[:, None] * self.A.T
-        return scaled
+            c = values["curvature"] = s * (1.0 - s)
+        return c
 
     def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         p, d = self.p, self.d
@@ -219,24 +227,26 @@ class GLMProblem(ProblemInstance):
         return grad
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        scaled = self._scaled_samples(x, _values_at(x, memo))
+        c = self._curvature_at(x, _values_at(x, memo))
         rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
         J = np.zeros((rows.size, self.n))
-        head = rows < self.d
-        J[head] = self._head_jac[rows[head]]
-        (at,) = np.nonzero(~head)
-        s = rows[at] - self.d
+        s = rows - self.d
+        tail = s >= 0
+        (head,) = (~tail).nonzero()
+        J[head] = self._head_jac.take(rows.take(head), axis=0)
+        (at,) = tail.nonzero()
+        s = s.take(at)
         J[at, s] = 1.0
-        J[at, self.p:] = scaled[s]
+        J[at, self.p:] = c.take(s)[:, None] * self._samples.take(s, axis=0)
         return J
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
-        # head norms are constant; a tail row is a unit coordinate plus its
-        # scaled sample
-        scaled = self._scaled_samples(x, _values_at(x, memo))
+        # head norms are constant; tail norms come from the precomputed ||a_s||^2
+        c = self._curvature_at(x, _values_at(x, memo))
         out = np.empty(self.m)
         out[: self.d] = self._head_norms
-        tail = np.einsum("ij,ij->i", scaled, scaled, out=out[self.d:])
+        tail = np.multiply(c, c, out=out[self.d:])
+        tail *= self._sample_sq_norms
         tail += 1.0
         return out
 
@@ -348,9 +358,9 @@ def make_glm(dataset: Dataset, lam: float | None = None) -> GLMProblem:
     return GLMProblem(dataset.to_dense(), dataset.labels, lam)
 
 
-def synthetic_dataset(p: int, d: int, seed: int, flip_fraction: float = 0.05) -> Dataset:
-    """Gaussian samples with linearly separable labels plus a small flip
-    fraction: solvable, nontrivial, and fully seeded."""
+def _synthetic_samples(p: int, d: int, seed: int, flip_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """The d x p samples and -1/+1 labels: ``A``, ``w_true`` and the flips,
+    drawn from one PCG64 stream in that order."""
     rng = seeded_rng(seed)
     A = rng.standard_normal((d, p))
     w_true = rng.standard_normal(d)
@@ -358,6 +368,13 @@ def synthetic_dataset(p: int, d: int, seed: int, flip_fraction: float = 0.05) ->
     labels = np.where(margins >= 0.0, 1.0, -1.0)
     flips = rng.random(p) < flip_fraction
     labels[flips] *= -1.0
+    return A, labels
+
+
+def synthetic_dataset(p: int, d: int, seed: int, flip_fraction: float = 0.05) -> Dataset:
+    """Gaussian samples with linearly separable labels plus a small flip
+    fraction: solvable, nontrivial, and fully seeded."""
+    A, labels = _synthetic_samples(p, d, seed, flip_fraction)
     samples = tuple(
         tuple((j + 1, float(A[j, i])) for j in range(d))
         for i in range(p)
@@ -366,4 +383,9 @@ def synthetic_dataset(p: int, d: int, seed: int, flip_fraction: float = 0.05) ->
 
 
 def make_synthetic_glm(p: int, d: int, seed: int, lam: float | None = None) -> GLMProblem:
-    return make_glm(synthetic_dataset(p, d, seed), lam=lam)
+    """``make_glm(synthetic_dataset(p, d, seed), lam)`` bit for bit, without
+    the per-entry tuples."""
+    if p == 0:
+        raise DimensionMismatch("dataset has no samples")
+    A, labels = _synthetic_samples(p, d, seed, 0.05)
+    return GLMProblem(A, labels, 1.0 / p if lam is None else lam)

@@ -62,7 +62,7 @@ ACTIVE_REL_EPS = float(np.finfo(np.float64).eps)
 ACTIVE_ABS_FLOOR = 1e-300
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class RowGeometry:
     """Per-row quantities of the system at one iterate.
 
@@ -148,7 +148,7 @@ class SelectionKind(enum.Enum):
     RESIDUAL = "residual"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SelectionResult:
     """A nonempty greedy index subset with its threshold and sampling weights."""
 

@@ -7,7 +7,7 @@ iteration counts are comparable across methods.
 
 Each solve owns one ``IterateMemo`` and hands it to every problem
 evaluation.  It holds what one iterate's evaluations share (the GLM margin,
-exp and curvature-scaled samples, the Brown leave-one-out products) and is
+exp and curvature vector, the Brown leave-one-out products) and is
 emptied when the next iterate arrives; it changes no value, only how often
 it is computed.
 
@@ -17,9 +17,9 @@ Block steps select first and then build only the selected Jacobian rows
 
 The GLM hybrids run the same loop.  Their update is two sub-steps under one
 iteration index: the exact minimum-norm solve of the affine head rows, reusing
-the residual at ``x``, then one greedy capped block projection on the
-nonlinear tail rows, with the residual evaluated once at the post-head
-iterate.
+the residual at ``x`` and the head's Gram factor computed once by the
+problem, then one greedy capped block projection on the nonlinear tail rows,
+with the residual evaluated once at the post-head iterate.
 """
 
 from __future__ import annotations
@@ -173,8 +173,9 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
 def hybrid_linear_substep(glm: GLMProblem, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Minimum-norm solve of the affine head rows, given the residual ``r``
     at ``x``.  The head Jacobian has full row rank (identity block on w), so
-    those rows are annihilated exactly by one projection."""
-    return x - min_norm_least_squares(glm.linear_head_jacobian(), r[: glm.d])
+    those rows are annihilated exactly by one projection, through the
+    head's Gram factor that the problem computed once."""
+    return x - min_norm_least_squares(glm.linear_head_jacobian(), r[: glm.d], glm.head_factor)
 
 
 def hybrid_tail_selection(

@@ -72,9 +72,9 @@ def test_spans_are_entered(tracing, method, build, spans):
         # span each call is made from (the hybrid head, or the loop itself)
         traced = solvers_mod.min_norm_least_squares
 
-        def logged(J, rhs):
+        def logged(J, rhs, factor=None):
             lstsq_parents.append(tracer.parent())
-            return traced(J, rhs)
+            return traced(J, rhs, factor)
 
         solvers_mod.min_norm_least_squares = logged
         trace = solve(problem, x0, SolverConfig(method=method, seed=1, max_iter=3))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from capped_kaczmarz.core import Convex, MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.numerics import min_norm_least_squares
 from capped_kaczmarz.problems import LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
 from capped_kaczmarz.selection import SelectionKind
@@ -84,6 +84,29 @@ def test_records_replay_head_solve_and_tail_block(small_glm, method):
         assert rec.set_size == len(sel)
         expected = x_mid - min_norm_least_squares(small_glm.jacobian(x_mid)[rows], r_mid[rows])
         assert np.array_equal(x_next, expected)
+
+
+@pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
+def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
+    # the head's factor is computed when the problem is built; each
+    # iteration then factors only its tail block
+    glm = make_synthetic_glm(200, 10, 8)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(G):
+        calls.append(G.shape)
+        return eigh(G)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=7))
+    assert trace.status is SolveStatus.ITERATION_CAP_REACHED
+    # one per short tail block (2k <= n); a long one, such as rb-cnk's
+    # all-row set at the zero start, goes to gelsd without an eigh
+    short = [len(rec.selected) for rec in trace.records[:-1] if 2 * len(rec.selected) <= glm.n]
+    assert [shape[0] for shape in calls] == short
+    if method is MethodKind.GLM_HYBRID_DB:
+        assert len(calls) == trace.total_iterations == 7
 
 
 def test_solve_dispatches_hybrid_kinds(small_glm):

@@ -103,6 +103,18 @@ def test_memo_gives_the_memo_free_bytes(case):
             )
 
 
+def test_glm_memo_holds_no_sample_block():
+    # the norms and the rows share a curvature vector, not a p x d block
+    glm = make_synthetic_glm(200, 10, 8)
+    x = seeded_rng(4).standard_normal(glm.n)
+    memo = IterateMemo()
+    for what in EVALUATIONS:
+        evaluate(glm, what, x, np.array([glm.m - 1, 0, glm.d]), glm.m - 1, memo)
+    store = memo.at(x)
+    held = [v for value in store.values() for v in (value if isinstance(value, tuple) else (value,))]
+    assert held and all(np.shape(v) == (glm.p,) for v in held), {k: np.shape(v) for k, v in store.items()}
+
+
 def test_memo_holds_one_iterate():
     memo = IterateMemo()
     x, y = np.zeros(3), np.zeros(3)

@@ -7,6 +7,7 @@ from capped_kaczmarz.core import MethodKind, SolverConfig
 from capped_kaczmarz.errors import AllWeightsZero, FactorizationFailure
 from capped_kaczmarz.numerics import (
     draw_weighted_index,
+    gram_factor,
     min_norm_least_squares,
     row_sq_norms,
     seeded_rng,
@@ -154,12 +155,29 @@ class TestLeastSquaresRouting:
         H = glm.linear_head_jacobian()
         lam = np.linalg.eigvalsh(H @ H.T)
         assert lam[-1] / lam[0] > 1e9
+        assert gram_factor(H) is None and glm.head_factor is None
         x = rng.standard_normal(glm.n)
         rhs = glm.residual(x)[:d]
         assert min_norm_least_squares(H, rhs).tobytes() == lstsq_bytes(H, rhs)
         # so the head residual after the linear sub-step is what lstsq reaches
         reached = glm.residual(x - np.linalg.lstsq(H, rhs, rcond=None)[0])[:d]
         assert glm.residual(hybrid_linear_substep(glm, x, glm.residual(x)))[:d].tobytes() == reached.tobytes()
+
+    @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8)])
+    def test_a_given_head_factor_gives_the_same_bytes(self, p, d, seed):
+        glm = make_synthetic_glm(p, d, seed)
+        H = glm.linear_head_jacobian()
+        factor = gram_factor(H)
+        assert factor is not None
+        # the problem's own factor, computed once, is the same and read-only
+        for mine, fresh in zip(glm.head_factor, factor):
+            assert mine.tobytes() == fresh.tobytes() and not mine.flags.writeable
+        rng = seeded_rng(seed)
+        for scale in (1e-3, 1.0, 1e3):
+            rhs = scale * rng.standard_normal(d)
+            want = min_norm_least_squares(H, rhs).tobytes()
+            assert min_norm_least_squares(H, rhs, factor).tobytes() == want
+            assert min_norm_least_squares(H, rhs, glm.head_factor).tobytes() == want
 
     # derandomized, and no zeroed rows: on one square block with a zeroed
     # row in 30000 draws, gelsd computed the zero singular value as 7e-15,

@@ -135,6 +135,21 @@ class TestGLM:
             from_jacobian = np.einsum("ij,ij->i", J, J)
             assert np.allclose(glm.row_sq_norms_at(x), from_jacobian, rtol=1e-14)
 
+    @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8)])
+    def test_tail_norms_are_the_row_sums_to_the_last_bits(self, p, d, seed):
+        # 1 + c^2 ||a_s||^2 rounds differently from summing the built row's
+        # squares, by a few units in the last place at most
+        glm = make_synthetic_glm(p, d, seed)
+        rng = seeded_rng(seed)
+        for scale in (0.1, 1.0, 5.0, 30.0):
+            for _ in range(10):
+                x = scale * rng.standard_normal(glm.n)
+                J = glm.jacobian(x)
+                from_rows = np.einsum("ij,ij->i", J, J)
+                norms = glm.row_sq_norms_at(x)
+                assert norms[:d].tobytes() == from_rows[:d].tobytes()
+                assert np.all(np.abs(norms - from_rows) <= 1e-15 * from_rows)
+
     def test_loss_derivative_bounded(self):
         glm = self.small()
         for scale in (1.0, 10.0, 1e3, 1e8):
@@ -166,6 +181,9 @@ def index_sets(m: int, d: int, rng) -> list[np.ndarray]:
         np.array([0, m - 1]),
         rng.permutation(m)[: max(2, m // 3)],
         np.array([m - 1, d, 0, m // 2]),
+        # tail rows first, then head rows, neither sorted
+        np.array([m - 1, d - 1, d, 0]),
+        np.concatenate((rng.permutation(tail)[:3], rng.permutation(head))),
         np.array([m - 1]),
         np.array([d]),
         np.array([m // 2, m // 2]),
@@ -291,6 +309,16 @@ class TestSynthetic:
     def test_default_regularization_is_one_over_p(self):
         glm = make_synthetic_glm(p=20, d=3, seed=2)
         assert glm.lam == pytest.approx(1.0 / 20)
+
+    @pytest.mark.parametrize("p, d, seed", [(200, 10, 8), (60, 6, 3), (7, 3, 1)])
+    def test_direct_build_matches_the_dataset_route(self, p, d, seed):
+        direct = make_synthetic_glm(p, d, seed)
+        via = make_glm(synthetic_dataset(p, d, seed))
+        assert direct.A.tobytes() == via.A.tobytes()
+        assert direct.y.tobytes() == via.y.tobytes()
+        assert direct.lam == via.lam
+        x = seeded_rng(seed).standard_normal(direct.n)
+        assert direct.residual(x).tobytes() == via.residual(x).tobytes()
 
     def test_known_root_check_without_root(self):
         assert make_synthetic_glm(p=5, d=2, seed=0).known_root is None

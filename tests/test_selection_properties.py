@@ -42,6 +42,8 @@ xis = st.floats(min_value=1e-6, max_value=1.0)
 @settings(max_examples=250, deadline=None)
 @given(geometries(), thetas)
 def test_epsilon_times_frobenius_at_least_one(g, theta):
+    # a subnormal |f_i|^2 loses bits in its ratio (pinned below)
+    assume(squares_stay_normal(g))
     eps = compute_epsilon(g, Convex(theta))
     assert eps * g.active_fro_sq >= 1.0 - 1e-12
 
@@ -152,6 +154,16 @@ def test_active_mask_matches_the_median_path(grad_sq, shortcut, distance, residu
     sel = build_residual_set(g, compute_delta(g, Scaled(0.5)))
     assert sel.indices.tolist() == [0, 3]
     assert sel.weights.tolist() == residual_weights
+
+
+def test_subnormal_square_puts_epsilon_times_frobenius_below_one():
+    # |f_2|^2 = 1.7e-320 is subnormal, so its ratio to 97 keeps only a few
+    # bits and the maximum ratio comes out low: eps ||J||_F^2 falls to
+    # 0.99943, under the 1 it reaches while the squares stay normal
+    g = RowGeometry.from_state(np.array([0.0, 1.3205369e-160]), np.array([1.0, 97.0]))
+    assert not squares_stay_normal(g)
+    eps = compute_epsilon(g, Convex(1.0))
+    assert eps * g.active_fro_sq == pytest.approx(0.99943, abs=1e-5)
 
 
 def test_subnormal_rescaling_changes_the_residual_set():
