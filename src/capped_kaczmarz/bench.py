@@ -194,15 +194,15 @@ def run_bench(spec: BenchSpec) -> BenchReport:
 def emit_csv(trace: SolveTrace) -> str:
     """Render a trace as CSV: ``k,residual_sq,elapsed_s,selected_size`` plus
     ``error_sq`` when tracked.  Floats use shortest round-trip formatting;
-    LF line endings."""
-    with_error = any(r.error_sq is not None for r in trace.records)
-    columns = TRACE_COLUMNS + (("error_sq",) if with_error else ())
-    lines = [",".join(columns)]
-    for rec in trace.records:
-        row = [str(rec.k), repr(rec.residual_sq), repr(rec.elapsed), str(rec.set_size)]
-        if with_error:
-            row.append("" if rec.error_sq is None else repr(rec.error_sq))
-        lines.append(",".join(row))
+    LF line endings.  Reads the trace's columns, building no record."""
+    records = trace.records
+    rows = zip(records.k, records.residual_sq, records.elapsed, records.set_size)
+    if records.error_sq is None:
+        lines = [",".join(TRACE_COLUMNS)]
+        lines += [f"{k},{res!r},{t!r},{size}" for k, res, t, size in rows]
+    else:
+        lines = [",".join(TRACE_COLUMNS + ("error_sq",))]
+        lines += [f"{k},{res!r},{t!r},{size},{err!r}" for (k, res, t, size), err in zip(rows, records.error_sq)]
     return "\n".join(lines) + "\n"
 
 

@@ -1,10 +1,17 @@
-"""Problem contract, solver configuration, iteration traces, stopping rule."""
+"""Problem contract, solver configuration, iteration traces, stopping rule.
+
+A solve's per-iteration history is a :class:`TraceRecords`, a column store
+that reads as a sequence of :class:`IterationRecord`.
+"""
 
 from __future__ import annotations
 
+import copy
 import enum
 import math
 import time
+from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,7 +189,7 @@ def check_stop(residual_sq: float, k: int, config: SolverConfig) -> SolveStatus 
 class IterationRecord:
     """State captured at the start of iteration ``k`` plus the selection the
     iteration made.  The terminal record carries the final residual and an
-    empty selection."""
+    empty selection.  A trace builds these on demand from its columns."""
 
     k: int
     residual_sq: float
@@ -192,9 +199,102 @@ class IterationRecord:
     error_sq: float | None = None
 
 
+class TraceRecords(Sequence[IterationRecord]):
+    """A solve's iteration records, stored as columns.
+
+    ``solve`` appends one record per iterate with :meth:`append`; nothing
+    else writes.  Read back, the store is a read-only sequence of
+    :class:`IterationRecord`: indexing builds the record on demand, with
+    ``k`` its position, and slicing returns a view over the same columns
+    that copies nothing, builds no record and keeps each record's ``k``.
+
+    The columns read directly as ``k`` (a range) and ``residual_sq``,
+    ``elapsed``, ``set_size`` and ``error_sq`` (read-only memoryviews, in
+    the view's order; ``error_sq`` is None unless the error is tracked).
+    A record takes 32 bytes (residual, time, set size and the end of its
+    rows), plus 8 per selected row and 8 for a tracked error.
+    """
+
+    __slots__ = ("_residual_sq", "_elapsed", "_set_size", "_rows", "_row_ends", "_error_sq", "_span")
+
+    def __init__(self, track_error: bool = False):
+        self._residual_sq = array("d")
+        self._elapsed = array("d")
+        self._set_size = array("q")
+        self._rows = array("q")  # the selected rows of every record, end to end
+        self._row_ends = array("q")  # where each record's rows end in _rows
+        self._error_sq = array("d") if track_error else None
+        self._span: range | None = None  # a view's positions; None: every record
+
+    def append(
+        self, residual_sq: float, selected: Iterable[int], set_size: int, elapsed: float, error_sq: float | None = None
+    ) -> None:
+        """Add the next record; ``error_sq`` is required when tracked."""
+        self._residual_sq.append(residual_sq)
+        self._elapsed.append(elapsed)
+        self._set_size.append(set_size)
+        self._rows.extend(selected)
+        self._row_ends.append(len(self._rows))
+        if self._error_sq is not None:
+            self._error_sq.append(error_sq)
+
+    @property
+    def k(self) -> range:
+        return range(len(self._residual_sq)) if self._span is None else self._span
+
+    @property
+    def residual_sq(self) -> memoryview:
+        return self._column(self._residual_sq)
+
+    @property
+    def elapsed(self) -> memoryview:
+        return self._column(self._elapsed)
+
+    @property
+    def set_size(self) -> memoryview:
+        return self._column(self._set_size)
+
+    @property
+    def error_sq(self) -> memoryview | None:
+        return None if self._error_sq is None else self._column(self._error_sq)
+
+    def _column(self, values: array) -> memoryview:
+        column = memoryview(values).toreadonly()
+        span = self._span
+        if span is None:
+            return column
+        # a reversed span ends at -1, which a slice would read as the last position
+        return column[span.start : span.stop if span.stop >= 0 else None : span.step]
+
+    def _record(self, k: int) -> IterationRecord:
+        ends = self._row_ends
+        error_sq = self._error_sq
+        return IterationRecord(
+            k,
+            self._residual_sq[k],
+            tuple(self._rows[ends[k - 1] if k else 0 : ends[k]]),
+            self._set_size[k],
+            self._elapsed[k],
+            None if error_sq is None else error_sq[k],
+        )
+
+    def __len__(self) -> int:
+        return len(self.k)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            view = copy.copy(self)
+            view._span = self.k[index]
+            return view
+        return self._record(self.k[index])
+
+    def __iter__(self):
+        return map(self._record, self.k)
+
+
 @dataclass
 class SolveTrace:
-    records: list[IterationRecord]
+    records: TraceRecords
     status: SolveStatus
     final_x: np.ndarray
     total_iterations: int
@@ -203,4 +303,4 @@ class SolveTrace:
 
     @property
     def residual_history(self) -> np.ndarray:
-        return np.array([r.residual_sq for r in self.records])
+        return np.array(self.records.residual_sq)

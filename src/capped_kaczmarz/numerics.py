@@ -12,7 +12,9 @@ has two paths behind one name:
   certifies it well conditioned, ``lam_min > GRAM_TAU * lam_max``, with
   normal-float eigenvalues (:func:`gram_factor`, the one home of this
   guard); the step is ``J^T V diag(1/lam) V^T rhs``, kept only if finite.
-  A constant block (the GLM head) is factored once and its factor passed in;
+  A constant block (the GLM head) is factored once and its factor passed in,
+  or :data:`GRAM_REJECTED` when it failed the guard, so it goes straight to
+  ``gelsd`` without another ``eigh``;
 * every other block (square or tall, ill-conditioned, rank-deficient, out
   of that floating-point range, or one whose eigensolver fails) goes to
   ``numpy.linalg.lstsq`` (LAPACK ``gelsd``), and its step is bit for bit
@@ -51,6 +53,9 @@ GRAM_TAU = 1e-6
 # a Gram path eigenvalue must also be a normal float: below that, the
 # products forming G round to absolute, not relative, error
 _TINY = np.finfo(float).tiny
+# the factor argument of a block known to fail the Gram guard; None means
+# "not given", so the block is factored on the call
+GRAM_REJECTED = ()
 
 
 def row_sq_norms(J: np.ndarray) -> np.ndarray:
@@ -76,8 +81,9 @@ def gram_factor(J: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
 def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray, factor: tuple | None = None) -> np.ndarray:
     """Minimum-2-norm minimizer of ``||J d - rhs||_2``.
 
-    With a Gram factor (``factor`` must be ``gram_factor(J)``; without it
-    ``J`` is factored here) the result is ``J^T V diag(1/lam) V^T rhs`` if
+    With a Gram factor (``factor`` must be ``gram_factor(J)``, or
+    :data:`GRAM_REJECTED` where that is None; without it ``J`` is factored
+    here) the result is ``J^T V diag(1/lam) V^T rhs`` if
     finite, with a relative error of at most about ``cond(J)^2 (n + k) k
     eps`` (see the module docstring).  Every other block, including any
     that is rank-deficient, gets the pseudoinverse action of
@@ -94,8 +100,9 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray, factor: tuple | None 
         )
     if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
         raise FactorizationFailure("non-finite entries in least-squares input")
-    factor = gram_factor(J) if factor is None else factor
-    if factor is not None:
+    if factor is None:
+        factor = gram_factor(J)
+    if factor:
         lam, V = factor
         delta = J.T @ (V @ ((V.T @ rhs) / lam))
         if np.isfinite(delta).all():

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
-from .numerics import gram_factor, seeded_rng
+from .numerics import GRAM_REJECTED, gram_factor, seeded_rng
 
 
 def _values_at(x: np.ndarray, memo: IterateMemo | None) -> dict:
@@ -166,9 +166,10 @@ class GLMProblem(ProblemInstance):
         head[np.arange(d), p + np.arange(d)] = -1.0
         self._head_jac = head
         self._head_norms = np.einsum("ij,ij->i", head, head)
-        # read-only; None when the head leaves the Gram path (a collinear libsvm head)
-        self.head_factor = gram_factor(head)
-        for array in self.head_factor or ():
+        # read-only; GRAM_REJECTED when the head leaves the Gram path (a
+        # collinear libsvm head), so no hybrid iteration factors it again
+        self.head_factor = gram_factor(head) or GRAM_REJECTED
+        for array in self.head_factor:
             array.flags.writeable = False
         self._samples = np.ascontiguousarray(A.T)  # sample s as a contiguous row
         self._sample_sq_norms = np.einsum("ij,ij->i", self._samples, self._samples)

@@ -109,7 +109,7 @@ class RowGeometry:
             active_residual_sq, active_fro_sq = residual_sq, jac_fro_sq
             ratios = res_sq / grad_sq_norms
         else:
-            scale = float(np.median(grad_sq_norms))
+            scale = _median(grad_sq_norms)
             if not np.isfinite(scale):
                 scale = float(np.max(grad_sq_norms[np.isfinite(grad_sq_norms)], initial=0.0))
             cutoff = max(ACTIVE_ABS_FLOOR, ACTIVE_REL_EPS * scale)
@@ -141,6 +141,21 @@ class RowGeometry:
         """The rows eligible for distance ratios.  An eligible row's ratio
         divides by a positive norm, so it is never ``-inf``."""
         return self.ratios != -np.inf
+
+
+def _median(values: np.ndarray) -> float:
+    """``np.median`` of a 1-D float array, bit for bit, for a fifth of its
+    cost: numpy's own partition (the middle rank or ranks, and the last, where
+    any NaN sorts), then its mean of the middle values, which adds them to
+    0.0 (so ``-0.0`` comes out ``0.0``), or NaN when a NaN is present."""
+    half, odd = divmod(values.size, 2)
+    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
+    last = part.item(-1)
+    if last != last:
+        return last
+    if odd:
+        return 0.0 + part.item(half)
+    return (0.0 + part.item(half - 1) + part.item(half)) / 2
 
 
 class SelectionKind(enum.Enum):

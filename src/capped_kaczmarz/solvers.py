@@ -2,7 +2,8 @@
 
 Every method shares the same skeleton: evaluate the full residual, apply the
 stopping rule (``check_stop``), pick rows, update, and record the iteration
-once.  The full residual is evaluated at every iterate (no stale caching) so
+once, as one row appended to the trace's columns (``TraceRecords``).  The
+full residual is evaluated at every iterate (no stale caching) so
 iteration counts are comparable across methods.
 
 Each solve owns one ``IterateMemo`` and hands it to every problem
@@ -31,12 +32,12 @@ from .core import (
     DISTANCE_KINDS,
     HYBRID_KINDS,
     IterateMemo,
-    IterationRecord,
     MethodKind,
     ProblemInstance,
     SolveStatus,
     SolveTrace,
     SolverConfig,
+    TraceRecords,
     check_stop,
 )
 from .errors import (
@@ -97,9 +98,9 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     rng = seeded_rng(config.seed)
     clock = config.clock
     started = clock()
-    records: list[IterationRecord] = []
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     x_star = problem.known_root if config.record_error else None
+    records = TraceRecords(track_error=x_star is not None)
     kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     hybrid, block = method in HYBRID_KINDS, method in BLOCK_KINDS
     m = problem.m
@@ -132,12 +133,12 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                     else:
                         sel, rows = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold, memo)
                         x = x_mid - min_norm_least_squares(problem.jacobian(x_mid, rows, memo), r_mid[rows])
-                        selected, set_size = tuple(rows.tolist()), len(sel)
+                        selected, set_size = rows.tolist(), len(sel)
                 elif block:
                     g = RowGeometry.from_state(r, problem.row_sq_norms_at(x, memo))
                     sel = greedy_selection(g, kind, config.threshold)
                     x = x - min_norm_least_squares(problem.jacobian(x, sel.indices, memo), r[sel.indices])
-                    selected, set_size = tuple(sel.indices.tolist()), len(sel)
+                    selected, set_size = sel.indices.tolist(), len(sel)
                 else:
                     if method is MethodKind.NK:
                         i, size = k % m, 1
@@ -155,7 +156,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
             except _BREAKDOWN_ERRORS:
                 status = SolveStatus.NUMERICAL_BREAKDOWN
 
-        records.append(IterationRecord(k, residual_sq, selected, set_size, clock() - started, error_sq))
+        records.append(residual_sq, selected, set_size, clock() - started, error_sq)
         if status is not None:
             break
         k += 1
@@ -164,7 +165,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
         records=records,
         status=status,
         final_x=x,
-        total_iterations=records[-1].k,
+        total_iterations=len(records) - 1,
         total_seconds=clock() - started,
         iterates=iterates,
     )

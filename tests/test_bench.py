@@ -190,6 +190,36 @@ class TestEmitCsv:
             assert float(elapsed) == rec.elapsed
             assert int(size) == rec.set_size
 
+    @pytest.mark.parametrize(
+        "selector, method, record_error, status",
+        [
+            ("linear:12,6,3", MethodKind.NRK, True, SolveStatus.CONVERGED),
+            ("brown:12", MethodKind.RB_CNK, False, SolveStatus.CONVERGED),
+            ("brown:26", MethodKind.DR_CNK, False, SolveStatus.NUMERICAL_BREAKDOWN),
+        ],
+        ids=["error_sq", "block", "breakdown"],
+    )
+    def test_columns_give_the_record_formatters_bytes(self, selector, method, record_error, status):
+        problem, x0 = resolve_problem(selector)
+        config = SolverConfig(method=method, seed=1, record_error=record_error, clock=counting_clock())
+        trace = solve(problem, x0, config)
+        assert trace.status is status
+        records = list(trace.records)
+        if method is MethodKind.RB_CNK:
+            assert max(len(rec.selected) for rec in records) > 1
+        if status is SolveStatus.NUMERICAL_BREAKDOWN:
+            assert not np.isfinite(records[-1].residual_sq)
+        # the formatter that rendered one record object at a time
+        with_error = any(rec.error_sq is not None for rec in records)
+        assert with_error is record_error
+        lines = [",".join(bench.TRACE_COLUMNS + (("error_sq",) if with_error else ()))]
+        for rec in records:
+            row = [str(rec.k), repr(rec.residual_sq), repr(rec.elapsed), str(rec.set_size)]
+            if with_error:
+                row.append("" if rec.error_sq is None else repr(rec.error_sq))
+            lines.append(",".join(row))
+        assert emit_csv(trace) == "\n".join(lines) + "\n"
+
     def test_lf_endings_and_header(self):
         problem = LinearProblem(np.eye(2), np.array([1.0, 1.0]))
         trace = solve(problem, np.zeros(2), SolverConfig(method=MethodKind.NK, seed=0))

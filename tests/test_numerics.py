@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capped_kaczmarz.core import MethodKind, SolverConfig
+from capped_kaczmarz.core import MethodKind, SolverConfig, SolveStatus
 from capped_kaczmarz.errors import AllWeightsZero, FactorizationFailure
 from capped_kaczmarz.numerics import (
+    GRAM_REJECTED,
     draw_weighted_index,
     gram_factor,
     min_norm_least_squares,
@@ -145,7 +146,7 @@ class TestLeastSquaresRouting:
             oracle = svd_pinv_solve(J, rhs)
             assert np.linalg.norm(delta - oracle) <= 1e-13 * np.linalg.norm(oracle), name
 
-    def test_nearly_collinear_head_falls_back_to_gelsd(self):
+    def test_nearly_collinear_head_falls_back_to_gelsd(self, monkeypatch):
         # unscaled libsvm-style features: one direction plus 1e-5 noise,
         # times 1e3, so cond(H H^T) is about 1e10
         rng = seeded_rng(21)
@@ -155,13 +156,28 @@ class TestLeastSquaresRouting:
         H = glm.linear_head_jacobian()
         lam = np.linalg.eigvalsh(H @ H.T)
         assert lam[-1] / lam[0] > 1e9
-        assert gram_factor(H) is None and glm.head_factor is None
+        assert gram_factor(H) is None and glm.head_factor is GRAM_REJECTED
         x = rng.standard_normal(glm.n)
         rhs = glm.residual(x)[:d]
         assert min_norm_least_squares(H, rhs).tobytes() == lstsq_bytes(H, rhs)
         # so the head residual after the linear sub-step is what lstsq reaches
         reached = glm.residual(x - np.linalg.lstsq(H, rhs, rcond=None)[0])[:d]
         assert glm.residual(hybrid_linear_substep(glm, x, glm.residual(x)))[:d].tobytes() == reached.tobytes()
+        assert min_norm_least_squares(H, rhs, GRAM_REJECTED).tobytes() == lstsq_bytes(H, rhs)
+        # the rejection is remembered: a hybrid solve never factors the head
+        # again, and each iteration's one eigh is its short tail block's
+        head_gram = (H @ H.T).tobytes()
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(G):
+            calls.append(G.tobytes() == head_gram)
+            return eigh(G)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        trace = solve(glm, x, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
+        assert trace.status is SolveStatus.ITERATION_CAP_REACHED
+        assert calls == [False] * 5
 
     @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8)])
     def test_a_given_head_factor_gives_the_same_bytes(self, p, d, seed):

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capped_kaczmarz.core import Convex, Scaled
@@ -12,6 +12,7 @@ from capped_kaczmarz.selection import (
     ACTIVE_ABS_FLOOR,
     ACTIVE_REL_EPS,
     RowGeometry,
+    _median,
     build_distance_set,
     build_residual_set,
     compute_delta,
@@ -177,6 +178,27 @@ def test_subnormal_rescaling_changes_the_residual_set():
     scaled = RowGeometry.from_state(c * residual, c * c * np.ones(4))
     assert build_residual_set(base, compute_delta(base, Convex(0.5))).indices.tolist() == [3]
     assert build_residual_set(scaled, compute_delta(scaled, Convex(0.5))).indices.tolist() == [0, 1, 2, 3]
+
+
+# finite norms at every scale, with -0.0, subnormals, +-inf and NaN mixed in
+median_entries = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=0.0, max_value=1e6),
+    st.sampled_from([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0, 5e-324, 1e308]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 60).flatmap(lambda m: st.lists(median_entries, min_size=m, max_size=m)))
+@example([-0.0]).via("np.mean adds to 0.0")
+@example([-0.0, -0.0]).via("np.mean adds to 0.0")
+@example([3.0, np.nan, 1.0]).via("a NaN wins")
+@example([np.inf, -np.inf]).via("inf - inf")
+def test_median_is_numpys_bit_for_bit(values):
+    norms = np.array(values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.median(norms)
+    assert np.float64(_median(norms)).tobytes() == want.tobytes()
 
 
 # --- the stored row arrays and the median shortcut against a reference -----
