@@ -21,7 +21,7 @@ from .problems import (
     make_synthetic_glm,
     parse_libsvm,
 )
-from .selection import RowGeometry, SelectionKind, SelectionResult
+from .selection import SelectionKind, SelectionResult
 from .solvers import kaczmarz_step, solve
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "LinearProblem",
     "MethodKind",
     "ProblemInstance",
-    "RowGeometry",
     "Scaled",
     "SelectionKind",
     "SelectionResult",

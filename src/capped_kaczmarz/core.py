@@ -300,7 +300,3 @@ class SolveTrace:
     total_iterations: int
     total_seconds: float
     iterates: list[np.ndarray] | None = None
-
-    @property
-    def residual_history(self) -> np.ndarray:
-        return np.array(self.records.residual_sq)

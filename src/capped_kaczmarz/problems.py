@@ -138,7 +138,8 @@ class GLMProblem(ProblemInstance):
     Every evaluation at an iterate starts from one full matvec ``A^T w`` and
     one exp (:meth:`_margin_parts`); with a memo, the residual, the row
     norms and the Jacobian rows at one iterate share them, and the norms and
-    the tail rows share one curvature vector ``c`` (:meth:`_curvature_at`).
+    the tail rows, from ``jacobian`` and ``row_grad`` alike, share one
+    curvature vector ``c`` (:meth:`_curvature_at`).
     The constant head is Gram-factored once, here, for the hybrids.
     """
 
@@ -211,20 +212,13 @@ class GLMProblem(ProblemInstance):
         return out
 
     def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
-        # a tail row takes its curvature from its own sample's dot product,
-        # not from the memo's full matvec: the two round differently
+        """Row ``i`` of the Jacobian, bit for bit ``jacobian(x, [i], memo)[0]``."""
         if i < self.d:
             return self._head_jac[i]
         s = i - self.d
-        a = self.A[:, s]
         grad = np.zeros(self.n)
         grad[s] = 1.0
-        # the curvature phi''(a^T w) = sig(z) (1 - sig(z)) from numpy
-        # scalars: the same exp and the same branches as _sigmoid_branches
-        z = self.y[s] * (a @ x[self.p:])
-        e = np.exp(-abs(z))
-        sig = 1.0 / (1.0 + e) if z >= 0 else e / (1.0 + e)
-        grad[self.p:] = sig * (1.0 - sig) * a
+        grad[self.p:] = self._curvature_at(x, _values_at(x, memo))[s] * self._samples[s]
         return grad
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:

@@ -133,10 +133,6 @@ class RowGeometry:
         )
 
     @property
-    def m(self) -> int:
-        return len(self.residual)
-
-    @property
     def active(self) -> np.ndarray:
         """The rows eligible for distance ratios.  An eligible row's ratio
         divides by a positive norm, so it is never ``-inf``."""
@@ -170,7 +166,6 @@ class SelectionResult:
     indices: np.ndarray
     threshold: float
     weights: np.ndarray
-    kind: SelectionKind
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -217,7 +212,6 @@ def build_distance_set(g: RowGeometry, eps: float) -> SelectionResult:
         indices=indices,
         threshold=eps,
         weights=g.res_sq[indices],
-        kind=SelectionKind.DISTANCE,
     )
 
 
@@ -233,7 +227,7 @@ def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
         raise DegenerateState("residual threshold undefined at zero residual")
     max_res_sq = float(g.res_sq[g.top_residual_row])
     if isinstance(mode, Convex):
-        return mode.theta * max_res_sq / g.residual_sq + (1.0 - mode.theta) / g.m
+        return mode.theta * max_res_sq / g.residual_sq + (1.0 - mode.theta) / g.res_sq.size
     if isinstance(mode, Scaled):
         return mode.xi * max_res_sq / g.residual_sq
     raise TypeError(f"unknown threshold mode: {mode!r}")
@@ -264,7 +258,6 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
         indices=indices,
         threshold=delta,
         weights=weights,
-        kind=SelectionKind.RESIDUAL,
     )
 
 

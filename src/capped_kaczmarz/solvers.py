@@ -12,15 +12,14 @@ exp and curvature vector, the Brown leave-one-out products) and is
 emptied when the next iterate arrives; it changes no value, only how often
 it is computed.
 
-Block steps select first and then build only the selected Jacobian rows
-(``problem.jacobian(x, rows)``); the selection reads the row norms from
-``problem.row_sq_norms_at``.
-
-The GLM hybrids run the same loop.  Their update is two sub-steps under one
-iteration index: the exact minimum-norm solve of the affine head rows, reusing
-the residual at ``x`` and the head's Gram factor computed once by the
-problem, then one greedy capped block projection on the nonlinear tail rows,
-with the residual evaluated once at the post-head iterate.
+Every greedy method selects at one site, over
+``RowGeometry.from_state(r[lo:], norms[lo:])`` with the norms of
+``problem.row_sq_norms_at``, then projects onto one drawn row
+(``kaczmarz_step``) or takes one least-squares step on the selected
+Jacobian rows only (``problem.jacobian(x, rows)``).  ``lo`` is 0 except for
+the GLM hybrids, whose iteration first solves the affine head rows exactly
+(reusing the residual at ``x`` and the head's Gram factor) and then takes
+that block step on the tail rows ``d:`` at the post-head iterate.
 """
 
 from __future__ import annotations
@@ -102,7 +101,10 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     x_star = problem.known_root if config.record_error else None
     records = TraceRecords(track_error=x_star is not None)
     kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
-    hybrid, block = method in HYBRID_KINDS, method in BLOCK_KINDS
+    hybrid = method in HYBRID_KINDS
+    block_step = hybrid or method in BLOCK_KINDS
+    # a hybrid selects among its tail rows only, the rows from d on
+    lo = problem.d if hybrid else 0
     m = problem.m
     memo = IterateMemo()
 
@@ -123,36 +125,41 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
         status = check_stop(residual_sq, k, config)
         if status is None:
             try:
+                # a hybrid selects and steps at its post-head iterate; a
+                # breakdown in either sub-step leaves x at the pre-head iterate
+                x_at, r_at = x, r
                 if hybrid:
-                    # a breakdown in either sub-step leaves x at the pre-head iterate
-                    x_mid = hybrid_linear_substep(problem, x, r)
-                    r_mid = problem.residual(x_mid, memo)
-                    if float(np.sum(r_mid[problem.d:] ** 2)) == 0.0:
-                        # tail exactly solved: nothing left for the greedy block
-                        x = x_mid
-                    else:
-                        sel, rows = hybrid_tail_selection(problem, x_mid, r_mid, kind, config.threshold, memo)
-                        x = x_mid - min_norm_least_squares(problem.jacobian(x_mid, rows, memo), r_mid[rows])
-                        selected, set_size = rows.tolist(), len(sel)
-                elif block:
-                    g = RowGeometry.from_state(r, problem.row_sq_norms_at(x, memo))
-                    sel = greedy_selection(g, kind, config.threshold)
-                    x = x - min_norm_least_squares(problem.jacobian(x, sel.indices, memo), r[sel.indices])
-                    selected, set_size = sel.indices.tolist(), len(sel)
+                    x_at = hybrid_linear_substep(problem, x, r)
+                    r_at = problem.residual(x_at, memo)
+                if method is MethodKind.NK:
+                    i, size = k % m, 1
+                elif method is MethodKind.NURK:
+                    i, size = int(rng.integers(m)), 1
+                elif method is MethodKind.NRK:
+                    i, size = draw_weighted_index(rng, r * r), 1
+                elif hybrid and float(np.sum(r_at[lo:] ** 2)) == 0.0:
+                    # tail exactly solved: the head solve is the whole update
+                    x, size = x_at, 0
                 else:
-                    if method is MethodKind.NK:
-                        i, size = k % m, 1
-                    elif method is MethodKind.NURK:
-                        i, size = int(rng.integers(m)), 1
-                    elif method is MethodKind.NRK:
-                        i, size = draw_weighted_index(rng, r * r), 1
+                    # the one greedy selection site; the geometry is not
+                    # bound, so its arrays are freed before the step
+                    sel = greedy_selection(
+                        RowGeometry.from_state(r_at[lo:], problem.row_sq_norms_at(x_at, memo)[lo:]),
+                        kind,
+                        config.threshold,
+                    )
+                    size = len(sel)
+                    if block_step:
+                        # the offset costs a ufunc call, so only a hybrid adds it
+                        rows = sel.indices + lo if lo else sel.indices
                     else:
-                        # single-sample greedy: needs row norms plus one gradient row
-                        g = RowGeometry.from_state(r, problem.row_sq_norms_at(x, memo))
-                        sel = greedy_selection(g, kind, config.threshold)
-                        i, size = sample_index(sel, rng), len(sel)
+                        i = sample_index(sel, rng)
+                if not block_step:
                     x = kaczmarz_step(x, r[i], problem.row_grad(i, x, memo))
                     selected, set_size = (i,), size
+                elif size:
+                    x = x_at - min_norm_least_squares(problem.jacobian(x_at, rows, memo), r_at[rows])
+                    selected, set_size = rows.tolist(), size
             except _BREAKDOWN_ERRORS:
                 status = SolveStatus.NUMERICAL_BREAKDOWN
 
@@ -177,18 +184,3 @@ def hybrid_linear_substep(glm: GLMProblem, x: np.ndarray, r: np.ndarray) -> np.n
     those rows are annihilated exactly by one projection, through the
     head's Gram factor that the problem computed once."""
     return x - min_norm_least_squares(glm.linear_head_jacobian(), r[: glm.d], glm.head_factor)
-
-
-def hybrid_tail_selection(
-    glm: GLMProblem, x: np.ndarray, r: np.ndarray, kind: SelectionKind, mode, memo: IterateMemo | None = None
-):
-    """Greedy capped selection restricted to the p nonlinear tail rows,
-    given the residual ``r`` at ``x``; ``memo`` is passed on to the norms.
-
-    The geometry (norms, thresholds, row count) is that of the tail
-    subsystem.  Returns the selection and its rows as global row indices of
-    the full system.
-    """
-    g = RowGeometry.from_state(r[glm.d:], glm.row_sq_norms_at(x, memo)[glm.d:])
-    sel = greedy_selection(g, kind, mode)
-    return sel, sel.indices + glm.d

@@ -72,7 +72,7 @@ def test_trace_invariants_on_small_solve():
     ks = [r.k for r in trace.records]
     assert ks == sorted(ks) and len(set(ks)) == len(ks)
     assert all(r.residual_sq >= 0 for r in trace.records)
-    assert np.isfinite(trace.residual_history).all()
+    assert np.isfinite(trace.records.residual_sq).all()
     assert trace.status is SolveStatus.CONVERGED
     assert trace.records[-1].residual_sq < 1e-6
     assert trace.total_iterations == trace.records[-1].k
@@ -149,7 +149,7 @@ class TestTraceRecords:
         assert (first.k, after.k) == (0, 1)
         assert first.selected == (1,) and after.selected == ()
         assert trace.total_iterations == 1
-        assert trace.residual_history.tolist() == [first.residual_sq, after.residual_sq]
+        assert trace.records.residual_sq.tolist() == [first.residual_sq, after.residual_sq]
 
 
 def test_a_record_costs_at_most_64_bytes():

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.errors import FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares
 from capped_kaczmarz.problems import LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
-from capped_kaczmarz.selection import SelectionKind
-from capped_kaczmarz.solvers import hybrid_linear_substep, hybrid_tail_selection, solve
+from capped_kaczmarz.selection import RowGeometry, SelectionKind
+from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, solve
 
 
 def newton_root(glm, x0, iterations=60):
@@ -51,6 +53,13 @@ def test_linear_substep_annihilates_head_rows(small_glm):
         assert np.all(np.abs(head) <= 1e-12)
 
 
+def tail_selection(glm, x, r, kind, mode):
+    """The hybrid's selection at ``x``: the tail rows' geometry, through the
+    selection every greedy method shares."""
+    norms = glm.row_sq_norms_at(x)
+    return greedy_selection(RowGeometry.from_state(r[glm.d:], norms[glm.d:]), kind, mode)
+
+
 def test_tail_selection_nonempty_and_global_indices(small_glm):
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -59,7 +68,8 @@ def test_tail_selection_nonempty_and_global_indices(small_glm):
         if float(tail @ tail) == 0.0:
             continue
         for kind in (SelectionKind.DISTANCE, SelectionKind.RESIDUAL):
-            sel, global_rows = hybrid_tail_selection(small_glm, x, small_glm.residual(x), kind, Convex(0.5))
+            sel = tail_selection(small_glm, x, small_glm.residual(x), kind, Convex(0.5))
+            global_rows = sel.indices + small_glm.d
             assert len(sel) >= 1
             assert np.all(global_rows >= small_glm.d)
             assert np.all(global_rows < small_glm.m)
@@ -79,7 +89,8 @@ def test_records_replay_head_solve_and_tail_block(small_glm, method):
     for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
         x_mid = hybrid_linear_substep(small_glm, x, small_glm.residual(x))
         r_mid = small_glm.residual(x_mid)
-        sel, rows = hybrid_tail_selection(small_glm, x_mid, r_mid, kind, config.threshold)
+        sel = tail_selection(small_glm, x_mid, r_mid, kind, config.threshold)
+        rows = sel.indices + small_glm.d
         assert rec.selected == tuple(int(j) for j in rows)
         assert rec.set_size == len(sel)
         expected = x_mid - min_norm_least_squares(small_glm.jacobian(x_mid)[rows], r_mid[rows])
@@ -124,3 +135,46 @@ def test_plain_block_methods_also_run_on_glm():
     glm = make_synthetic_glm(p=30, d=3, seed=4)
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=MethodKind.DB_CNK, seed=0))
     assert trace.status is SolveStatus.CONVERGED
+
+
+@pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
+def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, method):
+    # the second tail block fails; the head solve of that iteration has
+    # already gone through, and the solve must drop it too
+    tail_calls = []
+
+    def failing_tail(J, r, factor=None):
+        if factor is None:
+            tail_calls.append(J.shape)
+            if len(tail_calls) == 2:
+                raise FactorizationFailure("tail block")
+        return min_norm_least_squares(J, r, factor)
+
+    monkeypatch.setattr(solvers_mod, "min_norm_least_squares", failing_tail)
+    trace = solve(small_glm, np.zeros(small_glm.n), SolverConfig(method=method, seed=0, record_iterates=True))
+    assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+    assert trace.total_iterations == 1
+    assert np.array_equal(trace.final_x, trace.iterates[-1])
+    assert trace.records[-1].selected == () and trace.records[-1].set_size == 0
+    assert trace.records[0].set_size == len(trace.records[0].selected) >= 1
+
+
+@pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
+def test_exactly_solved_tail_takes_the_head_step_alone(monkeypatch, small_glm, method):
+    # at w = 0 every sigmoid is 1/2, so alpha_s = y_s / 2 zeroes every tail row
+    glm = small_glm
+    tail_root = np.concatenate((glm.y / 2.0, np.zeros(glm.d)))
+    assert not glm.residual(tail_root)[glm.d:].any()
+    lstsq_calls = []
+
+    def counted(*args):
+        lstsq_calls.append(args)
+        return min_norm_least_squares(*args)
+
+    monkeypatch.setattr(solvers_mod, "hybrid_linear_substep", lambda problem, x, r: tail_root.copy())
+    monkeypatch.setattr(solvers_mod, "min_norm_least_squares", counted)
+    trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=3))
+    assert trace.status is SolveStatus.ITERATION_CAP_REACHED
+    assert [(rec.selected, rec.set_size) for rec in trace.records] == [((), 0)] * 4
+    assert lstsq_calls == []
+    assert np.array_equal(trace.final_x, tail_root)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capped_kaczmarz.core import IterateMemo
 from capped_kaczmarz.errors import DimensionMismatch
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import (
@@ -125,7 +126,7 @@ class TestGLM:
         x = seeded_rng(5).standard_normal(glm.n)
         J = glm.jacobian(x)
         for i in range(glm.m):
-            assert np.allclose(J[i], glm.row_grad(i, x), atol=1e-15)
+            assert np.array_equal(J[i], glm.row_grad(i, x))
 
     def test_row_norm_shortcut_matches_jacobian(self):
         glm = self.small()
@@ -259,38 +260,32 @@ def test_sigmoid_matches_masked_oracle_bit_for_bit():
     assert np.isnan(_sigmoid_branches(np.array([np.nan, -np.nan]))).all()
 
 
-def array_tail_row(glm, i, x):
-    """A tail row with its curvature taken through one-element arrays: the
-    sample's own dot product, then the two-branch sigmoid of ``z``."""
-    s = i - glm.d
-    z = glm.y[s : s + 1] * (glm.A[:, s] @ x[glm.p:])
-    hi, lo = _sigmoid_branches(z)
-    sig = np.where(z >= 0, hi, lo)
-    row = np.zeros(glm.n)
-    row[s] = 1.0
-    row[glm.p:] = (sig * (1.0 - sig))[0] * glm.A[:, s]
-    return row
+def test_glm_row_grad_is_the_jacobian_row_bit_for_bit():
+    # row_grad builds tail row s from the same curvature vector as jacobian,
+    # with and without a memo, in either call order
+    def assert_rows_match(glm, x):
+        for i in range(glm.m):
+            want = glm.jacobian(x, [i])[0].tobytes()
+            assert glm.row_grad(i, x).tobytes() == want, (i, x)
+            memo = IterateMemo()
+            assert glm.row_grad(i, x, memo).tobytes() == want, (i, x)
+            assert glm.jacobian(x, [i], memo)[0].tobytes() == want, (i, x)
+            memo = IterateMemo()
+            assert glm.jacobian(x, [i], memo)[0].tobytes() == want, (i, x)
+            assert glm.row_grad(i, x, memo).tobytes() == want, (i, x)
 
-
-def test_glm_tail_row_grad_matches_array_form_bit_for_bit():
-    # 2 x 47011 special and random margins, then 12000 full-width ones
     rng = seeded_rng(14)
     # one feature of value 1 makes the margin of sample s exactly y_s * w,
-    # so the special margins, NaN included, are hit as given
+    # so the special margins, |z| > 40 and NaN included, are hit as given
     glm = GLMProblem(np.ones((1, 2)), np.array([1.0, -1.0]), 0.5)
-    special = [0.0, -0.0, 1e-300, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
-    ws = np.concatenate((special, 40.0 * rng.standard_normal(45_000), np.ldexp(1.0, rng.integers(-1074, 1000, 2000))))
-    for w in ws:
-        x = np.array([0.3, -0.7, w])
-        for i in (1, 2):
-            assert glm.row_grad(i, x).tobytes() == array_tail_row(glm, i, x).tobytes(), (i, w)
-    # full-width margins, from a dot product that rounds in its last bits
+    special = [0.0, -0.0, 1e-300, 41.0, -41.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+    for w in np.concatenate((special, 40.0 * rng.standard_normal(1500), np.ldexp(1.0, rng.integers(-1074, 1000, 300)))):
+        assert_rows_match(glm, np.array([0.3, -0.7, w]))
+    # full-width margins; at scale 30 most exceed 40 in magnitude
     glm = make_synthetic_glm(200, 10, 8)
     for scale in (0.01, 0.3, 3.0, 30.0):
-        for _ in range(15):
-            x = scale * rng.standard_normal(glm.n)
-            for i in range(glm.d, glm.m):
-                assert glm.row_grad(i, x).tobytes() == array_tail_row(glm, i, x).tobytes(), (scale, i)
+        for _ in range(3):
+            assert_rows_match(glm, scale * rng.standard_normal(glm.n))
 
 
 class TestSynthetic:

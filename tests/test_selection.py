@@ -6,7 +6,6 @@ from capped_kaczmarz.errors import AllWeightsZero, DegenerateState
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.selection import (
     RowGeometry,
-    SelectionKind,
     build_distance_set,
     build_residual_set,
     compute_delta,
@@ -47,7 +46,6 @@ class TestDistanceSet:
         sel = build_distance_set(g, 0.65)
         assert sel.indices.tolist() == [0]
         assert sel.weights.tolist() == [4.0]
-        assert sel.kind is SelectionKind.DISTANCE
 
     def test_ties_included(self):
         g = geom([1.0, 1.0], [1.0, 1.0])
@@ -83,7 +81,8 @@ class TestResidualSet:
         g = geom([2.0, 1.0, 1.0], [1.0] * 3)
         sel = build_residual_set(g, 0.5)
         assert sel.indices.tolist() == [0]
-        assert sel.kind is SelectionKind.RESIDUAL
+        # the residual rule samples by the distance ratio
+        assert sel.weights.tolist() == [4.0]
 
     def test_ties_included(self):
         g = geom([1.0, 1.0], [1.0, 1.0])

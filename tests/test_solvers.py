@@ -290,6 +290,26 @@ class TestSolveStatuses:
         trace = solve(problem, np.zeros(2), SolverConfig(method=MethodKind.NK, seed=0, max_iter=10))
         assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
 
+    @pytest.mark.parametrize("method", SINGLE_METHODS, ids=lambda kind: kind.value)
+    def test_zero_gradient_leaves_the_iterate_and_records_no_row(self, method):
+        # the third row gradient comes back zero: the step raises, x stays
+        # where it was selected at, and the last record carries no row
+        rng = seeded_rng(17)
+        problem = LinearProblem(rng.standard_normal((5, 3)), rng.standard_normal(5))
+        calls = []
+
+        def vanishing(i, x, memo=None):
+            calls.append(i)
+            return np.zeros(3) if len(calls) == 3 else problem.A[i]
+
+        problem.row_grad = vanishing
+        trace = solve(problem, np.zeros(3), SolverConfig(method=method, seed=0, record_iterates=True))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 2
+        assert np.array_equal(trace.final_x, trace.iterates[-1])
+        assert trace.records[-1].selected == () and trace.records[-1].set_size == 0
+        assert [len(rec.selected) for rec in trace.records[:-1]] == [1, 1]
+
     def test_x0_length_validated(self):
         with pytest.raises(ValueError):
             solve(FIXTURE, np.zeros(3), SolverConfig(method=MethodKind.NK))
