@@ -54,6 +54,10 @@ class BenchSpec:
             raise BenchSpecError("runs must be at least 1")
         if not self.methods:
             raise BenchSpecError("method list must be nonempty")
+        # a method's summary, runs and trace files are keyed by the method
+        repeated = sorted({m.value for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise BenchSpecError(f"method listed more than once: {', '.join(repeated)}")
 
 
 def resolve_problem(selector: str) -> tuple[ProblemInstance, np.ndarray]:

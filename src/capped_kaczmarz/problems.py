@@ -222,8 +222,11 @@ class GLMProblem(ProblemInstance):
         return grad
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        c = self._curvature_at(x, _values_at(x, memo))
         rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
+        if (rows < self.d).all():
+            # head rows only: constant, so a copy of them, whatever the iterate
+            return self._head_jac.take(rows, axis=0)
+        c = self._curvature_at(x, _values_at(x, memo))
         J = np.zeros((rows.size, self.n))
         s = rows - self.d
         tail = s >= 0

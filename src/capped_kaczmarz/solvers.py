@@ -16,10 +16,13 @@ Every greedy method selects at one site, over
 ``RowGeometry.from_state(r[lo:], norms[lo:])`` with the norms of
 ``problem.row_sq_norms_at``, then projects onto one drawn row
 (``kaczmarz_step``) or takes one least-squares step on the selected
-Jacobian rows only (``problem.jacobian(x, rows)``).  ``lo`` is 0 except for
-the GLM hybrids, whose iteration first solves the affine head rows exactly
-(reusing the residual at ``x`` and the head's Gram factor) and then takes
-that block step on the tail rows ``d:`` at the post-head iterate.
+Jacobian rows only (``problem.jacobian(x, rows)``).  A block of one row is
+projected onto that row by ``kaczmarz_step``, which is the minimum-norm
+step there, with no Jacobian block and no least squares.  ``lo`` is 0
+except for the GLM hybrids, whose iteration first solves the affine head
+rows exactly (reusing the residual at ``x`` and the head's Gram factor)
+and then takes that block step on the tail rows ``d:`` at the post-head
+iterate.
 """
 
 from __future__ import annotations
@@ -149,17 +152,20 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                         config.threshold,
                     )
                     size = len(sel)
-                    if block_step:
+                    if not block_step:
+                        i = sample_index(sel, rng)
+                    elif size == 1:
+                        # the minimum-norm step onto one row is its projection
+                        i = int(sel.indices[0]) + lo
+                    else:
                         # the offset costs a ufunc call, so only a hybrid adds it
                         rows = sel.indices + lo if lo else sel.indices
-                    else:
-                        i = sample_index(sel, rng)
-                if not block_step:
-                    x = kaczmarz_step(x, r[i], problem.row_grad(i, x, memo))
-                    selected, set_size = (i,), size
-                elif size:
+                if block_step and size > 1:
                     x = x_at - min_norm_least_squares(problem.jacobian(x_at, rows, memo), r_at[rows])
                     selected, set_size = rows.tolist(), size
+                elif size:
+                    x = kaczmarz_step(x_at, r_at[i], problem.row_grad(i, x_at, memo))
+                    selected, set_size = (i,), size
             except _BREAKDOWN_ERRORS:
                 status = SolveStatus.NUMERICAL_BREAKDOWN
 

@@ -41,6 +41,10 @@ class TestSpecValidation:
         with pytest.raises(BenchSpecError):
             BenchSpec(problem="brown:10", methods=(MethodKind.NK,), runs=0)
 
+    def test_repeated_method_rejected(self):
+        with pytest.raises(BenchSpecError, match="nrk"):
+            BenchSpec(problem="brown:10", methods=(MethodKind.NRK, MethodKind.NK, MethodKind.NRK))
+
 
 class TestResolveProblem:
     def test_brown_selector(self):
@@ -296,6 +300,18 @@ class TestCli:
 
     def test_unknown_method_exits_one(self, capsys):
         assert cli.main(["run", "--problem", "brown:10", "--methods", "bogus"]) == 1
+
+    def test_repeated_method_exits_one_before_any_cell(self, tmp_path, monkeypatch, capsys):
+        # each method's summary row and trace files are keyed by the method,
+        # so a repeat would merge its runs and overwrite its traces
+        monkeypatch.setattr(bench, "solve", lambda *args: pytest.fail("a cell ran"))
+        code = cli.main(
+            ["run", "--problem", "brown:6", "--methods", "nrk,nrk", "--runs", "2", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "nrk" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unresolvable_problem_exits_one(self, capsys):
         assert cli.main(["run", "--problem", "nope:1", "--methods", "nk"]) == 1

@@ -92,12 +92,15 @@ def test_spans_are_entered(tracing, method, build, spans):
     # iterate in each iteration, after the head step
     expected = len(trace.records) + (trace.total_iterations if method in HYBRID_KINDS else 0)
     assert calls["problems.residual"] == expected
-    # least squares: once per block iteration, and the head then the tail
-    # per hybrid iteration
+    # least squares: once per block iteration of two or more rows, and the
+    # head then such a tail per hybrid iteration; a one-row block is the
+    # projection onto that row, one step call
     if "numerics.lstsq" in spans:
-        per_iteration = ["solvers.hybrid_head", None] if method in HYBRID_KINDS else [None]
-        assert lstsq_parents == per_iteration * trace.total_iterations
+        sizes = [rec.set_size for rec in trace.records[:-1]]
+        head = ["solvers.hybrid_head"] if method in HYBRID_KINDS else []
+        assert lstsq_parents == [parent for size in sizes for parent in head + [None] * (size > 1)]
         assert calls["numerics.lstsq"] == len(lstsq_parents)
+        assert calls.get("solvers.step", 0) == sizes.count(1)
     else:
         assert not lstsq_parents
 

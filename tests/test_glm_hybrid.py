@@ -9,7 +9,7 @@ from capped_kaczmarz.errors import FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares
 from capped_kaczmarz.problems import LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
 from capped_kaczmarz.selection import RowGeometry, SelectionKind
-from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, solve
+from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, kaczmarz_step, solve
 
 
 def newton_root(glm, x0, iterations=60):
@@ -112,12 +112,15 @@ def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=7))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
-    # one per short tail block (2k <= n); a long one, such as rb-cnk's
-    # all-row set at the zero start, goes to gelsd without an eigh
-    short = [len(rec.selected) for rec in trace.records[:-1] if 2 * len(rec.selected) <= glm.n]
-    assert [shape[0] for shape in calls] == short
+    # one per short tail block of two or more rows (2 <= k, 2k <= n); a
+    # one-row block is projected onto its row, and a long one, such as
+    # rb-cnk's all-row set at the zero start, goes to gelsd without an eigh
+    sizes = [rec.set_size for rec in trace.records[:-1]]
+    short = [k for k in sizes if 2 <= k and 2 * k <= glm.n]
+    assert calls == [(k, k) for k in short]
     if method is MethodKind.GLM_HYBRID_DB:
-        assert len(calls) == trace.total_iterations == 7
+        # iteration 1's tail set is one row
+        assert sizes.count(1) == 1 and len(calls) == trace.total_iterations - 1 == 6
 
 
 def test_solve_dispatches_hybrid_kinds(small_glm):
@@ -139,20 +142,30 @@ def test_plain_block_methods_also_run_on_glm():
 
 @pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
 def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, method):
-    # the second tail block fails; the head solve of that iteration has
-    # already gone through, and the solve must drop it too
-    tail_calls = []
+    # the second tail step fails, a block or a one-row projection; the head
+    # solve of that iteration has already gone through, and the solve must
+    # drop it too
+    tail_steps = []
 
-    def failing_tail(J, r, factor=None):
+    def count_tail_step(step):
+        tail_steps.append(step)
+        if len(tail_steps) == 2:
+            raise FactorizationFailure("tail step")
+
+    def failing_block(J, r, factor=None):
         if factor is None:
-            tail_calls.append(J.shape)
-            if len(tail_calls) == 2:
-                raise FactorizationFailure("tail block")
+            count_tail_step("block")
         return min_norm_least_squares(J, r, factor)
 
-    monkeypatch.setattr(solvers_mod, "min_norm_least_squares", failing_tail)
+    def failing_row(x, f_i, grad_i):
+        count_tail_step("row")
+        return kaczmarz_step(x, f_i, grad_i)
+
+    monkeypatch.setattr(solvers_mod, "min_norm_least_squares", failing_block)
+    monkeypatch.setattr(solvers_mod, "kaczmarz_step", failing_row)
     trace = solve(small_glm, np.zeros(small_glm.n), SolverConfig(method=method, seed=0, record_iterates=True))
     assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+    assert len(tail_steps) == 2
     assert trace.total_iterations == 1
     assert np.array_equal(trace.final_x, trace.iterates[-1])
     assert trace.records[-1].selected == () and trace.records[-1].set_size == 0

@@ -172,12 +172,17 @@ class TestGLM:
 
 
 def index_sets(m: int, d: int, rng) -> list[np.ndarray]:
-    """Head-only, tail-only, mixed, unsorted, single-row, repeated and
-    all-rows index sets of an m-row system whose first d rows are the head."""
+    """Head-only (sorted, unsorted and repeated), tail-only, mixed,
+    unsorted, single-row, repeated, empty and all-rows index sets of an
+    m-row system whose first d rows are the head."""
     head = np.arange(d)
     tail = np.arange(d, m)
     return [
         head,
+        rng.permutation(head),
+        np.array([d - 1, 0, d - 1]),
+        np.array([0]),
+        np.array([], dtype=np.intp),
         tail,
         np.array([0, m - 1]),
         rng.permutation(m)[: max(2, m // 3)],
@@ -201,7 +206,7 @@ class TestJacobianRows:
         for rows in sets:
             got = problem.jacobian(x, rows)
             assert got.shape == (len(rows), problem.n)
-            assert np.array_equal(got, full[rows]), rows
+            assert got.tobytes() == full[rows].tobytes(), rows
 
     def test_brown_including_product_row(self):
         rng = seeded_rng(11)
@@ -228,6 +233,17 @@ class TestJacobianRows:
             for _ in range(5):
                 x = scale * rng.standard_normal(glm.n)
                 self.assert_rows_match(glm, x, index_sets(glm.m, glm.d, rng))
+
+
+    def test_glm_head_rows_are_a_copy_of_the_head(self):
+        glm = make_synthetic_glm(60, 6, 3)
+        head = glm.linear_head_jacobian().copy()
+        x = seeded_rng(4).standard_normal(glm.n)
+        for rows in (np.arange(glm.d), [5, 0, 3], [2, 2], [1], []):
+            got = glm.jacobian(x, rows)
+            assert got.tobytes() == head[np.asarray(rows, dtype=np.intp)].tobytes()
+            got[...] = 7.0
+        assert glm.linear_head_jacobian().tobytes() == head.tobytes()
 
 
 class TestLinear:

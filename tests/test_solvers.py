@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from capped_kaczmarz.bench import resolve_problem
-from capped_kaczmarz.core import Convex, MethodKind, Scaled, SolveStatus, SolverConfig
+from capped_kaczmarz.core import Convex, IterateMemo, MethodKind, Scaled, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import ZeroGradient
-from capped_kaczmarz.numerics import row_sq_norms, seeded_rng
-from capped_kaczmarz.problems import BrownProblem, LinearProblem
+from capped_kaczmarz.numerics import min_norm_least_squares, row_sq_norms, seeded_rng
+from capped_kaczmarz.problems import BrownProblem, LinearProblem, make_synthetic_glm
 from capped_kaczmarz.selection import (
     RowGeometry,
     build_distance_set,
@@ -13,7 +13,7 @@ from capped_kaczmarz.selection import (
     compute_delta,
     compute_epsilon,
 )
-from capped_kaczmarz.solvers import kaczmarz_step, solve
+from capped_kaczmarz.solvers import hybrid_linear_substep, kaczmarz_step, solve
 from oracles import block_step
 
 
@@ -81,6 +81,49 @@ class TestBlockStep:
         trace = solve(problem, x0, config)
         for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
             assert np.allclose(x_next, block_step(x, rec.selected, problem), rtol=1e-10, atol=1e-12), rec.k
+
+    @pytest.mark.parametrize("case", ["glm-head", "glm-tail-post-head", "linear"])
+    def test_one_row_block_is_the_least_squares_step_bit_for_bit(self, case):
+        # a block step onto a one-row set is the row's projection; it gives
+        # the bytes of the least-squares step on that row, evaluated at the
+        # iterate the solve holds (after the head step, with its memo, for
+        # a hybrid's tail row)
+        rng = seeded_rng(21)
+        problem = resolve_problem("linear:40,12,3")[0] if case == "linear" else make_synthetic_glm(200, 10, 8)
+        for scale in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            x = scale * rng.standard_normal(problem.n)
+            memo = IterateMemo()
+            if case == "glm-tail-post-head":
+                x = hybrid_linear_substep(problem, x, problem.residual(x))
+            r = problem.residual(x, memo)
+            problem.row_sq_norms_at(x, memo)
+            for i in rng.permutation(np.arange(10, problem.m) if case == "glm-tail-post-head" else 10)[:4]:
+                projected = kaczmarz_step(x, r[i], problem.row_grad(i, x, memo))
+                solved = x - min_norm_least_squares(problem.jacobian(x, [i], memo), r[[i]])
+                assert projected.tobytes() == solved.tobytes(), (scale, i)
+
+    def test_one_row_brown_product_block_is_the_least_squares_step(self):
+        # db-cnk's first set on brown:20 from 0.5 * ones is the product row
+        problem, x0 = resolve_problem("brown:20")
+        trace = solve(problem, x0, SolverConfig(method=MethodKind.DB_CNK, max_iter=1))
+        assert (trace.records[0].selected, trace.records[0].set_size) == ((19,), 1)
+        solved = x0 - min_norm_least_squares(problem.jacobian(x0, [19]), problem.residual(x0)[[19]])
+        assert trace.final_x.tobytes() == solved.tobytes()
+
+    def test_one_row_block_whose_projection_overflows_breaks_down(self):
+        # f / ||g||^2 overflows where the least-squares step, f / ||g|| along
+        # the unit row, is finite.  A one-row block step is the projection,
+        # with no fallback to gelsd, so the iterate goes non-finite and the
+        # next residual ends the solve
+        problem = LinearProblem(np.array([[1e-140, 0.0]]), np.array([-1e150]))
+        x0 = np.zeros(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.isfinite(min_norm_least_squares(problem.A, problem.residual(x0))).all()
+            trace = solve(problem, x0, SolverConfig(method=MethodKind.DB_CNK, max_iter=5))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 1
+        assert (trace.records[0].selected, trace.records[0].set_size) == ((0,), 1)
+        assert np.isneginf(trace.final_x[0]) and np.isnan(trace.final_x[1])
 
     def test_min_norm_among_corrections(self):
         # rank-deficient block: the step is the smallest correction that fits
