@@ -4,10 +4,13 @@ Everything here is a thin, contract-checked wrapper around numpy's LAPACK
 bindings plus the one PRNG identity the whole package commits to (PCG64),
 so that solver traces are reproducible bit-for-bit given a seed.
 
-Every block projection of two or more rows, and the GLM hybrids' head
-solve, goes through :func:`min_norm_least_squares`; a one-row block is the
-single-row projection of ``solvers.kaczmarz_step``.  It has two paths
-behind one name:
+The GLM hybrids' head solve, and every block projection of two or more
+rows except a GLM block of tail rows only, goes through
+:func:`min_norm_least_squares`.  A one-row block is the single-row
+projection of ``solvers.kaczmarz_step``; a GLM tail block takes the
+closed-form step of ``GLMProblem.tail_block_step``, whose guard uses this
+module's ``GRAM_TAU`` and sends the blocks it declines here.
+:func:`min_norm_least_squares` has two paths behind one name:
 
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k
   Gram matrix ``G = J J^T`` when one ``eigh``, ``G = V diag(lam) V^T``,

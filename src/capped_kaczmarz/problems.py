@@ -18,12 +18,30 @@ import numpy as np
 
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
-from .numerics import GRAM_REJECTED, gram_factor, seeded_rng
+from .numerics import GRAM_REJECTED, GRAM_TAU, gram_factor, seeded_rng
 
 
 def _values_at(x: np.ndarray, memo: IterateMemo | None) -> dict:
     """The memo's store for iterate ``x``, or a throwaway one without a memo."""
     return {} if memo is None else memo.at(x)
+
+
+def _index_rows(rows, m: int) -> tuple[np.ndarray, int]:
+    """``rows`` (all ``m`` rows when None) as an index array, and its largest
+    entry (-1 when empty).  A row outside ``[0, m)`` raises IndexError, where
+    numpy would read a negative row from the end."""
+    if rows is None:
+        return np.arange(m), m - 1
+    rows = np.asarray(rows, dtype=np.intp)
+    top = int(rows.max(initial=-1))
+    if top >= m or rows.min(initial=0) < 0:
+        raise IndexError(f"Jacobian rows must lie in [0, {m})")
+    return rows, top
+
+
+def _check_row(i: int, m: int) -> None:
+    if not 0 <= i < m:
+        raise IndexError(f"Jacobian row {i} is not in [0, {m})")
 
 
 def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
@@ -71,12 +89,13 @@ class BrownProblem(ProblemInstance):
         return products
 
     def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
+        _check_row(i, self.m)
         if i < self.n - 1:
             return self._jac_template[i]
         return self._products(x, memo)
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
+        rows, _ = _index_rows(rows, self.m)
         J = self._jac_template[rows]
         product = rows == self.n - 1
         if product.any():
@@ -140,7 +159,9 @@ class GLMProblem(ProblemInstance):
     norms and the Jacobian rows at one iterate share them, and the norms and
     the tail rows, from ``jacobian`` and ``row_grad`` alike, share one
     curvature vector ``c`` (:meth:`_curvature_at`).
-    The constant head is Gram-factored once, here, for the hybrids.
+    The constant head is Gram-factored once, here, for the hybrids.  A block
+    step on tail rows only needs no Jacobian rows: :meth:`tail_block_step`
+    solves it from ``c`` and the samples in closed form.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float):
@@ -213,6 +234,7 @@ class GLMProblem(ProblemInstance):
 
     def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         """Row ``i`` of the Jacobian, bit for bit ``jacobian(x, [i], memo)[0]``."""
+        _check_row(i, self.m)
         if i < self.d:
             return self._head_jac[i]
         s = i - self.d
@@ -222,8 +244,8 @@ class GLMProblem(ProblemInstance):
         return grad
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        rows = np.arange(self.m) if rows is None else np.asarray(rows, dtype=np.intp)
-        if (rows < self.d).all():
+        rows, top = _index_rows(rows, self.m)
+        if top < self.d:
             # head rows only: constant, so a copy of them, whatever the iterate
             return self._head_jac.take(rows, axis=0)
         c = self._curvature_at(x, _values_at(x, memo))
@@ -237,6 +259,57 @@ class GLMProblem(ProblemInstance):
         J[at, s] = 1.0
         J[at, self.p:] = c.take(s)[:, None] * self._samples.take(s, axis=0)
         return J
+
+    def tail_block_step(
+        self, x: np.ndarray, rows, rhs: np.ndarray, memo: IterateMemo | None = None
+    ) -> np.ndarray | None:
+        """The minimum-norm step ``J_S^+ rhs`` on the strictly increasing tail
+        rows ``S = rows`` (all ``>= d``) at ``x``, from their closed-form Gram
+        system, or None when the guard below leaves the block to
+        ``min_norm_least_squares``.
+
+        Tail row ``d + s`` is ``[e_s | c_s a_s]``, so ``J_S J_S^T = I_k + B B^T``
+        with ``B = diag(c_S) A_S^T`` (k x d), and the step is ``y`` on the
+        alpha entries ``S`` and ``B^T y`` on ``w``, zero elsewhere, with ``y =
+        (I_k + B B^T)^-1 rhs``.  For ``k >= d``, ``y`` comes from the d x d
+        system of the Woodbury identity, ``y = rhs - B (I_d + B^T B)^-1 B^T
+        rhs``.  No Jacobian block and no eigendecomposition is formed.
+
+        Guard: the eigenvalues of ``J_S J_S^T`` lie in ``[1, 1 + ||B||_2^2]``,
+        so ``1 + ||B||_F^2 <= 1 / GRAM_TAU`` certifies ``cond(J_S)^2 <= 1e6``,
+        the Gram path's bound; a block above it, or a step that is not
+        finite (a non-finite ``rhs``), returns None.
+
+        Error: the step's norm is ``||G^(-1/2) rhs||`` (``G = J_S J_S^T``),
+        and each rounding error of either form reaches the step through
+        ``J_S^+``, of norm at most 1, or through ``J_S^T``, of norm at most
+        ``(1 + ||B||_F^2)^(1/2)``; so the step's relative error is at most
+        about ``(k + d) eps (1 + ||B||_F^2)``, which the guard caps at ``(k +
+        d) eps / GRAM_TAU``.  Against ``numpy.linalg.lstsq`` it stayed within
+        about 4e-10 on random and adversarial blocks at the guard's edge.
+        """
+        s = np.asarray(rows, dtype=np.intp) - self.d
+        if not (0 <= s[0] and s[-1] < self.p):
+            raise IndexError(f"tail rows must lie in [{self.d}, {self.m})")
+        if not (s[1:] > s[:-1]).all():
+            raise ValueError("tail rows must be strictly increasing")
+        B = self._curvature_at(x, _values_at(x, memo)).take(s)[:, None] * self._samples.take(s, axis=0)
+        # written so that a NaN norm fails it too
+        if not 1.0 + np.einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU:
+            return None
+        k, d = B.shape
+        if k >= d:
+            gram = B.T @ B
+            gram.flat[:: d + 1] += 1.0
+            y = rhs - B @ np.linalg.solve(gram, B.T @ rhs)
+        else:
+            gram = B @ B.T
+            gram.flat[:: k + 1] += 1.0
+            y = np.linalg.solve(gram, rhs)
+        step = np.zeros(self.n)
+        step[s] = y
+        step[self.p:] = y @ B
+        return step if np.isfinite(step).all() else None
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         # head norms are constant; tail norms come from the precomputed ||a_s||^2

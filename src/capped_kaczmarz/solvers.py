@@ -18,7 +18,11 @@ Every greedy method selects at one site, over
 (``kaczmarz_step``) or takes one least-squares step on the selected
 Jacobian rows only (``problem.jacobian(x, rows)``).  A block of one row is
 projected onto that row by ``kaczmarz_step``, which is the minimum-norm
-step there, with no Jacobian block and no least squares.  ``lo`` is 0
+step there, with no Jacobian block and no least squares.  A GLM block of
+two or more tail rows only (rows ``d:``) takes the closed-form step of
+``GLMProblem.tail_block_step``, also with no Jacobian block, unless its
+guard, ``cond(J)^2 <= 1 / GRAM_TAU``, declines it; every other block, and
+a declined one, goes to ``min_norm_least_squares``.  ``lo`` is 0
 except for the GLM hybrids, whose iteration first solves the affine head
 rows exactly (reusing the residual at ``x`` and the head's Gram factor)
 and then takes that block step on the tail rows ``d:`` at the post-head
@@ -109,6 +113,9 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     # a hybrid selects among its tail rows only, the rows from d on
     lo = problem.d if hybrid else 0
     m = problem.m
+    # a block of GLM tail rows only, the rows from d on, has a closed-form
+    # Gram system; no row of any other problem reaches this bound
+    tail_from = problem.d if isinstance(problem, GLMProblem) else m
     memo = IterateMemo()
 
     k = 0
@@ -140,28 +147,32 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                     i, size = int(rng.integers(m)), 1
                 elif method is MethodKind.NRK:
                     i, size = draw_weighted_index(rng, r * r), 1
-                elif hybrid and float(np.sum(r_at[lo:] ** 2)) == 0.0:
-                    # tail exactly solved: the head solve is the whole update
-                    x, size = x_at, 0
                 else:
-                    # the one greedy selection site; the geometry is not
-                    # bound, so its arrays are freed before the step
-                    sel = greedy_selection(
-                        RowGeometry.from_state(r_at[lo:], problem.row_sq_norms_at(x_at, memo)[lo:]),
-                        kind,
-                        config.threshold,
-                    )
-                    size = len(sel)
-                    if not block_step:
-                        i = sample_index(sel, rng)
-                    elif size == 1:
-                        # the minimum-norm step onto one row is its projection
-                        i = int(sel.indices[0]) + lo
+                    # the one greedy selection site
+                    g = RowGeometry.from_state(r_at[lo:], problem.row_sq_norms_at(x_at, memo)[lo:])
+                    if hybrid and g.residual_sq == 0.0:
+                        # tail exactly solved: the head solve is the whole update
+                        x, size = x_at, 0
                     else:
-                        # the offset costs a ufunc call, so only a hybrid adds it
-                        rows = sel.indices + lo if lo else sel.indices
+                        sel = greedy_selection(g, kind, config.threshold)
+                        size = len(sel)
+                        if not block_step:
+                            i = sample_index(sel, rng)
+                        elif size == 1:
+                            # the minimum-norm step onto one row is its projection
+                            i = int(sel.indices[0]) + lo
+                        else:
+                            # the offset costs a ufunc call, so only a hybrid adds it
+                            rows = sel.indices + lo if lo else sel.indices
+                    # the geometry's arrays are freed before the step
+                    del g
                 if block_step and size > 1:
-                    x = x_at - min_norm_least_squares(problem.jacobian(x_at, rows, memo), r_at[rows])
+                    # the sorted rows of a GLM tail block have a closed-form
+                    # step; its guard can leave the block to least squares
+                    step = problem.tail_block_step(x_at, rows, r_at[rows], memo) if rows[0] >= tail_from else None
+                    if step is None:
+                        step = min_norm_least_squares(problem.jacobian(x_at, rows, memo), r_at[rows])
+                    x = x_at - step
                     selected, set_size = rows.tolist(), size
                 elif size:
                     x = kaczmarz_step(x_at, r_at[i], problem.row_grad(i, x_at, memo))

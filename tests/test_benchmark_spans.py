@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import capped_kaczmarz.solvers as solvers_mod
-from capped_kaczmarz.core import HYBRID_KINDS, MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.core import BLOCK_KINDS, HYBRID_KINDS, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.numerics import seeded_rng
-from capped_kaczmarz.problems import BrownProblem, LinearProblem, make_synthetic_glm
+from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem, make_synthetic_glm
 from capped_kaczmarz.solvers import solve
 
 TRACING = Path(__file__).resolve().parent.parent / "benchmark" / "tracing.py"
@@ -49,7 +49,8 @@ def brown_problem():
 
 
 SELECTION = {"selection.geometry", "selection.threshold", "selection.set"}
-# block steps build only the Jacobian rows they hand to least squares
+# block steps build only the Jacobian rows they hand to least squares; a
+# case whose blocks all take the GLM closed-form step enters neither
 BLOCK = {"problems.row_norms", "problems.jacobian", "numerics.lstsq"}
 SINGLE = {"selection.sample", "numerics.draw", "solvers.step"}
 CASES = {
@@ -79,12 +80,19 @@ def test_spans_are_entered(tracing, method, build, spans):
         solvers_mod.min_norm_least_squares = logged
         trace = solve(problem, x0, SolverConfig(method=method, seed=1, max_iter=3))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
+    # a GLM block of tail rows only takes its closed-form step, with no
+    # Jacobian block and no least squares; every other block of two or more
+    # rows goes to both
+    tail_from = problem.d if isinstance(problem, GLMProblem) else problem.m
+    generic = [len(rec.selected) > 1 and min(rec.selected) < tail_from for rec in trace.records[:-1]]
+    if not any(generic):
+        spans = spans - {"problems.jacobian"} - (set() if method in HYBRID_KINDS else {"numerics.lstsq"})
     calls = {name: entry["calls"] for name, entry in tracer.totals().items() if name != "counts"}
     missing = sorted(name for name in spans if not calls.get(name))
     assert not missing, f"{method.value}: spans never entered: {missing}"
     # the selection layers run once per iteration
     assert calls["selection.geometry"] == calls["selection.threshold"] == calls["selection.set"] == 3
-    if "problems.jacobian" in spans:
+    if calls.get("problems.jacobian"):
         counts = tracer.totals()["counts"]
         assert counts["problems.jacobian.rows_used"] > 0
         assert counts["problems.jacobian.rows_built"] == counts["problems.jacobian.rows_used"]
@@ -92,14 +100,15 @@ def test_spans_are_entered(tracing, method, build, spans):
     # iterate in each iteration, after the head step
     expected = len(trace.records) + (trace.total_iterations if method in HYBRID_KINDS else 0)
     assert calls["problems.residual"] == expected
-    # least squares: once per block iteration of two or more rows, and the
-    # head then such a tail per hybrid iteration; a one-row block is the
+    # least squares: once per block iteration that goes to it, and the head
+    # then such a tail per hybrid iteration; a one-row block is the
     # projection onto that row, one step call
-    if "numerics.lstsq" in spans:
+    if method in BLOCK_KINDS | HYBRID_KINDS:
         sizes = [rec.set_size for rec in trace.records[:-1]]
         head = ["solvers.hybrid_head"] if method in HYBRID_KINDS else []
-        assert lstsq_parents == [parent for size in sizes for parent in head + [None] * (size > 1)]
-        assert calls["numerics.lstsq"] == len(lstsq_parents)
+        assert lstsq_parents == [parent for block in generic for parent in head + [None] * block]
+        assert calls.get("numerics.lstsq", 0) == len(lstsq_parents)
+        assert calls.get("problems.jacobian", 0) == sum(generic)
         assert calls.get("solvers.step", 0) == sizes.count(1)
     else:
         assert not lstsq_parents

@@ -7,7 +7,7 @@ import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares
-from capped_kaczmarz.problems import LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
+from capped_kaczmarz.problems import GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
 from capped_kaczmarz.selection import RowGeometry, SelectionKind
 from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, kaczmarz_step, solve
 
@@ -93,14 +93,19 @@ def test_records_replay_head_solve_and_tail_block(small_glm, method):
         rows = sel.indices + small_glm.d
         assert rec.selected == tuple(int(j) for j in rows)
         assert rec.set_size == len(sel)
-        expected = x_mid - min_norm_least_squares(small_glm.jacobian(x_mid)[rows], r_mid[rows])
-        assert np.array_equal(x_next, expected)
+        J, rhs = small_glm.jacobian(x_mid)[rows], r_mid[rows]
+        # a tail block of two or more rows takes its closed-form step, a
+        # one-row block the projection, whose bytes are the lstsq step's
+        step = small_glm.tail_block_step(x_mid, rows, rhs) if len(rows) > 1 else min_norm_least_squares(J, rhs)
+        assert np.array_equal(x_next, x_mid - step)
+        oracle = np.linalg.lstsq(J, rhs, rcond=None)[0]
+        assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 @pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
 def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
-    # the head's factor is computed when the problem is built; each
-    # iteration then factors only its tail block
+    # the head's factor is computed when the problem is built; an iteration
+    # factors its tail block only when the closed-form step declines it
     glm = make_synthetic_glm(200, 10, 8)
     calls = []
     eigh = np.linalg.eigh
@@ -109,18 +114,27 @@ def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
         calls.append(G.shape)
         return eigh(G)
 
+    structured = []
+    closed_form = glm.tail_block_step
+
+    def logged(x, rows, rhs, memo=None):
+        step = closed_form(x, rows, rhs, memo)
+        structured.append((len(rows), step is not None))
+        return step
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    glm.tail_block_step = logged
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=7))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
-    # one per short tail block of two or more rows (2 <= k, 2k <= n); a
-    # one-row block is projected onto its row, and a long one, such as
-    # rb-cnk's all-row set at the zero start, goes to gelsd without an eigh
+    # every tail block of two or more rows, rb-cnk's all-row set at the zero
+    # start too, takes the closed-form step, with no k x k eigh and no
+    # gelsd; a one-row block is projected onto its row
     sizes = [rec.set_size for rec in trace.records[:-1]]
-    short = [k for k in sizes if 2 <= k and 2 * k <= glm.n]
-    assert calls == [(k, k) for k in short]
+    assert structured == [(k, True) for k in sizes if k >= 2]
+    assert calls == []
     if method is MethodKind.GLM_HYBRID_DB:
         # iteration 1's tail set is one row
-        assert sizes.count(1) == 1 and len(calls) == trace.total_iterations - 1 == 6
+        assert sizes.count(1) == 1 and len(structured) == trace.total_iterations - 1 == 6
 
 
 def test_solve_dispatches_hybrid_kinds(small_glm):
@@ -142,9 +156,9 @@ def test_plain_block_methods_also_run_on_glm():
 
 @pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
 def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, method):
-    # the second tail step fails, a block or a one-row projection; the head
-    # solve of that iteration has already gone through, and the solve must
-    # drop it too
+    # the second tail step fails, a closed-form or least-squares block or a
+    # one-row projection; the head solve of that iteration has already gone
+    # through, and the solve must drop it too
     tail_steps = []
 
     def count_tail_step(step):
@@ -161,8 +175,15 @@ def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, m
         count_tail_step("row")
         return kaczmarz_step(x, f_i, grad_i)
 
+    closed_form = GLMProblem.tail_block_step
+
+    def failing_structured(glm, x, rows, rhs, memo=None):
+        count_tail_step("structured")
+        return closed_form(glm, x, rows, rhs, memo)
+
     monkeypatch.setattr(solvers_mod, "min_norm_least_squares", failing_block)
     monkeypatch.setattr(solvers_mod, "kaczmarz_step", failing_row)
+    monkeypatch.setattr(GLMProblem, "tail_block_step", failing_structured)
     trace = solve(small_glm, np.zeros(small_glm.n), SolverConfig(method=method, seed=0, record_iterates=True))
     assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
     assert len(tail_steps) == 2

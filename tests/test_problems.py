@@ -235,6 +235,20 @@ class TestJacobianRows:
                 self.assert_rows_match(glm, x, index_sets(glm.m, glm.d, rng))
 
 
+    @pytest.mark.parametrize("make", [lambda: BrownProblem(7), lambda: make_synthetic_glm(60, 6, 3)], ids=["brown", "glm"])
+    def test_rows_outside_the_system_are_rejected(self, make):
+        # numpy would read a negative row from the end: GLM head row d - 1
+        # for row -1, and Brown's affine template row for its product row
+        problem = make()
+        m = problem.m
+        x = 0.5 + seeded_rng(13).random(problem.n)
+        for rows in ([-1], [m], [0, -1, 2], [m - 1, m, 0]):
+            with pytest.raises(IndexError):
+                problem.jacobian(x, rows)
+        for i in (-1, m):
+            with pytest.raises(IndexError):
+                problem.row_grad(i, x)
+
     def test_glm_head_rows_are_a_copy_of_the_head(self):
         glm = make_synthetic_glm(60, 6, 3)
         head = glm.linear_head_jacobian().copy()

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.bench import resolve_problem
-from capped_kaczmarz.core import Convex, IterateMemo, MethodKind, Scaled, SolveStatus, SolverConfig
+from capped_kaczmarz.core import HYBRID_KINDS, Convex, IterateMemo, MethodKind, Scaled, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import ZeroGradient
 from capped_kaczmarz.numerics import min_norm_least_squares, row_sq_norms, seeded_rng
-from capped_kaczmarz.problems import BrownProblem, LinearProblem, make_synthetic_glm
+from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem, make_synthetic_glm
 from capped_kaczmarz.selection import (
     RowGeometry,
+    SelectionResult,
     build_distance_set,
     build_residual_set,
     compute_delta,
@@ -140,6 +142,112 @@ class TestBlockStep:
             z = delta + 1e-3 * rng.standard_normal(6)
             if np.allclose(A @ z, r[:4], atol=1e-9):
                 assert np.linalg.norm(delta) <= np.linalg.norm(z) + 1e-12
+
+
+def scaled_glm(scale: float) -> GLMProblem:
+    """``glm:synthetic:200,10,8`` with every sample multiplied by ``scale``."""
+    glm = make_synthetic_glm(200, 10, 8)
+    return GLMProblem(scale * glm.A, glm.y, glm.lam)
+
+
+class TestTailBlockStep:
+    """``GLMProblem.tail_block_step``: the closed-form minimum-norm step on a
+    block of GLM tail rows, and where ``solve`` takes it."""
+
+    @pytest.mark.parametrize("selector", ["glm:synthetic:60,6,3", "glm:synthetic:200,10,8"])
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK, *sorted(HYBRID_KINDS, key=lambda kind: kind.value)])
+    def test_replayed_structured_steps_are_the_solve_steps(self, selector, method):
+        glm, x0 = resolve_problem(selector)
+        trace = solve(glm, x0, SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True))
+        replayed = 0
+        for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+            rows = np.array(rec.selected, dtype=np.intp)
+            if rows.size < 2 or rows[0] < glm.d:
+                continue
+            x_at = hybrid_linear_substep(glm, x, glm.residual(x)) if method in HYBRID_KINDS else x
+            r_at = glm.residual(x_at)
+            step = glm.tail_block_step(x_at, rows, r_at[rows])
+            assert step is not None, rec.k
+            assert x_next.tobytes() == (x_at - step).tobytes(), rec.k
+            replayed += 1
+        assert replayed > 0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 100.0])
+    def test_step_matches_the_lstsq_oracle(self, scale):
+        glm = scaled_glm(scale)
+        rng = seeded_rng(41)
+        # w of size 1 / scale keeps the margins, and so the curvature, of order 1
+        starts = [np.zeros(glm.n)] + [
+            np.concatenate((rng.standard_normal(glm.p), rng.standard_normal(glm.d) / scale)) for _ in range(3)
+        ]
+        for x in starts:
+            r = glm.residual(x)
+            # k on both sides of d = 10, through the Woodbury form from k = d on
+            for k in (2, 5, 9, 10, 11, 40):
+                rows = np.sort(rng.choice(np.arange(glm.d, glm.m), size=k, replace=False))
+                for rhs in (r[rows], rng.standard_normal(k)):
+                    step = glm.tail_block_step(x, rows, rhs)
+                    assert step is not None, (scale, k)
+                    oracle = np.linalg.lstsq(glm.jacobian(x, rows), rhs, rcond=None)[0]
+                    assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle), (scale, k)
+
+    def test_guard_leaves_a_large_block_to_least_squares(self):
+        # samples times 1e3 at the zero start: every curvature is 1/4, so
+        # db-cnk's first set, every tail row, has 1 + ||B||_F^2 far above 1e6
+        glm = scaled_glm(1e3)
+        x0 = np.zeros(glm.n)
+        r = glm.residual(x0)
+        trace = solve(glm, x0, SolverConfig(method=MethodKind.DB_CNK, seed=0, max_iter=1))
+        rows = np.array(trace.records[0].selected, dtype=np.intp)
+        assert rows.size >= 2 and rows[0] >= glm.d
+        J = glm.jacobian(x0, rows)
+        assert 1.0 + (np.sum(J * J) - rows.size) > 1e6
+        assert glm.tail_block_step(x0, rows, r[rows]) is None
+        assert trace.final_x.tobytes() == (x0 - min_norm_least_squares(J, r[rows])).tobytes()
+
+    def test_non_finite_rhs_breaks_down(self, monkeypatch):
+        # a NaN in the post-head residual reaches the tail block through a
+        # fixed selection; the closed-form step declines it, and least
+        # squares rejects it, so the iteration is dropped as a breakdown
+        glm = make_synthetic_glm(60, 6, 3)
+        residual = glm.residual
+        evaluated = []
+
+        def poisoned(x, memo=None):
+            r = residual(x, memo)
+            evaluated.append(x)
+            if len(evaluated) == 2:
+                r = r.copy()
+                r[glm.d + 1] = np.nan
+            return r
+
+        declined = []
+        closed_form = glm.tail_block_step
+
+        def logged(x, rows, rhs, memo=None):
+            step = closed_form(x, rows, rhs, memo)
+            declined.append(step is None)
+            return step
+
+        fixed = SelectionResult(indices=np.array([0, 1, 2]), threshold=0.0, weights=np.ones(3))
+        monkeypatch.setattr(solvers_mod, "greedy_selection", lambda g, kind, mode: fixed)
+        glm.residual, glm.tail_block_step = poisoned, logged
+        x0 = np.zeros(glm.n)
+        trace = solve(glm, x0, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert declined == [True]
+        assert trace.total_iterations == 0
+        assert trace.final_x.tobytes() == x0.tobytes()
+
+    def test_rows_must_be_increasing_tail_rows(self):
+        glm = make_synthetic_glm(60, 6, 3)
+        x = np.zeros(glm.n)
+        for rows in ([glm.d - 1, glm.d], [glm.d, glm.m]):
+            with pytest.raises(IndexError):
+                glm.tail_block_step(x, rows, np.ones(2))
+        for rows in ([glm.d + 1, glm.d], [glm.d, glm.d]):
+            with pytest.raises(ValueError):
+                glm.tail_block_step(x, rows, np.ones(2))
 
 
 def brown_product_projection_floor(n):

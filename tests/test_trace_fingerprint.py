@@ -7,10 +7,17 @@ status and the bytes of ``final_x``.  The stored digests in
 runs through, so an optimisation that claims to keep seeded traces
 identical is checked here, not just by convergence.
 
-Regenerate the digests (only for a change that is meant to move the
-traces, and say so) with::
+The same solve also gives a selection digest, stored in
+``data/selection_fingerprints.json``: every record's ``(k, selected,
+set_size)``, the status and the iteration count, with no floats.  A change
+that moves only the last bits of the steps moves the first digest but must
+keep this one: the rows each iteration selects stay the same.
 
-    PYTHONPATH=src python tests/test_trace_fingerprint.py > tests/data/trace_fingerprints.json
+Regenerate both files (only for a change that is meant to move the traces,
+and say so; check that the selection digests it rewrites are unchanged,
+or say why they moved) with::
+
+    PYTHONPATH=src python tests/test_trace_fingerprint.py
 """
 
 from __future__ import annotations
@@ -18,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +35,7 @@ from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, Scaled, Solve
 from capped_kaczmarz.solvers import solve
 
 DIGESTS = Path(__file__).parent / "data" / "trace_fingerprints.json"
+SELECTIONS = Path(__file__).parent / "data" / "selection_fingerprints.json"
 
 # a cap keeps the small-n distance-rule blow-ups on Brown from running for
 # 200k iterations; the digest covers whatever the cap leaves
@@ -62,7 +69,8 @@ def case_ids() -> list[str]:
     ]
 
 
-def fingerprint(case: str) -> str:
+def fingerprints(case: str) -> tuple[str, str]:
+    """The full trace digest and the selection digest of one solve."""
     selector, method, mode, seed = case.split()
     problem, x0 = resolve_problem(selector)
     config = SolverConfig(
@@ -74,28 +82,55 @@ def fingerprint(case: str) -> str:
     )
     trace = solve(problem, x0, config)
     h = hashlib.sha256()
+    rows = hashlib.sha256()
     for rec in trace.records:
         h.update(struct.pack("<qdq", rec.k, rec.residual_sq, rec.set_size))
-        h.update(np.asarray(rec.selected, dtype="<i8").tobytes())
+        selected = np.asarray(rec.selected, dtype="<i8").tobytes()
+        h.update(selected)
+        # the row count first, so records cannot run into each other
+        rows.update(struct.pack("<qqq", rec.k, rec.set_size, len(rec.selected)))
+        rows.update(selected)
     h.update(trace.status.value.encode())
     h.update(np.asarray(trace.final_x, dtype="<f8").tobytes())
-    return h.hexdigest()
+    rows.update(trace.status.value.encode())
+    rows.update(struct.pack("<q", trace.total_iterations))
+    return h.hexdigest(), rows.hexdigest()
+
+
+def read_digests(path: Path) -> dict[str, str]:
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+def write_digests(path: Path, digests: dict[str, str]) -> None:
+    with path.open("w", encoding="utf-8") as out:
+        json.dump(digests, out, indent=1, sort_keys=True)
+        out.write("\n")
 
 
 @pytest.fixture(scope="module")
 def stored() -> dict[str, str]:
-    return json.loads(DIGESTS.read_text(encoding="utf-8"))
+    return read_digests(DIGESTS)
 
 
-def test_every_case_has_a_stored_digest(stored):
+@pytest.fixture(scope="module")
+def stored_selections() -> dict[str, str]:
+    return read_digests(SELECTIONS)
+
+
+def test_every_case_has_a_stored_digest(stored, stored_selections):
     assert sorted(stored) == sorted(case_ids())
+    assert sorted(stored_selections) == sorted(case_ids())
 
 
 @pytest.mark.parametrize("case", case_ids())
-def test_trace_matches_stored_digest(case, stored):
-    assert fingerprint(case) == stored[case]
+def test_trace_matches_stored_digest(case, stored, stored_selections):
+    digest, selection = fingerprints(case)
+    # a moved selection is the graver change, so it is reported first
+    assert selection == stored_selections[case]
+    assert digest == stored[case]
 
 
 if __name__ == "__main__":
-    json.dump({case: fingerprint(case) for case in case_ids()}, sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    results = {case: fingerprints(case) for case in case_ids()}
+    write_digests(DIGESTS, {case: pair[0] for case, pair in results.items()})
+    write_digests(SELECTIONS, {case: pair[1] for case, pair in results.items()})
