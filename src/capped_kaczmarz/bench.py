@@ -19,14 +19,12 @@ from .core import (
     HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolveTrace, SolverConfig, ThresholdMode,
 )
 from .errors import CappedKaczmarzError
-from .diagnostics import build_factor_report, estimate_eta
+from .diagnostics import REPORTED_KINDS, build_factor_report, estimate_eta
 from .numerics import seeded_rng
 from .problems import BrownProblem, GLMProblem, LinearProblem, load_libsvm, make_glm, make_synthetic_glm
 from .solvers import solve
 
 TRACE_COLUMNS = ("k", "residual_sq", "elapsed_s", "selected_size")
-# the methods that get a factor report under --diagnostics
-_GREEDY = (MethodKind.DR_CNK, MethodKind.RD_CNK, MethodKind.DB_CNK, MethodKind.RB_CNK)
 
 
 class BenchSpecError(CappedKaczmarzError):
@@ -142,7 +140,7 @@ def _run_cell(problem, x0, spec: BenchSpec, method: MethodKind, run: int) -> Run
         seed=spec.seed + run,
         record_error=spec.track_error and problem.known_root is not None,
         # the factor report replays run 0's iterates instead of solving again
-        record_iterates=spec.diagnostics and run == 0 and method in _GREEDY,
+        record_iterates=spec.diagnostics and run == 0 and method in REPORTED_KINDS,
         clock=spec.clock,
     )
     started = spec.clock()
@@ -281,7 +279,7 @@ def _write_diagnostics(spec: BenchSpec, report: BenchReport, problem, out: Path)
     eta = estimate_eta(problem, problem.known_root, 0.05, 2000, seeded_rng(spec.seed))
     payload = {"eta": eta.eta, "radius": eta.radius, "methods": {}}
     for result in report.results:
-        if result.run != 0 or result.method not in _GREEDY:
+        if result.run != 0 or result.method not in REPORTED_KINDS:
             continue
         try:
             rep = build_factor_report(problem, result.trace, eta, spec.threshold, result.method)

@@ -94,7 +94,9 @@ class ProblemInstance:
     """A square or rectangular nonlinear system ``f(x) = 0``.
 
     Concrete problems subclass this and provide ``residual``, ``row_grad``
-    and ``jacobian`` (whole, or a subset of its rows).  Evaluation must be
+    and ``jacobian`` (whole, or a subset of its rows); ``block_step`` is an
+    optional hook for blocks whose minimum-norm step has a closed form.
+    Evaluation must be
     read-only so several solves can share one instance; each solve owns its
     own iterate, PRNG and trace.
 
@@ -136,6 +138,13 @@ class ProblemInstance:
         """
         J = self.jacobian(x)
         return np.einsum("ij,ij->i", J, J)
+
+    def block_step(self, x: np.ndarray, rows, rhs: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray | None:
+        """The minimum-norm step ``J_S^+ rhs`` on the strictly increasing
+        rows ``S = rows`` at ``x``, or None to leave the block to
+        ``min_norm_least_squares`` on ``jacobian(x, rows)``.  A problem whose
+        blocks have a closed form overrides this; the default returns None."""
+        return None
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,9 @@ _DENOM_FLOOR = 1e-12
 # A pair informs row i only when its function difference carries at least
 # this fraction of the first-order scale ||grad_i|| * ||x1 - x2||.
 _RESOLVE_FRACTION = 0.5
+# the methods a factor report replays (and ``bench --diagnostics`` reports
+# on): the greedy methods over all rows
+REPORTED_KINDS = BLOCK_KINDS | {MethodKind.DR_CNK, MethodKind.RD_CNK}
 
 
 @dataclass(frozen=True)
@@ -217,11 +220,19 @@ def build_factor_report(
 ) -> FactorReport:
     """Recompute the factor ingredients along a recorded trajectory.
 
-    Needs ``trace.iterates`` (solve with ``record_iterates=True``).  For the
+    Needs ``trace.iterates`` (solve with ``record_iterates=True``) and one
+    of ``dr-cnk``, ``rd-cnk``, ``db-cnk`` and ``rb-cnk``.  For the
     block methods the margin uses the pseudoinverse extremes min/maxed over
     every realized set of the trace, matching how the bound is stated; the
     measured one-step error ratio is attached when the root is known.
+
+    Each iterate's replayed set is checked against the trace: its size must
+    be the recorded set size, and it must hold the recorded row (a single-row
+    method) or be the recorded block.  A mismatch means the trace is not of
+    this problem, method and threshold, and raises ValueError naming k.
     """
+    if method not in REPORTED_KINDS:
+        raise ValueError(f"factor reports cover dr-cnk, rd-cnk, db-cnk and rb-cnk, not {method.value}")
     if trace.iterates is None:
         raise ValueError("trace must carry iterates; solve with record_iterates=True")
     _require_valid_eta(eta.eta)
@@ -239,6 +250,16 @@ def build_factor_report(
         memo = IterateMemo()
         g = RowGeometry.from_state(problem.residual(x, memo), problem.row_sq_norms_at(x, memo))
         sel = greedy_selection(g, kind, mode)
+        replayed = tuple(sel.indices.tolist())
+        if is_block:
+            mismatch = record.selected != replayed
+        else:
+            mismatch = len(record.selected) != 1 or record.selected[0] not in replayed
+        if mismatch or len(replayed) != record.set_size:
+            raise ValueError(
+                f"k = {record.k}: the replayed set of {len(replayed)} rows does not match the recorded "
+                f"selection {record.selected} from a set of {record.set_size}"
+            )
         J = problem.jacobian(x, None, memo)
         _, h2 = singular_extremes(J)
         max_grad = float(g.grad_sq_norms.max())

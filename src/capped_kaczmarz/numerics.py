@@ -5,11 +5,11 @@ bindings plus the one PRNG identity the whole package commits to (PCG64),
 so that solver traces are reproducible bit-for-bit given a seed.
 
 The GLM hybrids' head solve, and every block projection of two or more
-rows except a GLM block of tail rows only, goes through
+rows that the problem's ``block_step`` hook declines, goes through
 :func:`min_norm_least_squares`.  A one-row block is the single-row
-projection of ``solvers.kaczmarz_step``; a GLM tail block takes the
-closed-form step of ``GLMProblem.tail_block_step``, whose guard uses this
-module's ``GRAM_TAU`` and sends the blocks it declines here.
+projection of ``solvers.kaczmarz_step``.  The hook declines every block by
+default; ``GLMProblem.block_step`` solves a block of tail rows only in
+closed form, behind a guard that uses this module's ``GRAM_TAU``.
 :func:`min_norm_least_squares` has two paths behind one name:
 
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k

@@ -160,8 +160,9 @@ class GLMProblem(ProblemInstance):
     the tail rows, from ``jacobian`` and ``row_grad`` alike, share one
     curvature vector ``c`` (:meth:`_curvature_at`).
     The constant head is Gram-factored once, here, for the hybrids.  A block
-    step on tail rows only needs no Jacobian rows: :meth:`tail_block_step`
-    solves it from ``c`` and the samples in closed form.
+    step on tail rows only needs no Jacobian rows: this problem's
+    :meth:`block_step` hook solves it from ``c`` and the samples in closed
+    form, and leaves every block with a head row to least squares.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float):
@@ -260,13 +261,14 @@ class GLMProblem(ProblemInstance):
         J[at, self.p:] = c.take(s)[:, None] * self._samples.take(s, axis=0)
         return J
 
-    def tail_block_step(
+    def block_step(
         self, x: np.ndarray, rows, rhs: np.ndarray, memo: IterateMemo | None = None
     ) -> np.ndarray | None:
         """The minimum-norm step ``J_S^+ rhs`` on the strictly increasing tail
         rows ``S = rows`` (all ``>= d``) at ``x``, from their closed-form Gram
-        system, or None when the guard below leaves the block to
-        ``min_norm_least_squares``.
+        system, or None to leave the block to ``min_norm_least_squares``: a
+        block that holds a head row (``rows[0] < d``), or one the guard below
+        declines.
 
         Tail row ``d + s`` is ``[e_s | c_s a_s]``, so ``J_S J_S^T = I_k + B B^T``
         with ``B = diag(c_S) A_S^T`` (k x d), and the step is ``y`` on the
@@ -288,8 +290,10 @@ class GLMProblem(ProblemInstance):
         d) eps / GRAM_TAU``.  Against ``numpy.linalg.lstsq`` it stayed within
         about 4e-10 on random and adversarial blocks at the guard's edge.
         """
+        if rows[0] < self.d:
+            return None
         s = np.asarray(rows, dtype=np.intp) - self.d
-        if not (0 <= s[0] and s[-1] < self.p):
+        if s[-1] >= self.p:
             raise IndexError(f"tail rows must lie in [{self.d}, {self.m})")
         if not (s[1:] > s[:-1]).all():
             raise ValueError("tail rows must be strictly increasing")

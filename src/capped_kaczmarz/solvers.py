@@ -15,14 +15,15 @@ it is computed.
 Every greedy method selects at one site, over
 ``RowGeometry.from_state(r[lo:], norms[lo:])`` with the norms of
 ``problem.row_sq_norms_at``, then projects onto one drawn row
-(``kaczmarz_step``) or takes one least-squares step on the selected
-Jacobian rows only (``problem.jacobian(x, rows)``).  A block of one row is
-projected onto that row by ``kaczmarz_step``, which is the minimum-norm
-step there, with no Jacobian block and no least squares.  A GLM block of
-two or more tail rows only (rows ``d:``) takes the closed-form step of
-``GLMProblem.tail_block_step``, also with no Jacobian block, unless its
-guard, ``cond(J)^2 <= 1 / GRAM_TAU``, declines it; every other block, and
-a declined one, goes to ``min_norm_least_squares``.  ``lo`` is 0
+(``kaczmarz_step``) or takes one minimum-norm step on the selected rows.
+A block of one row is projected onto that row by ``kaczmarz_step``, which
+is the minimum-norm step there, with no Jacobian block and no least
+squares.  A block of two or more rows is first offered to the problem's
+``block_step`` hook, which returns a closed-form step or None (the
+default; the GLM returns one for tail rows only, rows ``d:``, when its
+guard ``cond(J)^2 <= 1 / GRAM_TAU`` holds); a declined block goes to
+``min_norm_least_squares`` on the selected Jacobian rows only
+(``problem.jacobian(x, rows)``).  ``lo`` is 0
 except for the GLM hybrids, whose iteration first solves the affine head
 rows exactly (reusing the residual at ``x`` and the head's Gram factor)
 and then takes that block step on the tail rows ``d:`` at the post-head
@@ -30,6 +31,8 @@ iterate.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -72,11 +75,24 @@ _BREAKDOWN_ERRORS = (ZeroGradient, EmptySet, AllWeightsZero, FactorizationFailur
 
 def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     """Project ``x`` onto the zero set of the row's linearization:
-    ``x - (f_i / ||grad_i||^2) grad_i``."""
+    ``x - (f_i / ||grad_i||^2) grad_i``.
+
+    Where ``||grad_i||^2`` or that coefficient overflows, the same step is
+    taken as ``(f_i / ||grad_i||)`` along the unit row, with the norm taken
+    after scaling by ``max_j |grad_ij|``; every other step keeps the bits
+    of the product above."""
     gsq = float(grad_i @ grad_i)
     if gsq < 1e-300:
         raise ZeroGradient("row gradient norm underflowed")
-    return x - (f_i / gsq) * grad_i
+    f_i = float(f_i)
+    coef = f_i / gsq
+    if math.isfinite(coef) and gsq < math.inf:
+        return x - coef * grad_i
+    scale = float(np.abs(grad_i).max())
+    unit = grad_i / scale
+    unit_norm = math.sqrt(float(unit @ unit))
+    unit /= unit_norm
+    return x - (f_i / unit_norm / scale) * unit
 
 
 def greedy_selection(g: RowGeometry, kind: SelectionKind, mode):
@@ -109,13 +125,10 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     records = TraceRecords(track_error=x_star is not None)
     kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     hybrid = method in HYBRID_KINDS
-    block_step = hybrid or method in BLOCK_KINDS
+    by_block = hybrid or method in BLOCK_KINDS
     # a hybrid selects among its tail rows only, the rows from d on
     lo = problem.d if hybrid else 0
     m = problem.m
-    # a block of GLM tail rows only, the rows from d on, has a closed-form
-    # Gram system; no row of any other problem reaches this bound
-    tail_from = problem.d if isinstance(problem, GLMProblem) else m
     memo = IterateMemo()
 
     k = 0
@@ -156,7 +169,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                     else:
                         sel = greedy_selection(g, kind, config.threshold)
                         size = len(sel)
-                        if not block_step:
+                        if not by_block:
                             i = sample_index(sel, rng)
                         elif size == 1:
                             # the minimum-norm step onto one row is its projection
@@ -166,12 +179,13 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                             rows = sel.indices + lo if lo else sel.indices
                     # the geometry's arrays are freed before the step
                     del g
-                if block_step and size > 1:
-                    # the sorted rows of a GLM tail block have a closed-form
-                    # step; its guard can leave the block to least squares
-                    step = problem.tail_block_step(x_at, rows, r_at[rows], memo) if rows[0] >= tail_from else None
+                if by_block and size > 1:
+                    # the problem's closed form for the sorted rows, if it
+                    # has one, else least squares on those Jacobian rows
+                    rhs = r_at[rows]
+                    step = problem.block_step(x_at, rows, rhs, memo)
                     if step is None:
-                        step = min_norm_least_squares(problem.jacobian(x_at, rows, memo), r_at[rows])
+                        step = min_norm_least_squares(problem.jacobian(x_at, rows, memo), rhs)
                     x = x_at - step
                     selected, set_size = rows.tolist(), size
                 elif size:

@@ -1,9 +1,19 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolverConfig
+from capped_kaczmarz.core import (
+    BLOCK_KINDS,
+    HYBRID_KINDS,
+    Convex,
+    MethodKind,
+    ProblemInstance,
+    Scaled,
+    SolveStatus,
+    SolverConfig,
+)
 from capped_kaczmarz.diagnostics import (
     EtaEstimate,
     build_factor_report,
@@ -326,6 +336,53 @@ class TestFactorReport:
             tracemalloc.stop()
         assert len(report.rows) == trace.total_iterations
         assert peak < 2e6, f"factor report peaked at {peak / 1e6:.1f} MB"
+
+    @staticmethod
+    def seeded_linear(seed):
+        rng = seeded_rng(seed)
+        A = rng.standard_normal((10, 6))
+        x_star = rng.standard_normal(6)
+        return LinearProblem(A, A @ x_star, known_root=x_star)
+
+    @pytest.mark.parametrize("method", [MethodKind.DR_CNK, MethodKind.RD_CNK, MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_a_trace_of_another_problem_or_threshold_raises(self, method):
+        # the replay checks each recorded set size and selection, so a trace
+        # that is not of this problem, method and threshold is refused
+        problem = self.seeded_linear(16)
+        eta = EtaEstimate(np.zeros(10), 0.0, 1, np.zeros(6), 1.0, ())
+        config = SolverConfig(method=method, seed=0, record_iterates=True, max_iter=50)
+        trace = solve(problem, np.zeros(6), config)
+        assert build_factor_report(problem, trace, eta, Convex(0.5), method).rows
+        # the other rule, and the same rule with the other step
+        other_kinds = {
+            MethodKind.DR_CNK: (MethodKind.RD_CNK, MethodKind.DB_CNK),
+            MethodKind.RD_CNK: (MethodKind.DR_CNK, MethodKind.RB_CNK),
+            MethodKind.DB_CNK: (MethodKind.RB_CNK, MethodKind.DR_CNK),
+            MethodKind.RB_CNK: (MethodKind.DB_CNK, MethodKind.RD_CNK),
+        }[method]
+        # the records of seed 0 along the iterates of seed 1
+        reseeded = solve(problem, np.zeros(6), replace(config, seed=1))
+        spliced = replace(trace, iterates=reseeded.iterates)
+        mismatched = (
+            (self.seeded_linear(17), trace, Convex(0.5), method),
+            (problem, trace, Scaled(1.0), method),
+            (problem, trace, Convex(0.9), method),
+            *((problem, trace, Convex(0.5), kind) for kind in other_kinds),
+        )
+        if method not in BLOCK_KINDS:
+            # a block method draws nothing, so its seeds give one trace
+            mismatched += ((problem, spliced, Convex(0.5), method),)
+        for other, recorded, mode, kind in mismatched:
+            with pytest.raises(ValueError, match=r"^k = \d+: the replayed set"):
+                build_factor_report(other, recorded, eta, mode, kind)
+
+    @pytest.mark.parametrize("method", [MethodKind.NK, MethodKind.NRK, *sorted(HYBRID_KINDS)])
+    def test_rejects_methods_it_does_not_replay(self, method):
+        problem = self.seeded_linear(16)
+        eta = EtaEstimate(np.zeros(10), 0.0, 1, np.zeros(6), 1.0, ())
+        trace = solve(problem, np.zeros(6), SolverConfig(method=MethodKind.DB_CNK, record_iterates=True))
+        with pytest.raises(ValueError, match="factor reports cover"):
+            build_factor_report(problem, trace, eta, Convex(0.5), method)
 
     def test_requires_iterates(self):
         problem = BrownProblem(4)

@@ -96,7 +96,7 @@ def test_records_replay_head_solve_and_tail_block(small_glm, method):
         J, rhs = small_glm.jacobian(x_mid)[rows], r_mid[rows]
         # a tail block of two or more rows takes its closed-form step, a
         # one-row block the projection, whose bytes are the lstsq step's
-        step = small_glm.tail_block_step(x_mid, rows, rhs) if len(rows) > 1 else min_norm_least_squares(J, rhs)
+        step = small_glm.block_step(x_mid, rows, rhs) if len(rows) > 1 else min_norm_least_squares(J, rhs)
         assert np.array_equal(x_next, x_mid - step)
         oracle = np.linalg.lstsq(J, rhs, rcond=None)[0]
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
@@ -115,7 +115,7 @@ def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
         return eigh(G)
 
     structured = []
-    closed_form = glm.tail_block_step
+    closed_form = glm.block_step
 
     def logged(x, rows, rhs, memo=None):
         step = closed_form(x, rows, rhs, memo)
@@ -123,7 +123,7 @@ def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
         return step
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    glm.tail_block_step = logged
+    glm.block_step = logged
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=7))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
     # every tail block of two or more rows, rb-cnk's all-row set at the zero
@@ -175,7 +175,7 @@ def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, m
         count_tail_step("row")
         return kaczmarz_step(x, f_i, grad_i)
 
-    closed_form = GLMProblem.tail_block_step
+    closed_form = GLMProblem.block_step
 
     def failing_structured(glm, x, rows, rhs, memo=None):
         count_tail_step("structured")
@@ -183,7 +183,7 @@ def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, m
 
     monkeypatch.setattr(solvers_mod, "min_norm_least_squares", failing_block)
     monkeypatch.setattr(solvers_mod, "kaczmarz_step", failing_row)
-    monkeypatch.setattr(GLMProblem, "tail_block_step", failing_structured)
+    monkeypatch.setattr(GLMProblem, "block_step", failing_structured)
     trace = solve(small_glm, np.zeros(small_glm.n), SolverConfig(method=method, seed=0, record_iterates=True))
     assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
     assert len(tail_steps) == 2

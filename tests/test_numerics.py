@@ -175,7 +175,7 @@ class TestLeastSquaresRouting:
             return eigh(G)
 
         declined = []
-        closed_form = glm.tail_block_step
+        closed_form = glm.block_step
 
         def logged(x, rows, rhs, memo=None):
             step = closed_form(x, rows, rhs, memo)
@@ -183,7 +183,7 @@ class TestLeastSquaresRouting:
             return step
 
         monkeypatch.setattr(np.linalg, "eigh", counted)
-        glm.tail_block_step = logged
+        glm.block_step = logged
         trace = solve(glm, x, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
         assert trace.status is SolveStatus.ITERATION_CAP_REACHED
         assert declined == [False] * 5

@@ -3,7 +3,16 @@ import pytest
 
 import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.bench import resolve_problem
-from capped_kaczmarz.core import HYBRID_KINDS, Convex, IterateMemo, MethodKind, Scaled, SolveStatus, SolverConfig
+from capped_kaczmarz.core import (
+    HYBRID_KINDS,
+    Convex,
+    IterateMemo,
+    MethodKind,
+    ProblemInstance,
+    Scaled,
+    SolveStatus,
+    SolverConfig,
+)
 from capped_kaczmarz.errors import ZeroGradient
 from capped_kaczmarz.numerics import min_norm_least_squares, row_sq_norms, seeded_rng
 from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem, make_synthetic_glm
@@ -112,20 +121,56 @@ class TestBlockStep:
         solved = x0 - min_norm_least_squares(problem.jacobian(x0, [19]), problem.residual(x0)[[19]])
         assert trace.final_x.tobytes() == solved.tobytes()
 
-    def test_one_row_block_whose_projection_overflows_breaks_down(self):
-        # f / ||g||^2 overflows where the least-squares step, f / ||g|| along
-        # the unit row, is finite.  A one-row block step is the projection,
-        # with no fallback to gelsd, so the iterate goes non-finite and the
-        # next residual ends the solve
+    @pytest.mark.parametrize("method", [MethodKind.NRK, MethodKind.DR_CNK, MethodKind.DB_CNK])
+    def test_row_whose_coefficient_overflows_converges(self, method):
+        # f / ||g||^2 = 1e150 / 1e-280 overflows where the least-squares
+        # step, f / ||g|| along the unit row, is 1e290; the projection, a
+        # one-row block step too, takes that step and lands on the root
         problem = LinearProblem(np.array([[1e-140, 0.0]]), np.array([-1e150]))
         x0 = np.zeros(2)
         with np.errstate(over="ignore", invalid="ignore"):
             assert np.isfinite(min_norm_least_squares(problem.A, problem.residual(x0))).all()
-            trace = solve(problem, x0, SolverConfig(method=MethodKind.DB_CNK, max_iter=5))
-        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+            trace = solve(problem, x0, SolverConfig(method=method, max_iter=5))
+        assert trace.status is SolveStatus.CONVERGED
         assert trace.total_iterations == 1
         assert (trace.records[0].selected, trace.records[0].set_size) == ((0,), 1)
-        assert np.isneginf(trace.final_x[0]) and np.isnan(trace.final_x[1])
+        assert trace.final_x.tolist() == [-1e290, 0.0]
+
+    @pytest.mark.parametrize("method", [MethodKind.NRK, MethodKind.DR_CNK, MethodKind.DB_CNK])
+    def test_row_whose_squared_norm_overflows_converges(self, method):
+        # ||g||^2 = 1e320 overflows, so f / ||g||^2 would be 0 and the row
+        # would never move; its step is f / ||g|| = 1e-160 along e_0
+        problem = LinearProblem(np.array([[1e160, 0.0], [0.0, 1.0]]), np.ones(2))
+        with np.errstate(over="ignore"):
+            trace = solve(problem, np.zeros(2), SolverConfig(method=method, max_iter=50))
+        assert trace.status is SolveStatus.CONVERGED
+        assert trace.total_iterations == 2
+        assert sorted(row for rec in trace.records for row in rec.selected)[0] == 0
+        assert trace.final_x.tolist() == [1e-160, 1.0]
+
+    def test_overflow_steps_are_the_unit_row_step(self):
+        # ||g|| = 5e-141 overflows f / ||g||^2; ||g|| = 5e160 overflows
+        # ||g||^2; either way the step is (f / ||g||) g / ||g||
+        cases = (
+            (1e150, np.array([3e-141, 4e-141]), [-1.2e290, -1.6e290]),
+            (-2.0, np.array([3e160, -4e160]), [2.4e-161, -3.2e-161]),
+        )
+        for f, grad, expected in cases:
+            with np.errstate(over="ignore"):
+                out = kaczmarz_step(np.zeros(2), f, grad)
+            assert np.allclose(out, expected, rtol=1e-15, atol=0.0), (f, out)
+
+    def test_distance_weighted_pick_breaks_down_on_overflowing_rows(self):
+        # a known limitation: rd-cnk draws by f_i^2 / ||g_i||^2, which is
+        # inf (coefficient overflow) or 0 (squared-norm overflow) on these rows
+        for A, b, iterations in (
+            (np.array([[1e-140, 0.0]]), np.array([-1e150]), 0),
+            (np.array([[1e160, 0.0], [0.0, 1.0]]), np.ones(2), 1),
+        ):
+            with np.errstate(over="ignore"):
+                trace = solve(LinearProblem(A, b), np.zeros(2), SolverConfig(method=MethodKind.RD_CNK, max_iter=50))
+            assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+            assert trace.total_iterations == iterations
 
     def test_min_norm_among_corrections(self):
         # rank-deficient block: the step is the smallest correction that fits
@@ -151,7 +196,7 @@ def scaled_glm(scale: float) -> GLMProblem:
 
 
 class TestTailBlockStep:
-    """``GLMProblem.tail_block_step``: the closed-form minimum-norm step on a
+    """``GLMProblem.block_step``: the closed-form minimum-norm step on a
     block of GLM tail rows, and where ``solve`` takes it."""
 
     @pytest.mark.parametrize("selector", ["glm:synthetic:60,6,3", "glm:synthetic:200,10,8"])
@@ -166,7 +211,7 @@ class TestTailBlockStep:
                 continue
             x_at = hybrid_linear_substep(glm, x, glm.residual(x)) if method in HYBRID_KINDS else x
             r_at = glm.residual(x_at)
-            step = glm.tail_block_step(x_at, rows, r_at[rows])
+            step = glm.block_step(x_at, rows, r_at[rows])
             assert step is not None, rec.k
             assert x_next.tobytes() == (x_at - step).tobytes(), rec.k
             replayed += 1
@@ -186,7 +231,7 @@ class TestTailBlockStep:
             for k in (2, 5, 9, 10, 11, 40):
                 rows = np.sort(rng.choice(np.arange(glm.d, glm.m), size=k, replace=False))
                 for rhs in (r[rows], rng.standard_normal(k)):
-                    step = glm.tail_block_step(x, rows, rhs)
+                    step = glm.block_step(x, rows, rhs)
                     assert step is not None, (scale, k)
                     oracle = np.linalg.lstsq(glm.jacobian(x, rows), rhs, rcond=None)[0]
                     assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle), (scale, k)
@@ -202,7 +247,7 @@ class TestTailBlockStep:
         assert rows.size >= 2 and rows[0] >= glm.d
         J = glm.jacobian(x0, rows)
         assert 1.0 + (np.sum(J * J) - rows.size) > 1e6
-        assert glm.tail_block_step(x0, rows, r[rows]) is None
+        assert glm.block_step(x0, rows, r[rows]) is None
         assert trace.final_x.tobytes() == (x0 - min_norm_least_squares(J, r[rows])).tobytes()
 
     def test_non_finite_rhs_breaks_down(self, monkeypatch):
@@ -222,7 +267,7 @@ class TestTailBlockStep:
             return r
 
         declined = []
-        closed_form = glm.tail_block_step
+        closed_form = glm.block_step
 
         def logged(x, rows, rhs, memo=None):
             step = closed_form(x, rows, rhs, memo)
@@ -231,7 +276,7 @@ class TestTailBlockStep:
 
         fixed = SelectionResult(indices=np.array([0, 1, 2]), threshold=0.0, weights=np.ones(3))
         monkeypatch.setattr(solvers_mod, "greedy_selection", lambda g, kind, mode: fixed)
-        glm.residual, glm.tail_block_step = poisoned, logged
+        glm.residual, glm.block_step = poisoned, logged
         x0 = np.zeros(glm.n)
         trace = solve(glm, x0, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
         assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
@@ -242,12 +287,97 @@ class TestTailBlockStep:
     def test_rows_must_be_increasing_tail_rows(self):
         glm = make_synthetic_glm(60, 6, 3)
         x = np.zeros(glm.n)
-        for rows in ([glm.d - 1, glm.d], [glm.d, glm.m]):
-            with pytest.raises(IndexError):
-                glm.tail_block_step(x, rows, np.ones(2))
+        # a block with a head row is left to least squares
+        assert glm.block_step(x, [glm.d - 1, glm.d], np.ones(2)) is None
+        with pytest.raises(IndexError):
+            glm.block_step(x, [glm.d, glm.m], np.ones(2))
         for rows in ([glm.d + 1, glm.d], [glm.d, glm.d]):
             with pytest.raises(ValueError):
-                glm.tail_block_step(x, rows, np.ones(2))
+                glm.block_step(x, rows, np.ones(2))
+
+
+class LstsqBlockLinear(LinearProblem):
+    """A linear problem whose ``block_step`` hook is numpy's ``lstsq`` step
+    on the block's rows, so its steps differ in bits from the package's."""
+
+    def __init__(self, A, b):
+        super().__init__(A, b)
+        self.hooked = []
+
+    def block_step(self, x, rows, rhs, memo=None):
+        self.hooked.append(tuple(rows.tolist()))
+        return np.linalg.lstsq(self.A[rows], rhs, rcond=None)[0]
+
+
+class Quadratic2D(ProblemInstance):
+    """``f(x) = (x_0^2 - 1, x_1^2 - 4, x_0 x_1 - 2)``, root (1, 2); it keeps
+    the base class's ``block_step``, which declines every block."""
+
+    m = 3
+    n = 2
+    known_root = np.array([1.0, 2.0])
+
+    def residual(self, x, memo=None):
+        return np.array([x[0] ** 2 - 1.0, x[1] ** 2 - 4.0, x[0] * x[1] - 2.0])
+
+    def row_grad(self, i, x, memo=None):
+        return self.jacobian(x)[i]
+
+    def jacobian(self, x, rows=None, memo=None):
+        J = np.array([[2.0 * x[0], 0.0], [0.0, 2.0 * x[1]], [x[1], x[0]]])
+        return J if rows is None else J[np.asarray(rows, dtype=np.intp)]
+
+
+class TestBlockStepHook:
+    """``ProblemInstance.block_step``: ``solve`` offers every block of two
+    or more rows to the problem first, and takes least squares only when
+    the hook returns None."""
+
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_a_hooked_step_is_taken_bit_for_bit(self, monkeypatch, method):
+        rng = seeded_rng(12)
+        A = rng.standard_normal((40, 12))
+        problem = LstsqBlockLinear(A, A @ rng.standard_normal(12))
+        monkeypatch.setattr(solvers_mod, "min_norm_least_squares", None)
+        trace = solve(problem, np.zeros(12), SolverConfig(method=method, seed=0, max_iter=40, record_iterates=True))
+        assert trace.status is not SolveStatus.NUMERICAL_BREAKDOWN
+        blocks = 0
+        for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+            if rec.set_size < 2:
+                continue
+            rows = list(rec.selected)
+            step = np.linalg.lstsq(A[rows], problem.residual(x)[rows], rcond=None)[0]
+            assert x_next.tobytes() == (x - step).tobytes(), rec.k
+            blocks += 1
+        assert blocks > 0
+        assert problem.hooked == [rec.selected for rec in trace.records[:-1] if rec.set_size >= 2]
+
+    def test_the_default_hook_declines(self):
+        problem = Quadratic2D()
+        assert ProblemInstance.block_step(problem, np.zeros(2), np.array([0, 1]), np.ones(2)) is None
+        assert problem.block_step(np.zeros(2), np.array([0, 1]), np.ones(2)) is None
+
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_a_problem_without_the_hook_runs_block_methods(self, method):
+        problem = Quadratic2D()
+        trace = solve(problem, np.array([2.0, 3.0]), SolverConfig(method=method, seed=0, max_iter=100, record_iterates=True))
+        assert trace.status is SolveStatus.CONVERGED
+        assert max(rec.set_size for rec in trace.records) >= 2
+        assert np.allclose(trace.final_x, problem.known_root, atol=1e-6)
+        # every block goes to least squares on its Jacobian rows
+        for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+            rows = list(rec.selected)
+            if len(rows) > 1:
+                solved = x - min_norm_least_squares(problem.jacobian(x, rows), problem.residual(x)[rows])
+                assert x_next.tobytes() == solved.tobytes(), rec.k
+
+    def test_glm_declines_blocks_with_a_head_row(self):
+        glm = make_synthetic_glm(60, 6, 3)
+        x = seeded_rng(7).standard_normal(glm.n)
+        r = glm.residual(x)
+        for rows in ([glm.d - 1, glm.d], [0, 2, glm.d + 1, glm.m - 1], list(range(glm.d))):
+            assert glm.block_step(x, np.array(rows), r[rows]) is None, rows
+        assert glm.block_step(x, np.array([glm.d, glm.m - 1]), r[[glm.d, glm.m - 1]]) is not None
 
 
 def brown_product_projection_floor(n):
