@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -92,9 +93,7 @@ class RunResult:
     method: MethodKind
     run: int
     seed: int
-    iterations: int
     seconds: float
-    status: SolveStatus
     trace: SolveTrace
 
 
@@ -128,7 +127,7 @@ class BenchReport:
 
     @property
     def any_breakdown(self) -> bool:
-        return any(r.status is SolveStatus.NUMERICAL_BREAKDOWN for r in self.results)
+        return any(r.trace.status is SolveStatus.NUMERICAL_BREAKDOWN for r in self.results)
 
 
 def _run_cell(problem, x0, spec: BenchSpec, method: MethodKind, run: int) -> RunResult:
@@ -138,7 +137,7 @@ def _run_cell(problem, x0, spec: BenchSpec, method: MethodKind, run: int) -> Run
         tol=spec.tol,
         max_iter=spec.max_iter,
         seed=spec.seed + run,
-        record_error=spec.track_error and problem.known_root is not None,
+        record_error=spec.track_error,
         # the factor report replays run 0's iterates instead of solving again
         record_iterates=spec.diagnostics and run == 0 and method in REPORTED_KINDS,
         clock=spec.clock,
@@ -146,15 +145,7 @@ def _run_cell(problem, x0, spec: BenchSpec, method: MethodKind, run: int) -> Run
     started = spec.clock()
     trace = solve(problem, x0, config)
     seconds = spec.clock() - started
-    return RunResult(
-        method=method,
-        run=run,
-        seed=config.seed,
-        iterations=trace.total_iterations,
-        seconds=seconds,
-        status=trace.status,
-        trace=trace,
-    )
+    return RunResult(method=method, run=run, seed=config.seed, seconds=seconds, trace=trace)
 
 
 def run_bench(spec: BenchSpec) -> BenchReport:
@@ -174,15 +165,12 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     summaries = []
     for method in spec.methods:
         mine = [r for r in results if r.method is method]
-        statuses: dict[str, int] = {}
-        for r in mine:
-            statuses[r.status.value] = statuses.get(r.status.value, 0) + 1
         summaries.append(
             MethodSummary(
                 method=method,
-                iterations=[r.iterations for r in mine],
+                iterations=[r.trace.total_iterations for r in mine],
                 seconds=[r.seconds for r in mine],
-                statuses=statuses,
+                statuses=dict(Counter(r.trace.status.value for r in mine)),
             )
         )
     report = BenchReport(
@@ -267,9 +255,9 @@ def write_outputs(spec: BenchSpec, report: BenchReport, problem) -> None:
 
 
 def _write_diagnostics(spec: BenchSpec, report: BenchReport, problem, out: Path) -> None:
-    """Factor reports for the greedy methods, along the iterates recorded
-    on their run 0; needs a known root to anchor the eta-estimation ball,
-    otherwise a note is emitted instead."""
+    """Factor reports along every run whose trace recorded its iterates
+    (run 0 of each greedy method, see ``_run_cell``); needs a known root to
+    anchor the eta-estimation ball, otherwise a note is emitted instead."""
     if problem.known_root is None:
         (out / "diagnostics.json").write_text(
             json.dumps({"note": "no known root; eta estimation skipped"}) + "\n",
@@ -279,7 +267,7 @@ def _write_diagnostics(spec: BenchSpec, report: BenchReport, problem, out: Path)
     eta = estimate_eta(problem, problem.known_root, 0.05, 2000, seeded_rng(spec.seed))
     payload = {"eta": eta.eta, "radius": eta.radius, "methods": {}}
     for result in report.results:
-        if result.run != 0 or result.method not in REPORTED_KINDS:
+        if result.trace.iterates is None:
             continue
         try:
             rep = build_factor_report(problem, result.trace, eta, spec.threshold, result.method)

@@ -307,5 +307,4 @@ class SolveTrace:
     status: SolveStatus
     final_x: np.ndarray
     total_iterations: int
-    total_seconds: float
     iterates: list[np.ndarray] | None = None

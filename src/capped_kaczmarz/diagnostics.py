@@ -16,7 +16,7 @@ import numpy as np
 from .core import BLOCK_KINDS, DISTANCE_KINDS, IterateMemo, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
 from .errors import HypothesisViolated, InvalidEta
 from .numerics import min_norm_least_squares, row_sq_norms, singular_extremes
-from .selection import RowGeometry, SelectionKind
+from .selection import ACTIVE_ABS_FLOOR, RowGeometry, SelectionKind
 from .solvers import greedy_selection
 
 # Numerators this close to the rounding noise of their operands count as
@@ -384,7 +384,7 @@ def check_step_inequalities(
         tolerance = slack * max(1.0, err1)
 
         for i in range(problem.m):
-            if gsq[i] < 1e-300:
+            if gsq[i] < ACTIVE_ABS_FLOOR:
                 continue
             x_next = x1 - (f1[i] / gsq[i]) * J1[i]
             lhs = float(np.sum((x_next - x_star) ** 2))

@@ -5,26 +5,32 @@ class CappedKaczmarzError(Exception):
     """Base class for all library errors."""
 
 
-class DegenerateState(CappedKaczmarzError):
+class NumericalBreakdown(CappedKaczmarzError):
+    """A numerical failure that ends a solve with status
+    ``NUMERICAL_BREAKDOWN`` instead of raising out of ``solve``."""
+
+
+class DegenerateState(NumericalBreakdown):
     """Selection was asked for at a state where no greedy rule is defined
     (zero residual, or every row gradient numerically vanished)."""
 
 
-class EmptySet(CappedKaczmarzError):
+class EmptySet(NumericalBreakdown):
     """A greedy index set came out empty.  Unreachable for valid inputs;
     raised defensively so floating-point drift surfaces as a bug."""
 
 
-class AllWeightsZero(CappedKaczmarzError):
+class AllWeightsZero(NumericalBreakdown):
     """Every sampling weight in a selection is zero (stationary degenerate
     state: all selected rows have vanishing gradients)."""
 
 
-class ZeroGradient(CappedKaczmarzError):
-    """A single-row projection step hit an underflowing gradient norm."""
+class ZeroGradient(NumericalBreakdown):
+    """A single-row projection step met a row gradient that is zero or
+    not finite."""
 
 
-class FactorizationFailure(CappedKaczmarzError):
+class FactorizationFailure(NumericalBreakdown):
     """A dense factorization (SVD / least squares) did not complete, or its
     inputs were not finite."""
 

@@ -127,10 +127,11 @@ class LinearProblem(ProblemInstance):
         return self.A @ x - self.b
 
     def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
+        _check_row(i, self.m)
         return self.A[i]
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        return self.A if rows is None else self.A[rows]
+        return self.A if rows is None else self.A[_index_rows(rows, self.m)[0]]
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         return self._row_norms

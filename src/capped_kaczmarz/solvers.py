@@ -49,13 +49,7 @@ from .core import (
     TraceRecords,
     check_stop,
 )
-from .errors import (
-    AllWeightsZero,
-    DegenerateState,
-    EmptySet,
-    FactorizationFailure,
-    ZeroGradient,
-)
+from .errors import NumericalBreakdown, ZeroGradient
 from .numerics import draw_weighted_index, min_norm_least_squares, seeded_rng
 # not called here: benchmark/tracing.py rebinds this name for its numerics.row_norms span
 from .numerics import row_sq_norms  # noqa: F401
@@ -70,25 +64,26 @@ from .selection import (
     sample_index,
 )
 
-_BREAKDOWN_ERRORS = (ZeroGradient, EmptySet, AllWeightsZero, FactorizationFailure, DegenerateState)
-
 
 def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     """Project ``x`` onto the zero set of the row's linearization:
     ``x - (f_i / ||grad_i||^2) grad_i``.
 
-    Where ``||grad_i||^2`` or that coefficient overflows, the same step is
-    taken as ``(f_i / ||grad_i||)`` along the unit row, with the norm taken
-    after scaling by ``max_j |grad_ij|``; every other step keeps the bits
-    of the product above."""
+    Where ``||grad_i||^2`` underflows below 1e-300 or overflows, or that
+    coefficient overflows, the same step is taken as ``(f_i / ||grad_i||)``
+    along the unit row, with the norm taken after scaling by
+    ``max_j |grad_ij|``; every other step keeps the bits of the product
+    above.  Only a row whose ``max_j |grad_ij|`` is 0 or not finite raises
+    ``ZeroGradient``."""
     gsq = float(grad_i @ grad_i)
-    if gsq < 1e-300:
-        raise ZeroGradient("row gradient norm underflowed")
     f_i = float(f_i)
-    coef = f_i / gsq
-    if math.isfinite(coef) and gsq < math.inf:
-        return x - coef * grad_i
+    if 1e-300 <= gsq < math.inf:
+        coef = f_i / gsq
+        if math.isfinite(coef):
+            return x - coef * grad_i
     scale = float(np.abs(grad_i).max())
+    if not 0.0 < scale < math.inf:
+        raise ZeroGradient("row gradient is zero or not finite")
     unit = grad_i / scale
     unit_norm = math.sqrt(float(unit @ unit))
     unit /= unit_norm
@@ -107,8 +102,9 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     """Run the configured method from ``x0`` until the stopping rule fires.
 
     The trace starts with a record at k = 0 holding the initial residual.
-    Numerical breakdown (underflowing denominators, non-finite residuals)
-    terminates the solve with a status instead of raising.  The hybrid
+    Numerical breakdown (a ``NumericalBreakdown`` from selection or the
+    step, or a non-finite residual) terminates the solve with a status
+    instead of raising.  The hybrid
     methods need a ``GLMProblem``.
     """
     method = config.method
@@ -191,7 +187,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                 elif size:
                     x = kaczmarz_step(x_at, r_at[i], problem.row_grad(i, x_at, memo))
                     selected, set_size = (i,), size
-            except _BREAKDOWN_ERRORS:
+            except NumericalBreakdown:
                 status = SolveStatus.NUMERICAL_BREAKDOWN
 
         records.append(residual_sq, selected, set_size, clock() - started, error_sq)
@@ -204,7 +200,6 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
         status=status,
         final_x=x,
         total_iterations=len(records) - 1,
-        total_seconds=clock() - started,
         iterates=iterates,
     )
 

@@ -291,6 +291,22 @@ class TestCli:
         assert "db-cnk" in out and "rb-cnk" in out
         assert (tmp_path / "summary.json").exists()
 
+    def test_run_glm_synthetic_converges_every_method(self, tmp_path, capsys):
+        # the convergence histories of the single-sample and hybrid block
+        # methods on a synthetic logistic-regression system
+        methods = ["dr-cnk", "rd-cnk", "glm-hybrid-db", "glm-hybrid-rb"]
+        code = cli.main(
+            [
+                "run", "--problem", "glm:synthetic:30,3,8", "--methods", ",".join(methods),
+                "--runs", "1", "--seed", "8", "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        payload = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert [entry["method"] for entry in payload["methods"]] == methods
+        for entry in payload["methods"]:
+            assert entry["statuses"] == {"converged": 1}, entry["method"]
+
     def test_env_var_overrides_out(self, tmp_path, monkeypatch, capsys):
         override = tmp_path / "env_out"
         monkeypatch.setenv("BENCH_OUT", str(override))

@@ -235,10 +235,19 @@ class TestJacobianRows:
                 self.assert_rows_match(glm, x, index_sets(glm.m, glm.d, rng))
 
 
-    @pytest.mark.parametrize("make", [lambda: BrownProblem(7), lambda: make_synthetic_glm(60, 6, 3)], ids=["brown", "glm"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BrownProblem(7),
+            lambda: make_synthetic_glm(60, 6, 3),
+            lambda: LinearProblem(seeded_rng(14).standard_normal((9, 4)), np.ones(9)),
+        ],
+        ids=["brown", "glm", "linear"],
+    )
     def test_rows_outside_the_system_are_rejected(self, make):
         # numpy would read a negative row from the end: GLM head row d - 1
-        # for row -1, and Brown's affine template row for its product row
+        # for row -1, Brown's affine template row for its product row, and
+        # A's last row for a linear system
         problem = make()
         m = problem.m
         x = 0.5 + seeded_rng(13).random(problem.n)

@@ -13,7 +13,14 @@ from capped_kaczmarz.core import (
     SolveStatus,
     SolverConfig,
 )
-from capped_kaczmarz.errors import ZeroGradient
+from capped_kaczmarz.errors import (
+    AllWeightsZero,
+    DegenerateState,
+    EmptySet,
+    FactorizationFailure,
+    NumericalBreakdown,
+    ZeroGradient,
+)
 from capped_kaczmarz.numerics import min_norm_least_squares, row_sq_norms, seeded_rng
 from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem, make_synthetic_glm
 from capped_kaczmarz.selection import (
@@ -58,8 +65,28 @@ class TestKaczmarzStep:
             assert abs(linearized) <= 1e-10 * max(1.0, abs(f_i))
 
     def test_underflow_rejected(self):
-        with pytest.raises(ZeroGradient):
-            kaczmarz_step(np.array([1.0]), 1.0, np.array([0.0]))
+        # only a zero or non-finite row has no step
+        for grad in ([0.0], [np.inf, 0.0], [np.nan, 0.0]):
+            with pytest.raises(ZeroGradient):
+                kaczmarz_step(np.zeros(len(grad)), 1.0, np.array(grad))
+
+    @pytest.mark.parametrize("method", [MethodKind.NK, MethodKind.NURK, MethodKind.NRK])
+    def test_row_whose_squared_norm_underflows_converges(self, method):
+        problem = LinearProblem(np.array([[1e-155, 0.0]]), np.ones(1))
+        trace = solve(problem, np.zeros(2), SolverConfig(method=method, max_iter=5))
+        assert trace.status is SolveStatus.CONVERGED
+        assert trace.total_iterations == 1
+        assert trace.records[0].selected == (0,)
+        assert np.allclose(trace.final_x, [1e155, 0.0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("method", [MethodKind.DR_CNK, MethodKind.RD_CNK, MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_greedy_methods_break_down_on_a_row_below_the_eligibility_floor(self, method):
+        # a known limitation: ||g||^2 = 1e-310 is below the selection's
+        # absolute floor, so no row is eligible and the solve stops at k = 0
+        problem = LinearProblem(np.array([[1e-155, 0.0]]), np.ones(1))
+        trace = solve(problem, np.zeros(2), SolverConfig(method=method, max_iter=5))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 0
 
 
 class TestBlockStep:
@@ -150,10 +177,13 @@ class TestBlockStep:
 
     def test_overflow_steps_are_the_unit_row_step(self):
         # ||g|| = 5e-141 overflows f / ||g||^2; ||g|| = 5e160 overflows
-        # ||g||^2; either way the step is (f / ||g||) g / ||g||
+        # ||g||^2; ||g||^2 = 1e-310 and 2.5e-319 underflow below 1e-300;
+        # each way the step is (f / ||g||) g / ||g||
         cases = (
             (1e150, np.array([3e-141, 4e-141]), [-1.2e290, -1.6e290]),
             (-2.0, np.array([3e160, -4e160]), [2.4e-161, -3.2e-161]),
+            (-1.0, np.array([1e-155, 0.0]), [1e155, 0.0]),
+            (2.0, np.array([3e-160, -4e-160]), [-2.4e159, 3.2e159]),
         )
         for f, grad, expected in cases:
             with np.errstate(over="ignore"):
@@ -594,6 +624,30 @@ class TestSolveStatuses:
     def test_x0_length_validated(self):
         with pytest.raises(ValueError):
             solve(FIXTURE, np.zeros(3), SolverConfig(method=MethodKind.NK))
+
+    def test_every_breakdown_error_is_a_numerical_breakdown(self):
+        for error in (DegenerateState, EmptySet, AllWeightsZero, ZeroGradient, FactorizationFailure):
+            assert issubclass(error, NumericalBreakdown), error
+
+    @pytest.mark.parametrize("method", [MethodKind.DR_CNK, MethodKind.DB_CNK])
+    def test_a_breakdown_error_ends_the_solve_with_x_kept(self, monkeypatch, method):
+        def failing(x, memo=None):
+            raise FactorizationFailure("no norms")
+
+        monkeypatch.setattr(FIXTURE, "row_sq_norms_at", failing)
+        x0 = np.full(FIXTURE.n, 0.5)
+        trace = solve(FIXTURE, x0, SolverConfig(method=method))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 0
+        assert trace.final_x.tobytes() == x0.tobytes()
+
+    def test_other_errors_propagate_out_of_solve(self, monkeypatch):
+        def failing(x, memo=None):
+            raise ValueError("not a breakdown")
+
+        monkeypatch.setattr(FIXTURE, "row_sq_norms_at", failing)
+        with pytest.raises(ValueError, match="not a breakdown"):
+            solve(FIXTURE, np.full(FIXTURE.n, 0.5), SolverConfig(method=MethodKind.DR_CNK))
 
     def test_residual_overflow_recorded_as_breakdown(self):
         # at this size the product row is genuinely active at the half-ones
