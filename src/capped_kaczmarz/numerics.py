@@ -103,14 +103,14 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray, factor: tuple | None 
         raise FactorizationFailure(
             f"shape mismatch: J is {J.shape}, rhs has length {rhs.shape}"
         )
-    if not (np.isfinite(J).all() and np.isfinite(rhs).all()):
+    if not (np.logical_and.reduce(np.isfinite(J), axis=None) and np.logical_and.reduce(np.isfinite(rhs))):
         raise FactorizationFailure("non-finite entries in least-squares input")
     if factor is None:
         factor = gram_factor(J)
     if factor:
         lam, V = factor
         delta = J.T @ (V @ ((V.T @ rhs) / lam))
-        if np.isfinite(delta).all():
+        if np.logical_and.reduce(np.isfinite(delta)):
             return delta
     try:
         delta, *_ = np.linalg.lstsq(J, rhs, rcond=None)
@@ -159,7 +159,7 @@ def draw_weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     package: one ``rng.random()`` call per draw, resolved by binary search.
     """
     weights = np.asarray(weights, dtype=float)
-    cumulative = weights.cumsum()
+    cumulative = np.add.accumulate(weights)
     total = float(cumulative[-1]) if cumulative.size else 0.0
     if not math.isfinite(total) or total <= 0.0:
         raise AllWeightsZero("sampling weights must have a positive finite sum")

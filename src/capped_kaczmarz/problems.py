@@ -33,8 +33,8 @@ def _index_rows(rows, m: int) -> tuple[np.ndarray, int]:
     if rows is None:
         return np.arange(m), m - 1
     rows = np.asarray(rows, dtype=np.intp)
-    top = int(rows.max(initial=-1))
-    if top >= m or rows.min(initial=0) < 0:
+    top = int(np.maximum.reduce(rows, axis=None, initial=-1))
+    if top >= m or np.minimum.reduce(rows, axis=None, initial=0) < 0:
         raise IndexError(f"Jacobian rows must lie in [0, {m})")
     return rows, top
 
@@ -46,14 +46,12 @@ def _check_row(i: int, m: int) -> None:
 
 def _leave_one_out_products(x: np.ndarray) -> np.ndarray:
     """Entry j is the product of all entries except x[j], division-free so
-    zero entries stay exact."""
+    zero entries stay exact: the prefix products, then each times the
+    suffix products, accumulated from the end."""
     out = np.empty(x.shape)
-    suffix = np.empty(x.shape)
     out[0] = 1.0
-    suffix[-1] = 1.0
-    x[:-1].cumprod(out=out[1:])
-    x[:0:-1].cumprod(out=suffix[-2::-1])
-    out *= suffix
+    np.multiply.accumulate(x[:-1], out=out[1:])
+    out[:-1] *= np.multiply.accumulate(x[:0:-1])[::-1]
     return out
 
 
@@ -76,8 +74,8 @@ class BrownProblem(ProblemInstance):
     def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         """Rows k < n: x_k + sum(x) - (n + 1).  Row n: prod(x) - 1."""
         x = np.asarray(x, dtype=float)
-        out = x + (x.sum() - (self.n + 1.0))
-        out[self.n - 1] = x.prod() - 1.0
+        out = x + (np.add.reduce(x) - (self.n + 1.0))
+        out[self.n - 1] = np.multiply.reduce(x) - 1.0
         return out
 
     def _products(self, x: np.ndarray, memo: IterateMemo | None) -> np.ndarray:
@@ -98,7 +96,7 @@ class BrownProblem(ProblemInstance):
         rows, _ = _index_rows(rows, self.m)
         J = self._jac_template[rows]
         product = rows == self.n - 1
-        if product.any():
+        if np.logical_or.reduce(product):
             J[product] = self._products(x, memo)
         return J
 
@@ -296,7 +294,7 @@ class GLMProblem(ProblemInstance):
         s = np.asarray(rows, dtype=np.intp) - self.d
         if s[-1] >= self.p:
             raise IndexError(f"tail rows must lie in [{self.d}, {self.m})")
-        if not (s[1:] > s[:-1]).all():
+        if not np.logical_and.reduce(s[1:] > s[:-1]):
             raise ValueError("tail rows must be strictly increasing")
         B = self._curvature_at(x, _values_at(x, memo)).take(s)[:, None] * self._samples.take(s, axis=0)
         # written so that a NaN norm fails it too
@@ -314,7 +312,7 @@ class GLMProblem(ProblemInstance):
         step = np.zeros(self.n)
         step[s] = y
         step[self.p:] = y @ B
-        return step if np.isfinite(step).all() else None
+        return step if np.logical_and.reduce(np.isfinite(step)) else None
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         # head norms are constant; tail norms come from the precomputed ||a_s||^2

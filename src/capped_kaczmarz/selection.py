@@ -96,8 +96,8 @@ class RowGeometry:
         if residual.size == 0:
             raise ValueError("row geometry needs at least one row")
         res_sq = residual * residual
-        residual_sq = float(res_sq.sum())
-        jac_fro_sq = float(grad_sq_norms.sum())
+        residual_sq = float(np.add.reduce(res_sq))
+        jac_fro_sq = float(np.add.reduce(grad_sq_norms))
         # read by index: argmin/argmax stop at the first NaN, as min/max do
         lo = grad_sq_norms[grad_sq_norms.argmin()]
         if lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq_norms[grad_sq_norms.argmax()]:
@@ -111,12 +111,12 @@ class RowGeometry:
         else:
             scale = _median(grad_sq_norms)
             if not np.isfinite(scale):
-                scale = float(np.max(grad_sq_norms[np.isfinite(grad_sq_norms)], initial=0.0))
+                scale = float(np.maximum.reduce(grad_sq_norms[np.isfinite(grad_sq_norms)], initial=0.0))
             cutoff = max(ACTIVE_ABS_FLOOR, ACTIVE_REL_EPS * scale)
             active = grad_sq_norms > cutoff
-            every_row_active = bool(active.all())
-            active_residual_sq = float(res_sq[active].sum())
-            active_fro_sq = float(grad_sq_norms[active].sum())
+            every_row_active = bool(np.logical_and.reduce(active))
+            active_residual_sq = float(np.add.reduce(res_sq[active]))
+            active_fro_sq = float(np.add.reduce(grad_sq_norms[active]))
             ratios = np.where(active, res_sq / np.where(active, grad_sq_norms, 1.0), -np.inf)
         return cls(
             residual=residual,
@@ -252,7 +252,7 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
     if not g.every_row_active:
         # an active row's ratio is >= 0 or NaN, so this zeroes the -inf ones
         weights = np.maximum(weights, 0.0)
-    if not weights.any():
+    if not np.logical_or.reduce(weights):
         raise AllWeightsZero("every selected row has a vanishing gradient")
     return SelectionResult(
         indices=indices,

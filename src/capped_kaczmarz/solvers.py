@@ -73,8 +73,10 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     coefficient overflows, the same step is taken as ``(f_i / ||grad_i||)``
     along the unit row, with the norm taken after scaling by
     ``max_j |grad_ij|``; every other step keeps the bits of the product
-    above.  Only a row whose ``max_j |grad_ij|`` is 0 or not finite raises
-    ``ZeroGradient``."""
+    above.  A row whose ``max_j |grad_ij|`` is 0 or not finite raises
+    ``ZeroGradient``, and so does a row whose scaled coefficient ``f_i /
+    ||grad_i||`` overflows (``f_i = 1`` on the row ``[5e-324, 0]``), where
+    the step would be infinite and its zero entries NaN."""
     gsq = float(grad_i @ grad_i)
     f_i = float(f_i)
     if 1e-300 <= gsq < math.inf:
@@ -87,7 +89,10 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     unit = grad_i / scale
     unit_norm = math.sqrt(float(unit @ unit))
     unit /= unit_norm
-    return x - (f_i / unit_norm / scale) * unit
+    coef = f_i / unit_norm / scale
+    if not math.isfinite(coef):
+        raise ZeroGradient("row step is not finite")
+    return x - coef * unit
 
 
 def greedy_selection(g: RowGeometry, kind: SelectionKind, mode):
@@ -157,8 +162,11 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                 elif method is MethodKind.NRK:
                     i, size = draw_weighted_index(rng, r * r), 1
                 else:
-                    # the one greedy selection site
-                    g = RowGeometry.from_state(r_at[lo:], problem.row_sq_norms_at(x_at, memo)[lo:])
+                    # the one greedy selection site; only a hybrid slices
+                    r_sel, norms = r_at, problem.row_sq_norms_at(x_at, memo)
+                    if lo:
+                        r_sel, norms = r_at[lo:], norms[lo:]
+                    g = RowGeometry.from_state(r_sel, norms)
                     if hybrid and g.residual_sq == 0.0:
                         # tail exactly solved: the head solve is the whole update
                         x, size = x_at, 0

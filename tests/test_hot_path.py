@@ -1,0 +1,133 @@
+"""The per-iteration path calls numpy's ufunc methods directly.
+
+In numpy 2.x, ``ndarray.sum/prod/all/any`` and ``max/min(initial=...)``
+reach their ufunc through the Python wrappers in ``numpy/_core/_methods.py``,
+one more Python call per reduction, which the single-row iterations cannot
+hide behind flops.  The package calls ``np.add.reduce``, ``np.multiply.reduce``, ``np.logical_and.reduce``
+and the like instead, which are the calls those wrappers make, so the bits
+are the same.  The guard below fails if a wrapper is called from a package
+frame during a solve; numpy's own internals (``linalg``) may still use them.
+The bit-identity tests pin the rewritten Brown kernels against the array
+method forms they replaced.
+"""
+
+import os
+import sys
+
+import numpy as np
+import pytest
+
+import capped_kaczmarz
+from capped_kaczmarz.bench import resolve_problem
+from capped_kaczmarz.core import MethodKind, SolverConfig
+from capped_kaczmarz.problems import BrownProblem, _leave_one_out_products
+from capped_kaczmarz.solvers import solve
+
+try:
+    from numpy._core import _methods
+except ImportError:  # numpy < 2
+    from numpy.core import _methods
+
+PACKAGE_DIR = os.path.dirname(os.path.abspath(capped_kaczmarz.__file__))
+METHODS_FILE = _methods.__file__
+
+
+def wrapper_calls_from_package(run):
+    """``run()``'s result, and ``(wrapper, caller, line)`` for every
+    ``_methods.py`` function that a package frame calls while it runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == METHODS_FILE:
+            caller = frame.f_back
+            if caller is not None and os.path.dirname(os.path.abspath(caller.f_code.co_filename)) == PACKAGE_DIR:
+                calls.append((frame.f_code.co_name, caller.f_code.co_name, caller.f_lineno))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_the_guard_reports_a_wrapper_call_from_a_package_frame():
+    # code compiled under a package file name runs in a frame the guard
+    # counts as the package's; a call from this test module is not counted
+    x = np.ones(3)
+    code = compile("x.sum()", os.path.join(PACKAGE_DIR, "solvers.py"), "eval")
+    _, calls = wrapper_calls_from_package(lambda: eval(code, {"x": x}))
+    assert [name for name, _, _ in calls] == ["_sum"]
+    assert wrapper_calls_from_package(lambda: x.sum()) == (3.0, [])
+
+
+@pytest.mark.parametrize(
+    "selector, method",
+    [
+        ("brown:50", MethodKind.NRK),
+        ("brown:50", MethodKind.DR_CNK),
+        ("brown:50", MethodKind.RD_CNK),
+        ("glm:synthetic:60,6,3", MethodKind.DB_CNK),
+        ("glm:synthetic:60,6,3", MethodKind.RB_CNK),
+        ("glm:synthetic:60,6,3", MethodKind.GLM_HYBRID_DB),
+        ("linear:300,40,2", MethodKind.DR_CNK),
+        ("linear:300,40,2", MethodKind.DB_CNK),
+    ],
+)
+def test_no_numpy_method_wrapper_on_the_solve_path(selector, method):
+    problem, x0 = resolve_problem(selector)
+    trace, calls = wrapper_calls_from_package(
+        lambda: solve(problem, x0, SolverConfig(method=method, seed=0, max_iter=300))
+    )
+    assert trace.total_iterations > 0
+    assert calls == []
+
+
+def two_cumprod_products(x: np.ndarray) -> np.ndarray:
+    """The leave-one-out products as the package built them before, from a
+    prefix and a suffix ``cumprod``, the suffix written through a reversed
+    view: the oracle of the one-accumulate form."""
+    out = np.empty(x.shape)
+    suffix = np.empty(x.shape)
+    out[0] = 1.0
+    suffix[-1] = 1.0
+    x[:-1].cumprod(out=out[1:])
+    x[:0:-1].cumprod(out=suffix[-2::-1])
+    out *= suffix
+    return out
+
+
+def brown_vectors(n: int) -> list[np.ndarray]:
+    """Iterates near the Brown root, Gaussian ones (negative entries), ones
+    with zeros of both signs, and ones whose entries or products are
+    subnormal."""
+    rng = np.random.Generator(np.random.PCG64(n))
+    near = 0.5 + rng.random(n)
+    gaussian = rng.standard_normal(n)
+    zeros = rng.standard_normal(n)
+    zeros[rng.integers(n, size=max(1, n // 4))] = 0.0
+    zeros[-1] = -0.0
+    subnormal = rng.standard_normal(n)
+    subnormal[0] = 5e-324
+    subnormal[n // 2] = -3e-310
+    tiny = np.full(n, 1e-160) * np.sign(rng.standard_normal(n))
+    return [near, gaussian, zeros, subnormal, tiny]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 50, 200])
+def test_leave_one_out_products_match_the_two_cumprod_form(n):
+    with np.errstate(all="ignore"):
+        for x in brown_vectors(n):
+            got = _leave_one_out_products(x)
+            assert np.array_equal(got.view(np.int64), two_cumprod_products(x).view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 50, 200])
+def test_brown_residual_matches_the_array_method_form(n):
+    problem = BrownProblem(n)
+    with np.errstate(all="ignore"):
+        for x in brown_vectors(n):
+            expected = x + (x.sum() - (n + 1.0))
+            expected[n - 1] = x.prod() - 1.0
+            assert np.array_equal(problem.residual(x).view(np.int64), expected.view(np.int64))

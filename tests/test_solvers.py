@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,27 @@ class TestKaczmarzStep:
         for grad in ([0.0], [np.inf, 0.0], [np.nan, 0.0]):
             with pytest.raises(ZeroGradient):
                 kaczmarz_step(np.zeros(len(grad)), 1.0, np.array(grad))
+
+    def test_row_whose_step_overflows_is_rejected_without_a_warning(self):
+        # f / ||g|| = 1 / 5e-324 overflows: the step would be [-inf, nan]
+        x = np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ZeroGradient):
+                kaczmarz_step(x, 1.0, np.array([5e-324, 0.0]))
+        assert x.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("method", [MethodKind.NK, MethodKind.NURK, MethodKind.NRK])
+    def test_row_whose_step_overflows_breaks_down_at_the_start(self, method):
+        problem = LinearProblem(np.array([[5e-324, 0.0]]), np.ones(1))
+        x0 = np.zeros(2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(problem, x0, SolverConfig(method=method, max_iter=5))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 0
+        assert trace.final_x.tolist() == [0.0, 0.0]
+        assert x0.tolist() == [0.0, 0.0]
 
     @pytest.mark.parametrize("method", [MethodKind.NK, MethodKind.NURK, MethodKind.NRK])
     def test_row_whose_squared_norm_underflows_converges(self, method):
