@@ -8,8 +8,8 @@ The GLM hybrids' head solve, and every block projection of two or more
 rows that the problem's ``block_step`` hook declines, goes through
 :func:`min_norm_least_squares`.  A one-row block is the single-row
 projection of ``solvers.kaczmarz_step``.  The hook declines every block by
-default; ``GLMProblem.block_step`` solves a block of tail rows only in
-closed form, behind a guard that uses this module's ``GRAM_TAU``.
+default; ``GLMProblem.block_step`` solves a block of head rows only or of
+tail rows only in closed form, behind a guard on this module's ``GRAM_TAU``.
 :func:`min_norm_least_squares` has two paths behind one name:
 
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k

@@ -26,17 +26,16 @@ def _values_at(x: np.ndarray, memo: IterateMemo | None) -> dict:
     return {} if memo is None else memo.at(x)
 
 
-def _index_rows(rows, m: int) -> tuple[np.ndarray, int]:
-    """``rows`` (all ``m`` rows when None) as an index array, and its largest
-    entry (-1 when empty).  A row outside ``[0, m)`` raises IndexError, where
-    numpy would read a negative row from the end."""
+def _index_rows(rows, m: int) -> np.ndarray:
+    """``rows`` (all ``m`` rows when None) as an index array.  A row outside
+    ``[0, m)`` raises IndexError, where numpy would read a negative row from
+    the end."""
     if rows is None:
-        return np.arange(m), m - 1
+        return np.arange(m)
     rows = np.asarray(rows, dtype=np.intp)
-    top = int(np.maximum.reduce(rows, axis=None, initial=-1))
-    if top >= m or np.minimum.reduce(rows, axis=None, initial=0) < 0:
+    if np.maximum.reduce(rows, axis=None, initial=-1) >= m or np.minimum.reduce(rows, axis=None, initial=0) < 0:
         raise IndexError(f"Jacobian rows must lie in [0, {m})")
-    return rows, top
+    return rows
 
 
 def _check_row(i: int, m: int) -> None:
@@ -93,7 +92,7 @@ class BrownProblem(ProblemInstance):
         return self._products(x, memo)
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        rows, _ = _index_rows(rows, self.m)
+        rows = _index_rows(rows, self.m)
         J = self._jac_template[rows]
         product = rows == self.n - 1
         if np.logical_or.reduce(product):
@@ -129,7 +128,7 @@ class LinearProblem(ProblemInstance):
         return self.A[i]
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        return self.A if rows is None else self.A[_index_rows(rows, self.m)[0]]
+        return self.A if rows is None else self.A[_index_rows(rows, self.m)]
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         return self._row_norms
@@ -151,17 +150,15 @@ class GLMProblem(ProblemInstance):
     Unknown ``x = [alpha (p entries); w (d entries)]``.  The first d rows,
     ``(1/(lam p)) A alpha - w``, are affine in x and encode stationarity of
     the regularized objective; the last p rows, ``alpha_i + phi_i'(a_i^T w)``,
-    tie the duals to the logistic loss derivative.
+    tie the duals to the logistic loss derivative.  Head row h is ``[A_h /
+    (lam p) | -e_h]`` and tail row ``d + s`` is ``[e_s | c_s a_s]``.
 
     Every evaluation at an iterate starts from one full matvec ``A^T w`` and
-    one exp (:meth:`_margin_parts`); with a memo, the residual, the row
-    norms and the Jacobian rows at one iterate share them, and the norms and
-    the tail rows, from ``jacobian`` and ``row_grad`` alike, share one
-    curvature vector ``c`` (:meth:`_curvature_at`).
-    The constant head is Gram-factored once, here, for the hybrids.  A block
-    step on tail rows only needs no Jacobian rows: this problem's
-    :meth:`block_step` hook solves it from ``c`` and the samples in closed
-    form, and leaves every block with a head row to least squares.
+    one exp (:meth:`_margin_at`); with a memo, the residual, the row norms,
+    the Jacobian rows and the block steps at one iterate share them.  The
+    constant head is Gram-factored once, here, for the hybrids, and
+    :meth:`block_step` solves a block of head rows or of tail rows in closed
+    form, with no Jacobian rows.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float):
@@ -197,39 +194,27 @@ class GLMProblem(ProblemInstance):
         self._sample_sq_norms = np.einsum("ij,ij->i", self._samples, self._samples)
         self._neg_y = -y
 
-    def _margin_parts(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The signed margins ``z = y * (A^T w)`` and both sigmoid branches of
-        ``z``.  The matvec is always the full one: a matvec over a subset of
-        the samples rounds differently in the last bits."""
-        z = self.y * (self.A.T @ w)
-        return (z, *_sigmoid_branches(z))
-
-    def _margin_at(self, x: np.ndarray, values: dict):
-        """:meth:`_margin_parts` at ``x``, computed once per store."""
+    def _margin_at(self, x: np.ndarray, memo: IterateMemo | None) -> tuple[np.ndarray, np.ndarray]:
+        """``(sig(-z), c)`` at ``x``, once per iterate, from the margins ``z =
+        y * (A^T w)`` and the branches ``hi, lo`` of one exp: ``c_s =
+        phi''(a_s^T w) = sig(z_s) sig(-z_s)`` is ``hi * lo`` whatever the
+        sign, with no ``1 - sig`` to cancel.  The matvec is always the full
+        one: over a subset of the samples it rounds differently."""
+        values = _values_at(x, memo)
         parts = values.get("margin")
         if parts is None:
-            parts = values["margin"] = self._margin_parts(x[self.p:])
+            z = self.y * (self.A.T @ x[self.p:])
+            hi, lo = _sigmoid_branches(z)
+            parts = values["margin"] = (np.where(z <= 0, hi, lo), hi * lo)
         return parts
-
-    def _curvature_at(self, x: np.ndarray, values: dict) -> np.ndarray:
-        """``c_s = phi''(a_s^T w) = sig(z_s) (1 - sig(z_s))``, once per store:
-        tail row s is a unit coordinate in its alpha part and ``c_s a_s`` in
-        its w part, of squared norm ``1 + c_s^2 ||a_s||^2``."""
-        c = values.get("curvature")
-        if c is None:
-            z, hi, lo = self._margin_at(x, values)
-            s = np.where(z >= 0, hi, lo)
-            c = values["curvature"] = s * (1.0 - s)
-        return c
 
     def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         p, d = self.p, self.d
-        z, hi, lo = self._margin_at(x, _values_at(x, memo))
+        sig_neg = self._margin_at(x, memo)[0]
         out = np.empty(self.m)
         np.subtract((self.A @ x[:p]) / (self.lam * p), x[p:], out=out[:d])
-        # phi'(t) = -y sigma(-y t); y is +-1, so |-y t| = |z| and -y t >= 0
-        # exactly where z <= 0: the branches of z, swapped
-        np.add(x[:p], self._neg_y * np.where(z <= 0, hi, lo), out=out[d:])
+        # phi'(t) = -y sigma(-y t), and -y t = -z since y is +-1
+        np.add(x[:p], self._neg_y * sig_neg, out=out[d:])
         return out
 
     def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
@@ -240,15 +225,12 @@ class GLMProblem(ProblemInstance):
         s = i - self.d
         grad = np.zeros(self.n)
         grad[s] = 1.0
-        grad[self.p:] = self._curvature_at(x, _values_at(x, memo))[s] * self._samples[s]
+        grad[self.p:] = self._margin_at(x, memo)[1][s] * self._samples[s]
         return grad
 
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        rows, top = _index_rows(rows, self.m)
-        if top < self.d:
-            # head rows only: constant, so a copy of them, whatever the iterate
-            return self._head_jac.take(rows, axis=0)
-        c = self._curvature_at(x, _values_at(x, memo))
+        rows = _index_rows(rows, self.m)
+        c = self._margin_at(x, memo)[1]
         J = np.zeros((rows.size, self.n))
         s = rows - self.d
         tail = s >= 0
@@ -263,18 +245,19 @@ class GLMProblem(ProblemInstance):
     def block_step(
         self, x: np.ndarray, rows, rhs: np.ndarray, memo: IterateMemo | None = None
     ) -> np.ndarray | None:
-        """The minimum-norm step ``J_S^+ rhs`` on the strictly increasing tail
-        rows ``S = rows`` (all ``>= d``) at ``x``, from their closed-form Gram
-        system, or None to leave the block to ``min_norm_least_squares``: a
-        block that holds a head row (``rows[0] < d``), or one the guard below
-        declines.
+        """The minimum-norm step ``J_S^+ rhs`` on the strictly increasing rows
+        ``S = rows`` at ``x``, from their closed-form Gram system, or None to
+        leave the block to ``min_norm_least_squares``: a block with both head
+        and tail rows, or one the guard below declines.
 
-        Tail row ``d + s`` is ``[e_s | c_s a_s]``, so ``J_S J_S^T = I_k + B B^T``
-        with ``B = diag(c_S) A_S^T`` (k x d), and the step is ``y`` on the
-        alpha entries ``S`` and ``B^T y`` on ``w``, zero elsewhere, with ``y =
-        (I_k + B B^T)^-1 rhs``.  For ``k >= d``, ``y`` comes from the d x d
-        system of the Woodbury identity, ``y = rhs - B (I_d + B^T B)^-1 B^T
-        rhs``.  No Jacobian block and no eigendecomposition is formed.
+        Each row is a unit coordinate plus a dense part, so ``J_S J_S^T = I_k
+        + B B^T`` with ``B`` (k x q) the block's dense parts, and the step is
+        ``+-y`` on the unit entries and ``B^T y`` on the dense ones, with ``y
+        = (I_k + B B^T)^-1 rhs``, or for ``k >= q`` the Woodbury form ``y =
+        rhs - B (I_q + B^T B)^-1 B^T rhs``.  Tail rows have ``B = diag(c_S)
+        A_S^T`` (q = d) and ``+y`` on alpha; head rows have the rows ``S`` of
+        ``A / (lam p)`` as ``B`` (q = p) and ``-y`` on w.  No Jacobian block
+        and no eigendecomposition is formed.
 
         Guard: the eigenvalues of ``J_S J_S^T`` lie in ``[1, 1 + ||B||_2^2]``,
         so ``1 + ||B||_F^2 <= 1 / GRAM_TAU`` certifies ``cond(J_S)^2 <= 1e6``,
@@ -285,38 +268,46 @@ class GLMProblem(ProblemInstance):
         and each rounding error of either form reaches the step through
         ``J_S^+``, of norm at most 1, or through ``J_S^T``, of norm at most
         ``(1 + ||B||_F^2)^(1/2)``; so the step's relative error is at most
-        about ``(k + d) eps (1 + ||B||_F^2)``, which the guard caps at ``(k +
-        d) eps / GRAM_TAU``.  Against ``numpy.linalg.lstsq`` it stayed within
-        about 4e-10 on random and adversarial blocks at the guard's edge.
+        about ``(k + q) eps (1 + ||B||_F^2)``, which the guard caps at ``(k +
+        q) eps / GRAM_TAU``.  Against ``numpy.linalg.lstsq`` it stayed within
+        about 4e-10 on random and adversarial tail blocks at the guard's edge.
         """
-        if rows[0] < self.d:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows[0] < 0 or rows[-1] >= self.m:
+            raise IndexError(f"block rows must lie in [0, {self.m})")
+        if not np.logical_and.reduce(rows[1:] > rows[:-1]):
+            raise ValueError("block rows must be strictly increasing")
+        tail = rows[0] >= self.d
+        if tail:
+            units = rows - self.d
+            B = self._margin_at(x, memo)[1].take(units)[:, None] * self._samples.take(units, axis=0)
+            dense = slice(self.p, None)
+        elif rows[-1] < self.d:
+            units = rows + self.p
+            B = self._head_jac[:, : self.p].take(rows, axis=0)
+            dense = slice(None, self.p)
+        else:
             return None
-        s = np.asarray(rows, dtype=np.intp) - self.d
-        if s[-1] >= self.p:
-            raise IndexError(f"tail rows must lie in [{self.d}, {self.m})")
-        if not np.logical_and.reduce(s[1:] > s[:-1]):
-            raise ValueError("tail rows must be strictly increasing")
-        B = self._curvature_at(x, _values_at(x, memo)).take(s)[:, None] * self._samples.take(s, axis=0)
         # written so that a NaN norm fails it too
         if not 1.0 + np.einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU:
             return None
-        k, d = B.shape
-        if k >= d:
+        k, q = B.shape
+        if k >= q:
             gram = B.T @ B
-            gram.flat[:: d + 1] += 1.0
+            gram.flat[:: q + 1] += 1.0
             y = rhs - B @ np.linalg.solve(gram, B.T @ rhs)
         else:
             gram = B @ B.T
             gram.flat[:: k + 1] += 1.0
             y = np.linalg.solve(gram, rhs)
         step = np.zeros(self.n)
-        step[s] = y
-        step[self.p:] = y @ B
+        step[units] = y if tail else -y
+        step[dense] = y @ B
         return step if np.logical_and.reduce(np.isfinite(step)) else None
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         # head norms are constant; tail norms come from the precomputed ||a_s||^2
-        c = self._curvature_at(x, _values_at(x, memo))
+        c = self._margin_at(x, memo)[1]
         out = np.empty(self.m)
         out[: self.d] = self._head_norms
         tail = np.multiply(c, c, out=out[self.d:])
@@ -432,7 +423,11 @@ def make_glm(dataset: Dataset, lam: float | None = None) -> GLMProblem:
     return GLMProblem(dataset.to_dense(), dataset.labels, lam)
 
 
-def _synthetic_samples(p: int, d: int, seed: int, flip_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+# the share of synthetic labels flipped against the separating w_true
+_FLIP_FRACTION = 0.05
+
+
+def _synthetic_samples(p: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """The d x p samples and -1/+1 labels: ``A``, ``w_true`` and the flips,
     drawn from one PCG64 stream in that order."""
     rng = seeded_rng(seed)
@@ -440,15 +435,15 @@ def _synthetic_samples(p: int, d: int, seed: int, flip_fraction: float) -> tuple
     w_true = rng.standard_normal(d)
     margins = A.T @ w_true
     labels = np.where(margins >= 0.0, 1.0, -1.0)
-    flips = rng.random(p) < flip_fraction
+    flips = rng.random(p) < _FLIP_FRACTION
     labels[flips] *= -1.0
     return A, labels
 
 
-def synthetic_dataset(p: int, d: int, seed: int, flip_fraction: float = 0.05) -> Dataset:
+def synthetic_dataset(p: int, d: int, seed: int) -> Dataset:
     """Gaussian samples with linearly separable labels plus a small flip
     fraction: solvable, nontrivial, and fully seeded."""
-    A, labels = _synthetic_samples(p, d, seed, flip_fraction)
+    A, labels = _synthetic_samples(p, d, seed)
     samples = tuple(
         tuple((j + 1, float(A[j, i])) for j in range(d))
         for i in range(p)
@@ -461,5 +456,5 @@ def make_synthetic_glm(p: int, d: int, seed: int, lam: float | None = None) -> G
     the per-entry tuples."""
     if p == 0:
         raise DimensionMismatch("dataset has no samples")
-    A, labels = _synthetic_samples(p, d, seed, 0.05)
+    A, labels = _synthetic_samples(p, d, seed)
     return GLMProblem(A, labels, 1.0 / p if lam is None else lam)

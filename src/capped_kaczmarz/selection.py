@@ -145,7 +145,8 @@ def _median(values: np.ndarray) -> float:
     any NaN sorts), then its mean of the middle values, which adds them to
     0.0 (so ``-0.0`` comes out ``0.0``), or NaN when a NaN is present."""
     half, odd = divmod(values.size, 2)
-    part = np.partition(values, [half, -1] if odd else [half - 1, half, -1])
+    part = values.copy()
+    part.partition([half, -1] if odd else [half - 1, half, -1])
     last = part.item(-1)
     if last != last:
         return last

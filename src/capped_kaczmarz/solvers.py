@@ -20,8 +20,8 @@ A block of one row is projected onto that row by ``kaczmarz_step``, which
 is the minimum-norm step there, with no Jacobian block and no least
 squares.  A block of two or more rows is first offered to the problem's
 ``block_step`` hook, which returns a closed-form step or None (the
-default; the GLM returns one for tail rows only, rows ``d:``, when its
-guard ``cond(J)^2 <= 1 / GRAM_TAU`` holds); a declined block goes to
+default; the GLM returns one for head rows only or tail rows only, when
+its guard ``cond(J)^2 <= 1 / GRAM_TAU`` holds); a declined block goes to
 ``min_norm_least_squares`` on the selected Jacobian rows only
 (``problem.jacobian(x, rows)``).  ``lo`` is 0
 except for the GLM hybrids, whose iteration first solves the affine head
@@ -139,7 +139,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
             # step; check_stop turns a non-finite residual into a breakdown
             r = problem.residual(x, memo)
             residual_sq = float(r @ r)
-        error_sq = float(np.sum((x - x_star) ** 2)) if x_star is not None else None
+        error_sq = float(np.add.reduce((x - x_star) ** 2)) if x_star is not None else None
         if iterates is not None:
             iterates.append(x.copy())
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -159,6 +160,34 @@ class TestRunBench:
             config = SolverConfig(method=method, seed=spec.seed, record_iterates=True)
             fresh = build_factor_report(problem, solve(problem, x0, config), eta, spec.threshold, method)
             assert payload["methods"][method.value] == json.loads(json.dumps(fresh.to_jsonable()))
+
+    def test_diagnostics_note_without_a_known_root(self, tmp_path):
+        spec = BenchSpec(
+            problem="glm:synthetic:20,3,1",
+            methods=(MethodKind.DR_CNK,),
+            runs=1,
+            seed=0,
+            out_dir=tmp_path,
+            diagnostics=True,
+        )
+        run_bench(spec)
+        payload = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert payload == {"note": "no known root; eta estimation skipped"}
+        assert (tmp_path / "summary.json").exists()
+
+    def test_diagnostics_record_a_failed_report_and_go_on(self, tmp_path, monkeypatch):
+        # an eta estimate of 0.6 is outside [0, 1/2): every report raises
+        # InvalidEta, which is written in the method's place
+        estimate = bench.estimate_eta
+        monkeypatch.setattr(bench, "estimate_eta", lambda *args: replace(estimate(*args), eta=0.6))
+        methods = (MethodKind.DR_CNK, MethodKind.DB_CNK)
+        spec = BenchSpec(problem="linear:12,6,3", methods=methods, runs=1, seed=4, out_dir=tmp_path, diagnostics=True)
+        run_bench(spec)
+        payload = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert payload["eta"] == 0.6
+        assert list(payload["methods"]) == ["dr-cnk", "db-cnk"]
+        for report in payload["methods"].values():
+            assert list(report) == ["error"] and "0.6" in report["error"]
 
 
 class TestEmitCsv:

@@ -2,11 +2,14 @@
 
 In numpy 2.x, ``ndarray.sum/prod/all/any`` and ``max/min(initial=...)``
 reach their ufunc through the Python wrappers in ``numpy/_core/_methods.py``,
-one more Python call per reduction, which the single-row iterations cannot
-hide behind flops.  The package calls ``np.add.reduce``, ``np.multiply.reduce``, ``np.logical_and.reduce``
-and the like instead, which are the calls those wrappers make, so the bits
-are the same.  The guard below fails if a wrapper is called from a package
-frame during a solve; numpy's own internals (``linalg``) may still use them.
+and the functions ``np.sum``, ``np.partition`` and the like through those in
+``numpy/_core/fromnumeric.py``: one more Python call per reduction, which the
+single-row iterations cannot hide behind flops.  The package calls
+``np.add.reduce``, ``np.multiply.reduce``, ``np.logical_and.reduce``,
+``ndarray.partition`` and the like instead, which are the calls those
+wrappers make, so the bits are the same.  The guard below fails if a
+wrapper in either file is called from a package frame during a solve;
+numpy's own internals (``linalg``) may still use them.
 The bit-identity tests pin the rewritten Brown kernels against the array
 method forms they replaced.
 """
@@ -24,21 +27,22 @@ from capped_kaczmarz.problems import BrownProblem, _leave_one_out_products
 from capped_kaczmarz.solvers import solve
 
 try:
-    from numpy._core import _methods
+    from numpy._core import _methods, fromnumeric
 except ImportError:  # numpy < 2
-    from numpy.core import _methods
+    from numpy.core import _methods, fromnumeric
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(capped_kaczmarz.__file__))
-METHODS_FILE = _methods.__file__
+WRAPPER_FILES = {_methods.__file__, fromnumeric.__file__}
 
 
 def wrapper_calls_from_package(run):
     """``run()``'s result, and ``(wrapper, caller, line)`` for every
-    ``_methods.py`` function that a package frame calls while it runs."""
+    ``_methods.py`` or ``fromnumeric.py`` function that a package frame calls
+    while it runs."""
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code.co_filename == METHODS_FILE:
+        if event == "call" and frame.f_code.co_filename in WRAPPER_FILES:
             caller = frame.f_back
             if caller is not None and os.path.dirname(os.path.abspath(caller.f_code.co_filename)) == PACKAGE_DIR:
                 calls.append((frame.f_code.co_name, caller.f_code.co_name, caller.f_lineno))
@@ -56,10 +60,20 @@ def test_the_guard_reports_a_wrapper_call_from_a_package_frame():
     # code compiled under a package file name runs in a frame the guard
     # counts as the package's; a call from this test module is not counted
     x = np.ones(3)
-    code = compile("x.sum()", os.path.join(PACKAGE_DIR, "solvers.py"), "eval")
-    _, calls = wrapper_calls_from_package(lambda: eval(code, {"x": x}))
-    assert [name for name, _, _ in calls] == ["_sum"]
-    assert wrapper_calls_from_package(lambda: x.sum()) == (3.0, [])
+    for expression, wrapper in (("x.sum()", "_sum"), ("np.sum(x)", "sum")):
+        code = compile(expression, os.path.join(PACKAGE_DIR, "solvers.py"), "eval")
+        _, calls = wrapper_calls_from_package(lambda: eval(code, {"np": np, "x": x}))
+        # a fromnumeric function's dispatcher is reported too
+        assert wrapper in [name for name, _, _ in calls], expression
+        assert wrapper_calls_from_package(lambda: eval(expression, {"np": np, "x": x})) == (3.0, [])
+
+
+def assert_no_wrapper_call(selector, method, **config):
+    problem, x0 = resolve_problem(selector)
+    config = SolverConfig(method=method, seed=0, max_iter=300, **config)
+    trace, calls = wrapper_calls_from_package(lambda: solve(problem, x0, config))
+    assert trace.total_iterations > 0
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -68,6 +82,8 @@ def test_the_guard_reports_a_wrapper_call_from_a_package_frame():
         ("brown:50", MethodKind.NRK),
         ("brown:50", MethodKind.DR_CNK),
         ("brown:50", MethodKind.RD_CNK),
+        # the distance rule's blow-up: the median path at every iteration
+        ("brown:20", MethodKind.DR_CNK),
         ("glm:synthetic:60,6,3", MethodKind.DB_CNK),
         ("glm:synthetic:60,6,3", MethodKind.RB_CNK),
         ("glm:synthetic:60,6,3", MethodKind.GLM_HYBRID_DB),
@@ -76,12 +92,11 @@ def test_the_guard_reports_a_wrapper_call_from_a_package_frame():
     ],
 )
 def test_no_numpy_method_wrapper_on_the_solve_path(selector, method):
-    problem, x0 = resolve_problem(selector)
-    trace, calls = wrapper_calls_from_package(
-        lambda: solve(problem, x0, SolverConfig(method=method, seed=0, max_iter=300))
-    )
-    assert trace.total_iterations > 0
-    assert calls == []
+    assert_no_wrapper_call(selector, method)
+
+
+def test_no_numpy_method_wrapper_when_the_error_is_recorded():
+    assert_no_wrapper_call("linear:300,40,2", MethodKind.DR_CNK, record_error=True)
 
 
 def two_cumprod_products(x: np.ndarray) -> np.ndarray:

@@ -167,8 +167,8 @@ class TestBrownLeaveOneOutReuse:
 )
 def test_glm_margin_is_computed_once_per_iterate(monkeypatch, method):
     glm = make_synthetic_glm(200, 10, 8)
-    counted = counting(glm._margin_parts)
-    monkeypatch.setattr(glm, "_margin_parts", counted)
+    counted = counting(problems_mod._sigmoid_branches)
+    monkeypatch.setattr(problems_mod, "_sigmoid_branches", counted)
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=6))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
     iterates = len(trace.records)

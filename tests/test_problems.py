@@ -299,6 +299,20 @@ def test_sigmoid_matches_masked_oracle_bit_for_bit():
     assert np.isnan(_sigmoid_branches(np.array([np.nan, -np.nan]))).all()
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is no wider than double")
+def test_glm_curvature_is_within_4_eps_of_a_long_double_oracle():
+    # one sample of the one feature 1: the w entry of tail row 1 is exactly
+    # c = sig(z) sig(-z) at z = w; sig(z) (1 - sig(z)) would cancel to
+    # thousands of eps near |z| = 10 and to 0 past |z| = 37
+    glm = GLMProblem(np.ones((1, 1)), np.array([1.0]), 1.0)
+    rng = seeded_rng(15)
+    z = np.concatenate((np.linspace(-40.0, 40.0, 8001), 80.0 * rng.random(4000) - 40.0))
+    c = np.array([glm.row_grad(1, np.array([0.0, w]))[1] for w in z])
+    e = np.exp(-np.abs(z.astype(np.longdouble)))
+    oracle = e / (1 + e) ** 2
+    assert np.abs((c - oracle) / oracle).max() <= 4 * np.finfo(float).eps
+
+
 def test_glm_row_grad_is_the_jacobian_row_bit_for_bit():
     # row_grad builds tail row s from the same curvature vector as jacobian,
     # with and without a memo, in either call order

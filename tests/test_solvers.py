@@ -349,6 +349,70 @@ class TestTailBlockStep:
                 glm.block_step(x, rows, np.ones(2))
 
 
+class TestHeadBlockStep:
+    """``GLMProblem.block_step`` on a block of GLM head rows: the same
+    closed form, with ``B`` the rows of ``A / (lam p)`` and ``-y`` on w."""
+
+    @pytest.mark.parametrize("selector", ["glm:synthetic:60,6,3", "glm:synthetic:200,10,8"])
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_replayed_head_steps_are_the_solve_steps(self, selector, method):
+        glm, x0 = resolve_problem(selector)
+        trace = solve(glm, x0, SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True))
+        replayed = 0
+        for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+            rows = np.array(rec.selected, dtype=np.intp)
+            if rows.size < 2 or rows[-1] >= glm.d:
+                continue
+            step = glm.block_step(x, rows, glm.residual(x)[rows])
+            assert step is not None, rec.k
+            assert x_next.tobytes() == (x - step).tobytes(), rec.k
+            replayed += 1
+        assert replayed > 0
+
+    # (4, 9, 2) has more features than samples, so k >= p = q takes the
+    # Woodbury form
+    @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8), (7, 3, 1), (4, 9, 2)])
+    def test_step_matches_the_lstsq_oracle(self, p, d, seed):
+        glm = make_synthetic_glm(p, d, seed)
+        rng = seeded_rng(43)
+        for scale in (1e-3, 1.0, 1e3):
+            x = scale * rng.standard_normal(glm.n)
+            r = glm.residual(x)
+            for _ in range(10):
+                rows = np.sort(rng.choice(glm.d, size=rng.integers(1, glm.d + 1), replace=False))
+                for rhs in (r[rows], scale * rng.standard_normal(rows.size)):
+                    step = glm.block_step(x, rows, rhs)
+                    assert step is not None, (scale, rows)
+                    oracle = np.linalg.lstsq(glm.jacobian(x, rows), rhs, rcond=None)[0]
+                    assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), (scale, rows)
+
+    def test_guard_leaves_a_large_head_block_to_least_squares(self):
+        # lam times 1e-3 scales the head's dense part by 1e3: 1 + ||B||_F^2
+        # is far above 1e6, and the tail rows are as before
+        base = make_synthetic_glm(60, 6, 3)
+        glm = GLMProblem(base.A, base.y, 1e-3 * base.lam)
+        x = seeded_rng(44).standard_normal(glm.n)
+        r = glm.residual(x)
+        head = glm.linear_head_jacobian()
+        for rows in (np.arange(glm.d), np.array([1, 4])):
+            assert glm.block_step(x, rows, r[rows]) is None
+            # the declined block's least-squares step, on the same bytes as
+            # a copy of those head rows
+            J = glm.jacobian(x, rows)
+            assert J.tobytes() == head[rows].tobytes()
+            step = min_norm_least_squares(J, r[rows])
+            assert step.tobytes() == min_norm_least_squares(head[rows], r[rows]).tobytes()
+
+    def test_rows_must_be_increasing_rows_of_the_system(self):
+        glm = make_synthetic_glm(60, 6, 3)
+        x = np.zeros(glm.n)
+        with pytest.raises(IndexError):
+            glm.block_step(x, [-1, 0], np.ones(2))
+        for rows in ([1, 0], [0, 0], [glm.d, glm.d - 1]):
+            with pytest.raises(ValueError):
+                glm.block_step(x, rows, np.ones(2))
+
+
 class LstsqBlockLinear(LinearProblem):
     """A linear problem whose ``block_step`` hook is numpy's ``lstsq`` step
     on the block's rows, so its steps differ in bits from the package's."""
@@ -424,13 +488,17 @@ class TestBlockStepHook:
                 solved = x - min_norm_least_squares(problem.jacobian(x, rows), problem.residual(x)[rows])
                 assert x_next.tobytes() == solved.tobytes(), rec.k
 
-    def test_glm_declines_blocks_with_a_head_row(self):
+    def test_glm_declines_blocks_with_both_row_kinds(self):
         glm = make_synthetic_glm(60, 6, 3)
         x = seeded_rng(7).standard_normal(glm.n)
         r = glm.residual(x)
-        for rows in ([glm.d - 1, glm.d], [0, 2, glm.d + 1, glm.m - 1], list(range(glm.d))):
+        for rows in ([glm.d - 1, glm.d], [0, 2, glm.d + 1, glm.m - 1]):
             assert glm.block_step(x, np.array(rows), r[rows]) is None, rows
-        assert glm.block_step(x, np.array([glm.d, glm.m - 1]), r[[glm.d, glm.m - 1]]) is not None
+        # a block of one kind, head rows or tail rows, is solved
+        for rows in (list(range(glm.d)), [glm.d, glm.m - 1]):
+            step = glm.block_step(x, np.array(rows), r[rows])
+            oracle = np.linalg.lstsq(glm.jacobian(x, rows), r[rows], rcond=None)[0]
+            assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), rows
 
 
 def brown_product_projection_floor(n):
