@@ -11,7 +11,7 @@ import enum
 import math
 import time
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -208,6 +208,25 @@ class IterationRecord:
     error_sq: float | None = None
 
 
+# the unsigned integer codes a trace column moves through, narrowest first
+_WIDER = {"B": "H", "H": "I", "I": "Q"}
+
+
+def _widened(column: array, values: Sequence[int]) -> array:
+    """``column``, or a copy of it in the narrowest wider code that holds
+    ``values``.  Raises ``OverflowError`` if no code holds them."""
+    code = column.typecode
+    while True:
+        try:
+            array(code, values)
+        except OverflowError:
+            if code not in _WIDER:
+                raise
+            code = _WIDER[code]
+        else:
+            return column if code == column.typecode else array(code, column)
+
+
 class TraceRecords(Sequence[IterationRecord]):
     """A solve's iteration records, stored as columns.
 
@@ -220,8 +239,19 @@ class TraceRecords(Sequence[IterationRecord]):
     The columns read directly as ``k`` (a range) and ``residual_sq``,
     ``elapsed``, ``set_size`` and ``error_sq`` (read-only memoryviews, in
     the view's order; ``error_sq`` is None unless the error is tracked).
-    A record takes 32 bytes (residual, time, set size and the end of its
-    rows), plus 8 per selected row and 8 for a tracked error.
+
+    The integer columns (set sizes, selected rows and where each record's
+    rows end) are unsigned and start at one byte (format ``B``).  The first
+    value that does not fit moves its column to the narrowest of ``H``,
+    ``I`` and ``Q`` that holds it, so ``set_size`` reads as an unsigned
+    memoryview of the narrowest width so far: convert it with ``.tolist()``
+    or ``np.asarray(column, dtype=np.int64)`` before arithmetic that can
+    exceed that width.  A single-row record of a problem under 256 rows
+    takes 20 bytes in a trace of 256 to 65535 records: 8 each for the
+    residual and the time, 1 for the set size, 1 for the row and 2 for the
+    end of its rows.  A tracked error adds 8.  A widening copies the
+    column, so a view taken before it keeps reading the old one, which
+    still holds the view's records.
     """
 
     __slots__ = ("_residual_sq", "_elapsed", "_set_size", "_rows", "_row_ends", "_error_sq", "_span")
@@ -229,23 +259,65 @@ class TraceRecords(Sequence[IterationRecord]):
     def __init__(self, track_error: bool = False):
         self._residual_sq = array("d")
         self._elapsed = array("d")
-        self._set_size = array("q")
-        self._rows = array("q")  # the selected rows of every record, end to end
-        self._row_ends = array("q")  # where each record's rows end in _rows
+        self._set_size = array("B")
+        self._rows = array("B")  # the selected rows of every record, end to end
+        self._row_ends = array("B")  # where each record's rows end in _rows
         self._error_sq = array("d") if track_error else None
         self._span: range | None = None  # a view's positions; None: every record
 
     def append(
-        self, residual_sq: float, selected: Iterable[int], set_size: int, elapsed: float, error_sq: float | None = None
+        self, residual_sq: float, selected: Sequence[int], set_size: int, elapsed: float, error_sq: float | None = None
     ) -> None:
-        """Add the next record; ``error_sq`` is required when tracked."""
-        self._residual_sq.append(residual_sq)
-        self._elapsed.append(elapsed)
-        self._set_size.append(set_size)
-        self._rows.extend(selected)
-        self._row_ends.append(len(self._rows))
-        if self._error_sq is not None:
-            self._error_sq.append(error_sq)
+        """Add the next record; ``error_sq`` is required when tracked.  A call
+        that raises leaves every column as it was.  A view, which shares the
+        store's columns until one widens, raises ``TypeError``."""
+        if self._span is not None:
+            raise TypeError("a view of a trace is read-only")
+        try:
+            self._residual_sq.append(residual_sq)
+            self._elapsed.append(elapsed)
+            if self._error_sq is not None:
+                self._error_sq.append(error_sq)
+            self._set_size.append(set_size)
+            self._rows.extend(selected)
+            # last: its length is the number of whole records
+            self._row_ends.append(len(self._rows))
+        except BaseException as error:
+            self._drop_partial_record()
+            if not isinstance(error, OverflowError) or not self._widen(selected, set_size):
+                raise
+            # the floats went in before the integer that overflowed, so the
+            # retry cannot fail on them
+            self.append(residual_sq, selected, set_size, elapsed, error_sq)
+
+    def _drop_partial_record(self) -> None:
+        """Cut every column back to the records that ``_row_ends`` counts."""
+        ends = self._row_ends
+        kept = len(ends)
+        for column, length in (
+            (self._residual_sq, kept),
+            (self._elapsed, kept),
+            (self._error_sq, kept),
+            (self._set_size, kept),
+            (self._rows, ends[-1] if kept else 0),
+        ):
+            # a column no longer than that is left alone: deleting even an
+            # empty slice fails while a memoryview of it is held
+            if column is not None and len(column) > length:
+                del column[length:]
+
+    def _widen(self, selected: Sequence[int], set_size: int) -> bool:
+        """Move each integer column that cannot hold this record's values to
+        the narrowest code that can; False if none had to move.  Raises
+        ``OverflowError``, changing nothing, if no code holds a value."""
+        old = (self._set_size, self._rows, self._row_ends)
+        new = (
+            _widened(self._set_size, (set_size,)),
+            _widened(self._rows, selected),
+            _widened(self._row_ends, (len(self._rows) + len(selected),)),
+        )
+        self._set_size, self._rows, self._row_ends = new
+        return any(column is not before for column, before in zip(new, old))
 
     @property
     def k(self) -> range:

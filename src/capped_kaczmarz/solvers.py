@@ -77,7 +77,7 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     ``ZeroGradient``, and so does a row whose scaled coefficient ``f_i /
     ||grad_i||`` overflows (``f_i = 1`` on the row ``[5e-324, 0]``), where
     the step would be infinite and its zero entries NaN."""
-    gsq = float(grad_i @ grad_i)
+    gsq = float(grad_i.dot(grad_i))
     f_i = float(f_i)
     if 1e-300 <= gsq < math.inf:
         coef = f_i / gsq
@@ -87,7 +87,7 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     if not 0.0 < scale < math.inf:
         raise ZeroGradient("row gradient is zero or not finite")
     unit = grad_i / scale
-    unit_norm = math.sqrt(float(unit @ unit))
+    unit_norm = math.sqrt(float(unit.dot(unit)))
     unit /= unit_norm
     coef = f_i / unit_norm / scale
     if not math.isfinite(coef):
@@ -138,7 +138,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
             # overflow here is an anticipated outcome of a wild projection
             # step; check_stop turns a non-finite residual into a breakdown
             r = problem.residual(x, memo)
-            residual_sq = float(r @ r)
+            residual_sq = float(r.dot(r))
         error_sq = float(np.add.reduce((x - x_star) ** 2)) if x_star is not None else None
         if iterates is not None:
             iterates.append(x.copy())

@@ -167,3 +167,158 @@ def test_a_record_costs_at_most_64_bytes():
         tracemalloc.stop()
     assert len(trace.records) > 4000
     assert peak <= 64 * len(trace.records)
+
+
+def traced_peak(build):
+    """``build()``'s result and the peak heap bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_single_row_record_costs_at_most_24_bytes():
+    # 8 each for the residual and the time, 1 for the set size, 1 for a row
+    # below 256 and 2 for the end of its rows once the trace passes 255
+    # records: 20 bytes, plus the arrays' growth margin of about 6%
+    problem, x0 = resolve_problem("brown:50")
+    config = SolverConfig(method=MethodKind.NRK, seed=0, clock=lambda: 0.0)
+    solve(problem, x0, config)  # first-call allocations stay out of the peak
+    trace, peak = traced_peak(lambda: solve(problem, x0, config))
+    assert len(trace.records) > 4000
+    assert peak <= 24 * len(trace.records)
+
+
+def test_a_nine_row_block_record_costs_at_most_34_bytes():
+    # 8 + 8 for the floats, 1 for the set size, 9 for the rows and 4 for the
+    # end of the rows past 65535 of them: 30 bytes
+    selections = [tuple((9 * k + j) % 200 for j in range(9)) for k in range(10_000)]
+
+    def build():
+        records = TraceRecords()
+        for selected in selections:
+            records.append(1.0, selected, 9, 2.0)
+        return records
+
+    records, peak = traced_peak(build)
+    assert len(records) == 10_000 and records[-1].selected == selections[-1]
+    assert peak <= 34 * len(records)
+
+
+def integer_codes(records):
+    return records._set_size.typecode, records._rows.typecode, records._row_ends.typecode
+
+
+def every_column(records):
+    """Each column's code and bytes, the rows and where they end included."""
+    names = ("_residual_sq", "_elapsed", "_error_sq", "_set_size", "_rows", "_row_ends")
+    return {name: (column.typecode, column.tobytes()) for name in names if (column := getattr(records, name)) is not None}
+
+
+class TestIntegerColumnWidth:
+    """The integer columns start at one byte and widen to the first code
+    that holds a value, reading back the same records."""
+
+    @pytest.mark.parametrize(
+        "value, code",
+        [(0, "B"), (255, "B"), (256, "H"), (65535, "H"), (65536, "I"), (2**32 - 1, "I"), (2**32, "Q"), (2**64 - 1, "Q")],
+    )
+    def test_a_set_size_and_a_row_take_the_narrowest_code(self, value, code):
+        records = filled_records(track_error=True)
+        records.append(1.0, (value,), value, 2.0, 3.0)
+        assert integer_codes(records) == (code, code, "B")
+        assert records.set_size.format == code
+        assert list(records) == [expected_record(k, True) for k in range(4)] + [
+            IterationRecord(4, 1.0, (value,), value, 2.0, 3.0)
+        ]
+
+    @pytest.mark.parametrize("count, code", [(255, "B"), (256, "H"), (65535, "H"), (65536, "I"), (70_000, "I")])
+    def test_the_row_ends_widen_on_their_own(self, count, code):
+        selected = tuple(k % 256 for k in range(count))
+        records = TraceRecords()
+        records.append(1.0, selected, 3, 2.0)
+        records.append(4.0, (), 0, 5.0)
+        assert integer_codes(records) == ("B", "B", code)
+        assert list(records) == [IterationRecord(0, 1.0, selected, 3, 2.0), IterationRecord(1, 4.0, (), 0, 5.0)]
+
+    def test_each_column_widens_only_as_far_as_it_must(self):
+        records = TraceRecords()
+        records.append(1.0, (300,), 1, 2.0)
+        assert integer_codes(records) == ("B", "H", "B")
+        records.append(1.0, (70_000,), 2**32, 2.0)
+        assert integer_codes(records) == ("Q", "I", "B")
+        assert records.set_size.tolist() == [1, 2**32]
+        assert [r.selected for r in records] == [(300,), (70_000,)]
+
+    def test_a_selection_whose_last_row_overflows_goes_in_once(self):
+        records = filled_records()
+        records.append(1.0, (1, 2, 300), 3, 2.0)
+        assert records._rows.tolist() == [7, 2, 5, 9, 1, 2, 300]
+        assert records._row_ends.tolist() == [1, 1, 4, 4, 7]
+        assert records[-1] == IterationRecord(4, 1.0, (1, 2, 300), 3, 2.0)
+
+    def test_a_view_taken_before_a_widening_reads_the_same_records(self):
+        records = filled_records(track_error=True)
+        view = records[1:]
+        before = list(view)
+        records.append(1.0, (70_000,), 2**40, 2.0, 3.0)
+        assert integer_codes(records) == ("Q", "I", "B")
+        assert list(view) == before == list(records[1:4])
+        assert view.set_size.tolist() == [3, 5, 7]
+
+
+class TestAppendIsAllOrNothing:
+    """A call that raises leaves every column, codes included, as it was,
+    and the store takes the next record as if the call never happened."""
+
+    @pytest.mark.parametrize(
+        "residual_sq, selected, set_size, elapsed, error_sq, error",
+        [
+            pytest.param(1.0, (3,), 1, 2.0, None, TypeError, id="tracked-error-missing"),
+            pytest.param(1.0, (3,), -1, 2.0, 3.0, OverflowError, id="negative-set-size"),
+            pytest.param(1.0, (3,), 2**64, 2.0, 3.0, OverflowError, id="set-size-past-Q"),
+            pytest.param(1.0, (3,), 1.5, 2.0, 3.0, TypeError, id="float-set-size"),
+            pytest.param(1.0, (3, 300, -1), 3, 2.0, 3.0, OverflowError, id="negative-row"),
+            pytest.param(1.0, (3, 300, 2**64), 3, 2.0, 3.0, OverflowError, id="row-past-Q"),
+            pytest.param(1.0, (3, 300, "4"), 3, 2.0, 3.0, TypeError, id="str-row"),
+            pytest.param("1.0", (3,), 1, 2.0, 3.0, TypeError, id="str-residual"),
+            pytest.param(1.0, (3,), 1, None, 3.0, TypeError, id="elapsed-missing"),
+            pytest.param(10**400, (3,), 1, 2.0, 3.0, OverflowError, id="residual-past-float"),
+            # the floats go in first, so this one fails before the row widens
+            pytest.param(1.0, (300,), 1, 2.0, None, TypeError, id="widening-row-then-error-missing"),
+        ],
+    )
+    @pytest.mark.parametrize("widened", [False, True], ids=["narrow", "widened"])
+    def test_a_bad_value_changes_nothing(self, residual_sq, selected, set_size, elapsed, error_sq, error, widened):
+        records = filled_records(track_error=True)
+        if widened:
+            records.append(0.0, (70_000,), 2**32, 0.0, 0.0)
+        before = every_column(records)
+        expected = list(records)
+        with pytest.raises(error):
+            records.append(residual_sq, selected, set_size, elapsed, error_sq)
+        assert every_column(records) == before
+        assert list(records) == expected and len(records) == len(expected)
+        records.append(1.0, (3,), 1, 2.0, 3.0)
+        assert records[-1] == IterationRecord(len(expected), 1.0, (3,), 1, 2.0, 3.0)
+
+    @pytest.mark.parametrize("selected", [(3,), (300,)], ids=["narrow-row", "widening-row"])
+    def test_a_view_takes_no_record(self, selected):
+        records = filled_records()
+        before = every_column(records)
+        with pytest.raises(TypeError):
+            records[:2].append(1.0, selected, 1, 2.0)
+        assert every_column(records) == before and len(records) == 4
+
+    def test_a_held_column_blocks_the_append_and_changes_nothing(self):
+        records = filled_records(track_error=True)
+        before = every_column(records)
+        held = records.error_sq  # an exported buffer pins the array's size
+        with pytest.raises(BufferError):
+            records.append(1.0, (3,), 1, 2.0, 3.0)
+        assert every_column(records) == before
+        del held
+        records.append(1.0, (3,), 1, 2.0, 3.0)
+        assert len(records) == 5

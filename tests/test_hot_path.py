@@ -11,7 +11,9 @@ wrappers make, so the bits are the same.  The guard below fails if a
 wrapper in either file is called from a package frame during a solve;
 numpy's own internals (``linalg``) may still use them.
 The bit-identity tests pin the rewritten Brown kernels against the array
-method forms they replaced.
+method forms they replaced, and ``ndarray.dot``, which the per-iteration
+vector dots call in place of ``@`` to skip the matmul ufunc's dispatch,
+against ``@``.
 """
 
 import os
@@ -146,3 +148,33 @@ def test_brown_residual_matches_the_array_method_form(n):
             expected = x + (x.sum() - (n + 1.0))
             expected[n - 1] = x.prod() - 1.0
             assert np.array_equal(problem.residual(x).view(np.int64), expected.view(np.int64))
+
+
+def dot_vectors(n: int) -> list[np.ndarray]:
+    """Gaussian vectors, contiguous, strided and a matrix column, and ones
+    whose entries are subnormal, whose squares underflow or whose squares
+    overflow.
+
+    None has a negative stride: ``ndarray.dot`` copies such an operand and
+    sums the copy through BLAS, as it sums a contiguous vector, where ``@``
+    sums it in order, so there the last bits can differ from ``@`` (and
+    match the contiguous copy's).  The package's problems hand the solve
+    none, unless a ``LinearProblem`` is built on a column-reversed matrix."""
+    rng = np.random.Generator(np.random.PCG64(1000 + n))
+    wide = rng.standard_normal(3 * n)
+    column = rng.standard_normal((n, 5))[:, 2]
+    subnormal = rng.standard_normal(n) * 5e-320
+    tiny = rng.standard_normal(n) * 1e-160
+    huge = rng.standard_normal(n) * 1e160
+    mixed = rng.standard_normal(n)
+    mixed[::3] *= 1e200
+    return [wide[:n], wide[::3], wide[1::3], column, subnormal, tiny, huge, mixed]
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 200, 2001])
+def test_ndarray_dot_matches_matmul_bit_for_bit(n):
+    vectors = dot_vectors(n)
+    with np.errstate(all="ignore"):
+        for a in vectors:
+            for b in (a, vectors[1], vectors[-1]):
+                assert np.float64(a.dot(b)).view(np.int64) == np.float64(a @ b).view(np.int64)
