@@ -378,5 +378,9 @@ class SolveTrace:
     records: TraceRecords
     status: SolveStatus
     final_x: np.ndarray
-    total_iterations: int
     iterates: list[np.ndarray] | None = None
+
+    @property
+    def total_iterations(self) -> int:
+        """Iterations taken: one record per iterate, from k = 0."""
+        return len(self.records) - 1

@@ -4,22 +4,20 @@ Everything here is a thin, contract-checked wrapper around numpy's LAPACK
 bindings plus the one PRNG identity the whole package commits to (PCG64),
 so that solver traces are reproducible bit-for-bit given a seed.
 
-The GLM hybrids' head solve, and every block projection of two or more
-rows that the problem's ``block_step`` hook declines, goes through
-:func:`min_norm_least_squares`.  A one-row block is the single-row
-projection of ``solvers.kaczmarz_step``.  The hook declines every block by
-default; ``GLMProblem.block_step`` solves a block of head rows only or of
-tail rows only in closed form, behind a guard on this module's ``GRAM_TAU``.
-:func:`min_norm_least_squares` has two paths behind one name:
+Every block projection of two or more rows that the problem's
+``block_step`` hook declines goes through :func:`min_norm_least_squares`,
+a GLM hybrid's head block among them.  A one-row block is the
+single-row projection of ``solvers.kaczmarz_step``.  The hook declines
+every block by default; ``GLMProblem.block_step`` solves a block of head
+rows only or of tail rows only in closed form, behind a guard on this
+module's ``GRAM_TAU``.  :func:`min_norm_least_squares` has two paths behind
+one name:
 
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k
   Gram matrix ``G = J J^T`` when one ``eigh``, ``G = V diag(lam) V^T``,
   certifies it well conditioned, ``lam_min > GRAM_TAU * lam_max``, with
   normal-float eigenvalues (:func:`gram_factor`, the one home of this
-  guard); the step is ``J^T V diag(1/lam) V^T rhs``, kept only if finite.
-  A constant block (the GLM head) is factored once and its factor passed in,
-  or :data:`GRAM_REJECTED` when it failed the guard, so it goes straight to
-  ``gelsd`` without another ``eigh``;
+  guard); the step is ``J^T V diag(1/lam) V^T rhs``, kept only if finite;
 * every other block (square or tall, ill-conditioned, rank-deficient, out
   of that floating-point range, or one whose eigensolver fails) goes to
   ``numpy.linalg.lstsq`` (LAPACK ``gelsd``), and its step is bit for bit
@@ -58,9 +56,6 @@ GRAM_TAU = 1e-6
 # a Gram path eigenvalue must also be a normal float: below that, the
 # products forming G round to absolute, not relative, error
 _TINY = np.finfo(float).tiny
-# the factor argument of a block known to fail the Gram guard; None means
-# "not given", so the block is factored on the call
-GRAM_REJECTED = ()
 
 
 def row_sq_norms(J: np.ndarray) -> np.ndarray:
@@ -83,14 +78,13 @@ def gram_factor(J: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return (lam, V) if _TINY <= lam[0] and GRAM_TAU * lam[-1] < lam[0] else None
 
 
-def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray, factor: tuple | None = None) -> np.ndarray:
+def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-2-norm minimizer of ``||J d - rhs||_2``.
 
-    With a Gram factor (``factor`` must be ``gram_factor(J)``, or
-    :data:`GRAM_REJECTED` where that is None; without it ``J`` is factored
-    here) the result is ``J^T V diag(1/lam) V^T rhs`` if
-    finite, with a relative error of at most about ``cond(J)^2 (n + k) k
-    eps`` (see the module docstring).  Every other block, including any
+    On a block with a Gram factor (``gram_factor(J)`` is not None) the
+    result is ``J^T V diag(1/lam) V^T rhs`` if finite, with a relative
+    error of at most about ``cond(J)^2 (n + k) k eps`` (see the module
+    docstring).  Every other block, including any
     that is rank-deficient, gets the pseudoinverse action of
     ``numpy.linalg.lstsq`` bit for bit, with the standard rank cutoff
     ``max(rows, cols) * eps`` relative to the largest singular value.
@@ -105,9 +99,8 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray, factor: tuple | None 
         )
     if not (np.logical_and.reduce(np.isfinite(J), axis=None) and np.logical_and.reduce(np.isfinite(rhs))):
         raise FactorizationFailure("non-finite entries in least-squares input")
-    if factor is None:
-        factor = gram_factor(J)
-    if factor:
+    factor = gram_factor(J)
+    if factor is not None:
         lam, V = factor
         delta = J.T @ (V @ ((V.T @ rhs) / lam))
         if np.logical_and.reduce(np.isfinite(delta)):

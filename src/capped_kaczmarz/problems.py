@@ -3,7 +3,9 @@
 * Brown almost linear function: n-1 affine rows plus one product row, root
   at the all-ones vector.
 * Regularized logistic regression recast as a square root-finding problem
-  in the stacked unknown ``x = [alpha; w]``.
+  in the stacked unknown ``x = [alpha; w]``, with a closed-form minimum-norm
+  step on a block of head rows or of tail rows (``block_step``), which also
+  takes the hybrids' head solve.
 * A linear-system adapter ``f(x) = Ax - b``.
 * A line-oriented sparse ``label index:value`` dataset parser.
 """
@@ -18,7 +20,7 @@ import numpy as np
 
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
-from .numerics import GRAM_REJECTED, GRAM_TAU, gram_factor, seeded_rng
+from .numerics import GRAM_TAU, seeded_rng
 
 
 def _values_at(x: np.ndarray, memo: IterateMemo | None) -> dict:
@@ -155,10 +157,10 @@ class GLMProblem(ProblemInstance):
 
     Every evaluation at an iterate starts from one full matvec ``A^T w`` and
     one exp (:meth:`_margin_at`); with a memo, the residual, the row norms,
-    the Jacobian rows and the block steps at one iterate share them.  The
-    constant head is Gram-factored once, here, for the hybrids, and
+    the Jacobian rows and the block steps at one iterate share them.
     :meth:`block_step` solves a block of head rows or of tail rows in closed
-    form, with no Jacobian rows.
+    form, with no Jacobian rows; the hybrids' head solve is its block of all
+    d head rows.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float):
@@ -185,11 +187,6 @@ class GLMProblem(ProblemInstance):
         head[np.arange(d), p + np.arange(d)] = -1.0
         self._head_jac = head
         self._head_norms = np.einsum("ij,ij->i", head, head)
-        # read-only; GRAM_REJECTED when the head leaves the Gram path (a
-        # collinear libsvm head), so no hybrid iteration factors it again
-        self.head_factor = gram_factor(head) or GRAM_REJECTED
-        for array in self.head_factor:
-            array.flags.writeable = False
         self._samples = np.ascontiguousarray(A.T)  # sample s as a contiguous row
         self._sample_sq_norms = np.einsum("ij,ij->i", self._samples, self._samples)
         self._neg_y = -y
@@ -314,10 +311,6 @@ class GLMProblem(ProblemInstance):
         tail *= self._sample_sq_norms
         tail += 1.0
         return out
-
-    def linear_head_jacobian(self) -> np.ndarray:
-        """Constant Jacobian of the first d (affine) rows."""
-        return self._head_jac
 
 
 @dataclass(frozen=True)

@@ -18,16 +18,15 @@ Every greedy method selects at one site, over
 (``kaczmarz_step``) or takes one minimum-norm step on the selected rows.
 A block of one row is projected onto that row by ``kaczmarz_step``, which
 is the minimum-norm step there, with no Jacobian block and no least
-squares.  A block of two or more rows is first offered to the problem's
-``block_step`` hook, which returns a closed-form step or None (the
-default; the GLM returns one for head rows only or tail rows only, when
-its guard ``cond(J)^2 <= 1 / GRAM_TAU`` holds); a declined block goes to
-``min_norm_least_squares`` on the selected Jacobian rows only
-(``problem.jacobian(x, rows)``).  ``lo`` is 0
-except for the GLM hybrids, whose iteration first solves the affine head
-rows exactly (reusing the residual at ``x`` and the head's Gram factor)
-and then takes that block step on the tail rows ``d:`` at the post-head
-iterate.
+squares.  Every block of two or more rows takes one ``block_projection``:
+it is first offered to the problem's ``block_step`` hook, which returns a
+closed-form step or None (the default; the GLM returns one for head rows
+only or tail rows only, when its guard ``cond(J)^2 <= 1 / GRAM_TAU``
+holds), and a declined block goes to ``min_norm_least_squares`` on the
+selected Jacobian rows only (``problem.jacobian(x, rows)``).  ``lo`` is 0
+except for the GLM hybrids, whose iteration first projects onto the affine
+head rows ``:d`` (``hybrid_linear_substep``, the same block projection)
+and then onto the selected tail rows ``d:`` at the post-head iterate.
 """
 
 from __future__ import annotations
@@ -73,7 +72,8 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     coefficient overflows, the same step is taken as ``(f_i / ||grad_i||)``
     along the unit row, with the norm taken after scaling by
     ``max_j |grad_ij|``; every other step keeps the bits of the product
-    above.  A row whose ``max_j |grad_ij|`` is 0 or not finite raises
+    above.  A zero row whose equation holds (``f_i == 0``) takes a zero
+    step.  Any other row whose ``max_j |grad_ij|`` is 0 or not finite raises
     ``ZeroGradient``, and so does a row whose scaled coefficient ``f_i /
     ||grad_i||`` overflows (``f_i = 1`` on the row ``[5e-324, 0]``), where
     the step would be infinite and its zero entries NaN."""
@@ -85,6 +85,8 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
             return x - coef * grad_i
     scale = float(np.abs(grad_i).max())
     if not 0.0 < scale < math.inf:
+        if scale == 0.0 and f_i == 0.0:
+            return x.copy()
         raise ZeroGradient("row gradient is zero or not finite")
     unit = grad_i / scale
     unit_norm = math.sqrt(float(unit.dot(unit)))
@@ -153,7 +155,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                 # breakdown in either sub-step leaves x at the pre-head iterate
                 x_at, r_at = x, r
                 if hybrid:
-                    x_at = hybrid_linear_substep(problem, x, r)
+                    x_at = hybrid_linear_substep(problem, x, r, memo)
                     r_at = problem.residual(x_at, memo)
                 if method is MethodKind.NK:
                     i, size = k % m, 1
@@ -184,13 +186,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                     # the geometry's arrays are freed before the step
                     del g
                 if by_block and size > 1:
-                    # the problem's closed form for the sorted rows, if it
-                    # has one, else least squares on those Jacobian rows
-                    rhs = r_at[rows]
-                    step = problem.block_step(x_at, rows, rhs, memo)
-                    if step is None:
-                        step = min_norm_least_squares(problem.jacobian(x_at, rows, memo), rhs)
-                    x = x_at - step
+                    x = block_projection(problem, x_at, rows, r_at[rows], memo)
                     selected, set_size = rows.tolist(), size
                 elif size:
                     x = kaczmarz_step(x_at, r_at[i], problem.row_grad(i, x_at, memo))
@@ -203,18 +199,25 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
             break
         k += 1
 
-    return SolveTrace(
-        records=records,
-        status=status,
-        final_x=x,
-        total_iterations=len(records) - 1,
-        iterates=iterates,
-    )
+    return SolveTrace(records=records, status=status, final_x=x, iterates=iterates)
 
 
-def hybrid_linear_substep(glm: GLMProblem, x: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Minimum-norm solve of the affine head rows, given the residual ``r``
-    at ``x``.  The head Jacobian has full row rank (identity block on w), so
-    those rows are annihilated exactly by one projection, through the
-    head's Gram factor that the problem computed once."""
-    return x - min_norm_least_squares(glm.linear_head_jacobian(), r[: glm.d], glm.head_factor)
+def block_projection(
+    problem: ProblemInstance, x: np.ndarray, rows: np.ndarray, rhs: np.ndarray, memo: IterateMemo | None
+) -> np.ndarray:
+    """``x`` less the minimum-norm step ``J_rows^+ rhs``: the problem's
+    closed form for the sorted ``rows`` if it has one, else least squares on
+    those Jacobian rows."""
+    step = problem.block_step(x, rows, rhs, memo)
+    if step is None:
+        step = min_norm_least_squares(problem.jacobian(x, rows, memo), rhs)
+    return x - step
+
+
+def hybrid_linear_substep(
+    glm: GLMProblem, x: np.ndarray, r: np.ndarray, memo: IterateMemo | None = None
+) -> np.ndarray:
+    """The block projection onto the affine head rows, given the residual
+    ``r`` at ``x``.  The head Jacobian has full row rank (identity block on
+    w), so one projection annihilates those rows."""
+    return block_projection(glm, x, np.arange(glm.d), r[: glm.d], memo)

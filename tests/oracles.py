@@ -2,7 +2,8 @@
 
 ``block_step`` is the block projection written out from its definition,
 with numpy's own ``lstsq`` (not the package's least-squares kernel), against
-which the capped block methods are compared; ``serialize_libsvm``
+which the capped block methods are compared; ``glm_head`` is the GLM's
+constant head Jacobian written out from its definition; ``serialize_libsvm``
 writes a dataset back out so the parser can be checked by a round trip;
 ``masked_stable_sigmoid`` is the two-branch sigmoid the package's mask-free
 one must equal bit for bit.
@@ -14,7 +15,7 @@ import numpy as np
 
 from capped_kaczmarz.core import ProblemInstance
 from capped_kaczmarz.errors import EmptySet
-from capped_kaczmarz.problems import Dataset
+from capped_kaczmarz.problems import Dataset, GLMProblem
 
 
 def block_step(x: np.ndarray, tau, problem: ProblemInstance) -> np.ndarray:
@@ -27,6 +28,14 @@ def block_step(x: np.ndarray, tau, problem: ProblemInstance) -> np.ndarray:
     r = problem.residual(x)
     J = problem.jacobian(x)
     return x - np.linalg.lstsq(J[tau], r[tau], rcond=None)[0]
+
+
+def glm_head(glm: GLMProblem) -> np.ndarray:
+    """The d affine head rows' Jacobian ``[A / (lam p) | -I_d]``."""
+    head = np.zeros((glm.d, glm.n))
+    head[:, : glm.p] = glm.A / (glm.lam * glm.p)
+    head[np.arange(glm.d), glm.p + np.arange(glm.d)] = -1.0
+    return head
 
 
 def masked_stable_sigmoid(z: np.ndarray) -> np.ndarray:

@@ -70,23 +70,23 @@ def test_spans_are_entered(tracing, method, build, spans):
     lstsq_parents = []
     with tracing.instrumented(tracer, [problem]):
         # both least-squares paths sit behind the one traced name; log the
-        # span each call is made from (the hybrid head, or the loop itself)
+        # span each call is made from (a declined hybrid head, or the loop)
         traced = solvers_mod.min_norm_least_squares
 
-        def logged(J, rhs, factor=None):
+        def logged(J, rhs):
             lstsq_parents.append(tracer.parent())
-            return traced(J, rhs, factor)
+            return traced(J, rhs)
 
         solvers_mod.min_norm_least_squares = logged
         trace = solve(problem, x0, SolverConfig(method=method, seed=1, max_iter=3))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
-    # a GLM block of tail rows only takes its closed-form step, with no
-    # Jacobian block and no least squares; every other block of two or more
-    # rows goes to both
+    # a GLM block of tail rows only, and a hybrid's head block, takes its
+    # closed-form step, with no Jacobian block and no least squares; every
+    # other block of two or more rows goes to both
     tail_from = problem.d if isinstance(problem, GLMProblem) else problem.m
     generic = [len(rec.selected) > 1 and min(rec.selected) < tail_from for rec in trace.records[:-1]]
     if not any(generic):
-        spans = spans - {"problems.jacobian"} - (set() if method in HYBRID_KINDS else {"numerics.lstsq"})
+        spans = spans - {"problems.jacobian", "numerics.lstsq"}
     calls = {name: entry["calls"] for name, entry in tracer.totals().items() if name != "counts"}
     missing = sorted(name for name in spans if not calls.get(name))
     assert not missing, f"{method.value}: spans never entered: {missing}"
@@ -100,13 +100,11 @@ def test_spans_are_entered(tracing, method, build, spans):
     # iterate in each iteration, after the head step
     expected = len(trace.records) + (trace.total_iterations if method in HYBRID_KINDS else 0)
     assert calls["problems.residual"] == expected
-    # least squares: once per block iteration that goes to it, and the head
-    # then such a tail per hybrid iteration; a one-row block is the
-    # projection onto that row, one step call
+    # least squares: once per block iteration that goes to it, from the
+    # loop; a one-row block is the projection onto that row, one step call
     if method in BLOCK_KINDS | HYBRID_KINDS:
         sizes = [rec.set_size for rec in trace.records[:-1]]
-        head = ["solvers.hybrid_head"] if method in HYBRID_KINDS else []
-        assert lstsq_parents == [parent for block in generic for parent in head + [None] * block]
+        assert lstsq_parents == [None] * sum(generic)
         assert calls.get("numerics.lstsq", 0) == len(lstsq_parents)
         assert calls.get("problems.jacobian", 0) == sum(generic)
         assert calls.get("solvers.step", 0) == sizes.count(1)

@@ -6,10 +6,11 @@ import pytest
 import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import FactorizationFailure
-from capped_kaczmarz.numerics import min_norm_least_squares
+from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
 from capped_kaczmarz.problems import GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
 from capped_kaczmarz.selection import RowGeometry, SelectionKind
 from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, kaczmarz_step, solve
+from oracles import glm_head
 
 
 def newton_root(glm, x0, iterations=60):
@@ -103,9 +104,9 @@ def test_records_replay_head_solve_and_tail_block(small_glm, method):
 
 
 @pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
-def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
-    # the head's factor is computed when the problem is built; an iteration
-    # factors its tail block only when the closed-form step declines it
+def test_hybrid_iterations_take_closed_form_blocks_only(monkeypatch, method):
+    # the head and every tail block of two or more rows go to the problem's
+    # closed-form block step; none is factored or left to least squares
     glm = make_synthetic_glm(200, 10, 8)
     calls = []
     eigh = np.linalg.eigh
@@ -119,22 +120,36 @@ def test_one_eigh_per_hybrid_iteration(monkeypatch, method):
 
     def logged(x, rows, rhs, memo=None):
         step = closed_form(x, rows, rhs, memo)
-        structured.append((len(rows), step is not None))
+        structured.append(("head" if rows[0] < glm.d else "tail", len(rows), step is not None))
         return step
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
     glm.block_step = logged
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=7))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
-    # every tail block of two or more rows, rb-cnk's all-row set at the zero
-    # start too, takes the closed-form step, with no k x k eigh and no
-    # gelsd; a one-row block is projected onto its row
+    # each iteration is the head block, then its tail block when it has two
+    # or more rows, rb-cnk's all-row set at the zero start too; a one-row
+    # block is projected onto its row
     sizes = [rec.set_size for rec in trace.records[:-1]]
-    assert structured == [(k, True) for k in sizes if k >= 2]
+    head = [("head", glm.d, True)]
+    assert structured == [block for k in sizes for block in head + [("tail", k, True)] * (k >= 2)]
     assert calls == []
     if method is MethodKind.GLM_HYBRID_DB:
         # iteration 1's tail set is one row
-        assert sizes.count(1) == 1 and len(structured) == trace.total_iterations - 1 == 6
+        assert sizes.count(1) == 1 and len(structured) == 2 * trace.total_iterations - 1 == 13
+
+
+@pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8)])
+def test_head_step_matches_the_lstsq_oracle(p, d, seed):
+    glm = make_synthetic_glm(p, d, seed)
+    head = glm_head(glm)
+    rng = seeded_rng(seed)
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * rng.standard_normal(glm.n)
+        r = glm.residual(x)
+        oracle = np.linalg.lstsq(head, r[:d], rcond=None)[0]
+        step = x - hybrid_linear_substep(glm, x, r)
+        assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), scale
 
 
 def test_solve_dispatches_hybrid_kinds(small_glm):
@@ -166,10 +181,9 @@ def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, m
         if len(tail_steps) == 2:
             raise FactorizationFailure("tail step")
 
-    def failing_block(J, r, factor=None):
-        if factor is None:
-            count_tail_step("block")
-        return min_norm_least_squares(J, r, factor)
+    def failing_block(J, r):
+        count_tail_step("block")
+        return min_norm_least_squares(J, r)
 
     def failing_row(x, f_i, grad_i):
         count_tail_step("row")
@@ -178,7 +192,9 @@ def test_failed_tail_block_leaves_the_pre_head_iterate(monkeypatch, small_glm, m
     closed_form = GLMProblem.block_step
 
     def failing_structured(glm, x, rows, rhs, memo=None):
-        count_tail_step("structured")
+        # the head block goes through the same hook; only tail blocks count
+        if rows[0] >= glm.d:
+            count_tail_step("structured")
         return closed_form(glm, x, rows, rhs, memo)
 
     monkeypatch.setattr(solvers_mod, "min_norm_least_squares", failing_block)
@@ -205,7 +221,7 @@ def test_exactly_solved_tail_takes_the_head_step_alone(monkeypatch, small_glm, m
         lstsq_calls.append(args)
         return min_norm_least_squares(*args)
 
-    monkeypatch.setattr(solvers_mod, "hybrid_linear_substep", lambda problem, x, r: tail_root.copy())
+    monkeypatch.setattr(solvers_mod, "hybrid_linear_substep", lambda problem, x, r, memo: tail_root.copy())
     monkeypatch.setattr(solvers_mod, "min_norm_least_squares", counted)
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=3))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED

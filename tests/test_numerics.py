@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from capped_kaczmarz.core import MethodKind, SolverConfig, SolveStatus
 from capped_kaczmarz.errors import AllWeightsZero, FactorizationFailure
 from capped_kaczmarz.numerics import (
-    GRAM_REJECTED,
     draw_weighted_index,
     gram_factor,
     min_norm_least_squares,
@@ -16,6 +15,7 @@ from capped_kaczmarz.numerics import (
 )
 from capped_kaczmarz.problems import GLMProblem, make_synthetic_glm
 from capped_kaczmarz.solvers import hybrid_linear_substep, solve
+from oracles import glm_head
 
 
 def svd_pinv_solve(J, rhs):
@@ -138,7 +138,8 @@ class TestLeastSquaresRouting:
         x = trace.iterates[20]
         rows = np.array(trace.records[20].selected)
         r = glm.residual(x)
-        blocks = {"tail": (glm.jacobian(x, rows), r[rows]), "head": (glm.linear_head_jacobian(), r[: glm.d])}
+        head = np.arange(glm.d)
+        blocks = {"tail": (glm.jacobian(x, rows), r[rows]), "head": (glm.jacobian(x, head), r[head])}
         for name, (J, rhs) in blocks.items():
             assert 2 * J.shape[0] <= J.shape[1], name
             delta = min_norm_least_squares(J, rhs)
@@ -153,20 +154,22 @@ class TestLeastSquaresRouting:
         p, d = 500, 20
         A = 1e3 * (rng.standard_normal(p) + 1e-5 * rng.standard_normal((d, p)))
         glm = GLMProblem(A, np.where(rng.random(p) < 0.5, -1.0, 1.0), 1.0 / p)
-        H = glm.linear_head_jacobian()
+        H = glm_head(glm)
         lam = np.linalg.eigvalsh(H @ H.T)
         assert lam[-1] / lam[0] > 1e9
-        assert gram_factor(H) is None and glm.head_factor is GRAM_REJECTED
+        assert gram_factor(H) is None
         x = rng.standard_normal(glm.n)
-        rhs = glm.residual(x)[:d]
+        r = glm.residual(x)
+        rhs = r[:d]
+        # the closed-form head step declines it, so the hybrid's head step
+        # is gelsd's, bit for bit
+        assert glm.block_step(x, np.arange(d), rhs) is None
         assert min_norm_least_squares(H, rhs).tobytes() == lstsq_bytes(H, rhs)
-        # so the head residual after the linear sub-step is what lstsq reaches
-        reached = glm.residual(x - np.linalg.lstsq(H, rhs, rcond=None)[0])[:d]
-        assert glm.residual(hybrid_linear_substep(glm, x, glm.residual(x)))[:d].tobytes() == reached.tobytes()
-        assert min_norm_least_squares(H, rhs, GRAM_REJECTED).tobytes() == lstsq_bytes(H, rhs)
-        # the rejection is remembered: a hybrid solve never factors the head
-        # again, and every tail block here takes its closed-form step, so no
-        # iteration calls eigh
+        lstsq_step = np.linalg.lstsq(H, rhs, rcond=None)[0]
+        assert hybrid_linear_substep(glm, x, r).tobytes() == (x - lstsq_step).tobytes()
+        # in a hybrid solve each iteration checks the declined head again,
+        # one d x d eigh before gelsd, and every tail block here takes its
+        # closed-form step with no eigh
         calls = []
         eigh = np.linalg.eigh
 
@@ -186,24 +189,8 @@ class TestLeastSquaresRouting:
         glm.block_step = logged
         trace = solve(glm, x, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
         assert trace.status is SolveStatus.ITERATION_CAP_REACHED
-        assert declined == [False] * 5
-        assert calls == []
-
-    @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8)])
-    def test_a_given_head_factor_gives_the_same_bytes(self, p, d, seed):
-        glm = make_synthetic_glm(p, d, seed)
-        H = glm.linear_head_jacobian()
-        factor = gram_factor(H)
-        assert factor is not None
-        # the problem's own factor, computed once, is the same and read-only
-        for mine, fresh in zip(glm.head_factor, factor):
-            assert mine.tobytes() == fresh.tobytes() and not mine.flags.writeable
-        rng = seeded_rng(seed)
-        for scale in (1e-3, 1.0, 1e3):
-            rhs = scale * rng.standard_normal(d)
-            want = min_norm_least_squares(H, rhs).tobytes()
-            assert min_norm_least_squares(H, rhs, factor).tobytes() == want
-            assert min_norm_least_squares(H, rhs, glm.head_factor).tobytes() == want
+        assert declined == [True, False] * 5
+        assert calls == [(d, d)] * 5
 
     # derandomized, and no zeroed rows: on one square block with a zeroed
     # row in 30000 draws, gelsd computed the zero singular value as 7e-15,

@@ -34,7 +34,7 @@ from capped_kaczmarz.selection import (
     compute_epsilon,
 )
 from capped_kaczmarz.solvers import hybrid_linear_substep, kaczmarz_step, solve
-from oracles import block_step
+from oracles import block_step, glm_head
 
 
 class TestKaczmarzStep:
@@ -71,6 +71,15 @@ class TestKaczmarzStep:
         for grad in ([0.0], [np.inf, 0.0], [np.nan, 0.0]):
             with pytest.raises(ZeroGradient):
                 kaczmarz_step(np.zeros(len(grad)), 1.0, np.array(grad))
+
+    def test_zero_row_whose_equation_holds_takes_a_zero_step(self):
+        x = np.array([2.0, 3.0])
+        stepped = kaczmarz_step(x, 0.0, np.zeros(2))
+        assert stepped.tobytes() == x.tobytes() and stepped is not x
+        # a zero row whose equation fails has no step onto it
+        for f_i in (5e-324, -1.0, np.nan):
+            with pytest.raises(ZeroGradient):
+                kaczmarz_step(x, f_i, np.zeros(2))
 
     def test_row_whose_step_overflows_is_rejected_without_a_warning(self):
         # f / ||g|| = 1 / 5e-324 overflows: the step would be [-inf, nan]
@@ -305,8 +314,9 @@ class TestTailBlockStep:
 
     def test_non_finite_rhs_breaks_down(self, monkeypatch):
         # a NaN in the post-head residual reaches the tail block through a
-        # fixed selection; the closed-form step declines it, and least
-        # squares rejects it, so the iteration is dropped as a breakdown
+        # fixed selection; the closed-form step takes the head and declines
+        # that block, and least squares rejects it, so the iteration is
+        # dropped as a breakdown
         glm = make_synthetic_glm(60, 6, 3)
         residual = glm.residual
         evaluated = []
@@ -333,7 +343,7 @@ class TestTailBlockStep:
         x0 = np.zeros(glm.n)
         trace = solve(glm, x0, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
         assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
-        assert declined == [True]
+        assert declined == [False, True]
         assert trace.total_iterations == 0
         assert trace.final_x.tobytes() == x0.tobytes()
 
@@ -393,7 +403,7 @@ class TestHeadBlockStep:
         glm = GLMProblem(base.A, base.y, 1e-3 * base.lam)
         x = seeded_rng(44).standard_normal(glm.n)
         r = glm.residual(x)
-        head = glm.linear_head_jacobian()
+        head = glm_head(glm)
         for rows in (np.arange(glm.d), np.array([1, 4])):
             assert glm.block_step(x, rows, r[rows]) is None
             # the declined block's least-squares step, on the same bytes as
@@ -692,6 +702,26 @@ class TestSolveStatuses:
         trace = solve(problem, np.zeros(2), SolverConfig(method=MethodKind.NK, seed=0, max_iter=10))
         assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
 
+    @pytest.mark.parametrize("method", [MethodKind.NK, MethodKind.NURK], ids=lambda kind: kind.value)
+    def test_zero_row_whose_equation_holds_is_passed_over(self, method):
+        # the zero row's equation 0 = 0 holds at every x: a step onto it is
+        # no step, so the cyclic and uniform draws pass over it
+        problem = LinearProblem(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), np.array([1.0, 0.0, 1.0]))
+        trace = solve(problem, np.zeros(2), SolverConfig(method=method, seed=0, max_iter=50))
+        assert trace.status is SolveStatus.CONVERGED
+        assert (1,) in [rec.selected for rec in trace.records]
+        assert trace.final_x.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("method", [MethodKind.NK, MethodKind.NURK], ids=lambda kind: kind.value)
+    def test_zero_row_whose_equation_fails_breaks_down(self, method):
+        problem = LinearProblem(np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]), np.array([1.0, 1.0, 1.0]))
+        trace = solve(problem, np.zeros(2), SolverConfig(method=method, seed=0, max_iter=50))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 1
+        assert trace.records[-1].selected == ()
+        # the first row drawn, 0 or 2, was solved, and x stays there
+        assert sorted(trace.final_x.tolist()) == [0.0, 1.0]
+
     @pytest.mark.parametrize("method", SINGLE_METHODS, ids=lambda kind: kind.value)
     def test_zero_gradient_leaves_the_iterate_and_records_no_row(self, method):
         # the third row gradient comes back zero: the step raises, x stays
@@ -748,6 +778,58 @@ class TestSolveStatuses:
         trace = solve(problem, 0.5 * np.ones(26), SolverConfig(method=MethodKind.DR_CNK, seed=1))
         assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
         assert not np.isfinite(trace.records[-1].residual_sq)
+
+
+NON_HYBRID = [kind for kind in MethodKind if kind not in HYBRID_KINDS]
+
+
+class TestFloatRangeLimitations:
+    """Known limitations at the top of the float range, pinned as they
+    stand (README, numerical notes)."""
+
+    A = np.array([[1e160, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("method", [MethodKind.NK, MethodKind.NURK, MethodKind.NRK, MethodKind.DR_CNK])
+    def test_overflowing_row_norm_converges_but_warns(self, method):
+        # ||g||^2 = 1e320 overflows in kaczmarz_step's dot before the scaled
+        # step takes over, and that RuntimeWarning escapes the solve
+        problem = LinearProblem(self.A, np.ones(2))
+        with pytest.warns(RuntimeWarning) as caught:
+            trace = solve(problem, np.zeros(2), SolverConfig(method=method, seed=0, max_iter=300))
+        assert trace.status is SolveStatus.CONVERGED
+        assert {str(w.message) for w in caught} == {"overflow encountered in dot"}
+
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_overflowing_row_norm_converges_quietly_by_block(self, method):
+        problem = LinearProblem(self.A, np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(problem, np.zeros(2), SolverConfig(method=method, seed=0, max_iter=300))
+        assert trace.status is SolveStatus.CONVERGED
+
+    def test_overflowing_row_norm_starves_the_distance_weighted_draw(self):
+        # the row's distance weight f^2 / inf is 0; once it is the only row
+        # with a residual every weight is 0
+        problem = LinearProblem(self.A, np.ones(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(problem, np.zeros(2), SolverConfig(method=MethodKind.RD_CNK, seed=0, max_iter=300))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 1
+        assert trace.records[0].selected == (1,)
+
+    @pytest.mark.parametrize("method", NON_HYBRID, ids=lambda kind: kind.value)
+    def test_overflowing_residual_norm_breaks_down_at_the_start(self, method):
+        # f(0) = [-1e160, -1] is finite, but ||f||^2 = 1e320 is not, and the
+        # stopping rule reads that as a breakdown
+        problem = LinearProblem(self.A, np.array([1e160, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = solve(problem, np.zeros(2), SolverConfig(method=method, seed=0, max_iter=300))
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert trace.total_iterations == 0
+        assert trace.records[0].residual_sq == np.inf
+        assert trace.final_x.tolist() == [0.0, 0.0]
 
 
 class TestRecordedIterates:
