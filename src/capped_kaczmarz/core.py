@@ -6,9 +6,9 @@ that reads as a sequence of :class:`IterationRecord`.
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
+import operator
 import time
 from array import array
 from collections.abc import Sequence
@@ -165,7 +165,9 @@ class SolverConfig:
     clock: Callable[[], float] = time.perf_counter
 
     def __post_init__(self):
-        if self.tol <= 0.0:
+        object.__setattr__(self, "method", MethodKind(self.method))  # ValueError on an unknown name
+        object.__setattr__(self, "max_iter", operator.index(self.max_iter))  # TypeError on a float
+        if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -233,12 +235,12 @@ class TraceRecords(Sequence[IterationRecord]):
     ``solve`` appends one record per iterate with :meth:`append`; nothing
     else writes.  Read back, the store is a read-only sequence of
     :class:`IterationRecord`: indexing builds the record on demand, with
-    ``k`` its position, and slicing returns a view over the same columns
-    that copies nothing, builds no record and keeps each record's ``k``.
+    ``k`` its position, and a slice is a one-pass iterator that builds the
+    records at the sliced positions, each keeping its ``k``.
 
     The columns read directly as ``k`` (a range) and ``residual_sq``,
-    ``elapsed``, ``set_size`` and ``error_sq`` (read-only memoryviews, in
-    the view's order; ``error_sq`` is None unless the error is tracked).
+    ``elapsed``, ``set_size`` and ``error_sq`` (read-only memoryviews;
+    ``error_sq`` is None unless the error is tracked).
 
     The integer columns (set sizes, selected rows and where each record's
     rows end) are unsigned and start at one byte (format ``B``).  The first
@@ -249,12 +251,10 @@ class TraceRecords(Sequence[IterationRecord]):
     exceed that width.  A single-row record of a problem under 256 rows
     takes 20 bytes in a trace of 256 to 65535 records: 8 each for the
     residual and the time, 1 for the set size, 1 for the row and 2 for the
-    end of its rows.  A tracked error adds 8.  A widening copies the
-    column, so a view taken before it keeps reading the old one, which
-    still holds the view's records.
+    end of its rows.  A tracked error adds 8.
     """
 
-    __slots__ = ("_residual_sq", "_elapsed", "_set_size", "_rows", "_row_ends", "_error_sq", "_span")
+    __slots__ = ("_residual_sq", "_elapsed", "_set_size", "_rows", "_row_ends", "_error_sq")
 
     def __init__(self, track_error: bool = False):
         self._residual_sq = array("d")
@@ -263,16 +263,12 @@ class TraceRecords(Sequence[IterationRecord]):
         self._rows = array("B")  # the selected rows of every record, end to end
         self._row_ends = array("B")  # where each record's rows end in _rows
         self._error_sq = array("d") if track_error else None
-        self._span: range | None = None  # a view's positions; None: every record
 
     def append(
         self, residual_sq: float, selected: Sequence[int], set_size: int, elapsed: float, error_sq: float | None = None
     ) -> None:
         """Add the next record; ``error_sq`` is required when tracked.  A call
-        that raises leaves every column as it was.  A view, which shares the
-        store's columns until one widens, raises ``TypeError``."""
-        if self._span is not None:
-            raise TypeError("a view of a trace is read-only")
+        that raises leaves every column as it was."""
         try:
             self._residual_sq.append(residual_sq)
             self._elapsed.append(elapsed)
@@ -321,31 +317,23 @@ class TraceRecords(Sequence[IterationRecord]):
 
     @property
     def k(self) -> range:
-        return range(len(self._residual_sq)) if self._span is None else self._span
+        return range(len(self._residual_sq))
 
     @property
     def residual_sq(self) -> memoryview:
-        return self._column(self._residual_sq)
+        return memoryview(self._residual_sq).toreadonly()
 
     @property
     def elapsed(self) -> memoryview:
-        return self._column(self._elapsed)
+        return memoryview(self._elapsed).toreadonly()
 
     @property
     def set_size(self) -> memoryview:
-        return self._column(self._set_size)
+        return memoryview(self._set_size).toreadonly()
 
     @property
     def error_sq(self) -> memoryview | None:
-        return None if self._error_sq is None else self._column(self._error_sq)
-
-    def _column(self, values: array) -> memoryview:
-        column = memoryview(values).toreadonly()
-        span = self._span
-        if span is None:
-            return column
-        # a reversed span ends at -1, which a slice would read as the last position
-        return column[span.start : span.stop if span.stop >= 0 else None : span.step]
+        return None if self._error_sq is None else memoryview(self._error_sq).toreadonly()
 
     def _record(self, k: int) -> IterationRecord:
         ends = self._row_ends
@@ -360,13 +348,11 @@ class TraceRecords(Sequence[IterationRecord]):
         )
 
     def __len__(self) -> int:
-        return len(self.k)
+        return len(self._residual_sq)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            view = copy.copy(self)
-            view._span = self.k[index]
-            return view
+            return map(self._record, self.k[index])
         return self._record(self.k[index])
 
     def __iter__(self):

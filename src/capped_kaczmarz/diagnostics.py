@@ -264,7 +264,7 @@ def build_factor_report(
         _, h2 = singular_extremes(J)
         max_grad = float(g.grad_sq_norms.max())
         min_grad = float(g.grad_sq_norms[g.active].min())
-        rho_ref = factor_nrk(h2, g.jac_fro_sq, problem.m, eta.eta)
+        rho_ref = factor_nrk(h2, float(np.add.reduce(g.grad_sq_norms)), problem.m, eta.eta)
         rho_method = None
         hypothesis_ok = None
         step_margin = None

@@ -16,8 +16,8 @@ one name:
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k
   Gram matrix ``G = J J^T`` when one ``eigh``, ``G = V diag(lam) V^T``,
   certifies it well conditioned, ``lam_min > GRAM_TAU * lam_max``, with
-  normal-float eigenvalues (:func:`gram_factor`, the one home of this
-  guard); the step is ``J^T V diag(1/lam) V^T rhs``, kept only if finite;
+  normal-float eigenvalues; the step is ``J^T V diag(1/lam) V^T rhs``,
+  kept only if finite;
 * every other block (square or tall, ill-conditioned, rank-deficient, out
   of that floating-point range, or one whose eigensolver fails) goes to
   ``numpy.linalg.lstsq`` (LAPACK ``gelsd``), and its step is bit for bit
@@ -64,24 +64,11 @@ def row_sq_norms(J: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", J, J)
 
 
-def gram_factor(J: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """``(lam, V)`` with ``J J^T = V diag(lam) V^T`` if ``J`` takes the Gram
-    path, else None: ``J`` is short (``2 k <= n``) and one ``eigh`` finds
-    ``lam_min`` a normal float above ``GRAM_TAU * lam_max``."""
-    k, n = J.shape
-    if not 0 < 2 * k <= n:
-        return None
-    try:
-        lam, V = np.linalg.eigh(J @ J.T)
-    except np.linalg.LinAlgError:
-        return None
-    return (lam, V) if _TINY <= lam[0] and GRAM_TAU * lam[-1] < lam[0] else None
-
-
 def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Minimum-2-norm minimizer of ``||J d - rhs||_2``.
 
-    On a block with a Gram factor (``gram_factor(J)`` is not None) the
+    On a short block (``2 k <= n``) whose Gram matrix ``J J^T = V diag(lam)
+    V^T`` has ``lam_min`` a normal float above ``GRAM_TAU * lam_max`` the
     result is ``J^T V diag(1/lam) V^T rhs`` if finite, with a relative
     error of at most about ``cond(J)^2 (n + k) k eps`` (see the module
     docstring).  Every other block, including any
@@ -99,12 +86,17 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
     if not (np.logical_and.reduce(np.isfinite(J), axis=None) and np.logical_and.reduce(np.isfinite(rhs))):
         raise FactorizationFailure("non-finite entries in least-squares input")
-    factor = gram_factor(J)
-    if factor is not None:
-        lam, V = factor
-        delta = J.T @ (V @ ((V.T @ rhs) / lam))
-        if np.logical_and.reduce(np.isfinite(delta)):
-            return delta
+    k, n = J.shape
+    if 0 < 2 * k <= n:
+        try:
+            lam, V = np.linalg.eigh(J @ J.T)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if _TINY <= lam[0] and GRAM_TAU * lam[-1] < lam[0]:
+                delta = J.T @ (V @ ((V.T @ rhs) / lam))
+                if np.logical_and.reduce(np.isfinite(delta)):
+                    return delta
     try:
         delta, *_ = np.linalg.lstsq(J, rhs, rcond=None)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

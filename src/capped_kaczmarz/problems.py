@@ -173,7 +173,7 @@ class GLMProblem(ProblemInstance):
             raise DimensionMismatch(f"need one label per sample: A is {A.shape}, y has shape {y.shape}")
         if not np.all(np.abs(y) == 1.0):
             raise DimensionMismatch("labels must be -1/+1")
-        if lam <= 0:
+        if not lam > 0:  # NaN fails too
             raise DimensionMismatch("regularization must be positive")
         self.A = A
         self.y = y

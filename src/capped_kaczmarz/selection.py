@@ -78,7 +78,6 @@ class RowGeometry:
     residual: np.ndarray
     grad_sq_norms: np.ndarray
     residual_sq: float
-    jac_fro_sq: float
     every_row_active: bool
     active_residual_sq: float
     active_fro_sq: float
@@ -97,7 +96,6 @@ class RowGeometry:
             raise ValueError("row geometry needs at least one row")
         res_sq = residual * residual
         residual_sq = float(np.add.reduce(res_sq))
-        jac_fro_sq = float(np.add.reduce(grad_sq_norms))
         # read by index: argmin/argmax stop at the first NaN, as min/max do
         lo = grad_sq_norms[grad_sq_norms.argmin()]
         if lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq_norms[grad_sq_norms.argmax()]:
@@ -106,7 +104,8 @@ class RowGeometry:
             # array in the same order.  NaN or infinite norms fail a
             # comparison and take the median path.
             every_row_active = True
-            active_residual_sq, active_fro_sq = residual_sq, jac_fro_sq
+            active_residual_sq = residual_sq
+            active_fro_sq = float(np.add.reduce(grad_sq_norms))
             ratios = res_sq / grad_sq_norms
         else:
             scale = _median(grad_sq_norms)
@@ -122,7 +121,6 @@ class RowGeometry:
             residual=residual,
             grad_sq_norms=grad_sq_norms,
             residual_sq=residual_sq,
-            jac_fro_sq=jac_fro_sq,
             every_row_active=every_row_active,
             active_residual_sq=active_residual_sq,
             active_fro_sq=active_fro_sq,
