@@ -73,6 +73,8 @@ class RowGeometry:
     restricted to the eligible rows (identical to the full norms whenever
     ``every_row_active``, which is the generic case).  Both rules read these
     arrays, so one selection pass squares the residual once.
+    ``active_fro_sq`` is summed when read, since only the Convex distance
+    threshold reads it.
     """
 
     residual: np.ndarray
@@ -80,7 +82,6 @@ class RowGeometry:
     residual_sq: float
     every_row_active: bool
     active_residual_sq: float
-    active_fro_sq: float
     res_sq: np.ndarray
     ratios: np.ndarray
     top_ratio_row: int
@@ -105,7 +106,6 @@ class RowGeometry:
             # comparison and take the median path.
             every_row_active = True
             active_residual_sq = residual_sq
-            active_fro_sq = float(np.add.reduce(grad_sq_norms))
             ratios = res_sq / grad_sq_norms
         else:
             scale = _median(grad_sq_norms)
@@ -115,7 +115,6 @@ class RowGeometry:
             active = grad_sq_norms > cutoff
             every_row_active = bool(np.logical_and.reduce(active))
             active_residual_sq = float(np.add.reduce(res_sq[active]))
-            active_fro_sq = float(np.add.reduce(grad_sq_norms[active]))
             ratios = np.where(active, res_sq / np.where(active, grad_sq_norms, 1.0), -np.inf)
         return cls(
             residual=residual,
@@ -123,7 +122,6 @@ class RowGeometry:
             residual_sq=residual_sq,
             every_row_active=every_row_active,
             active_residual_sq=active_residual_sq,
-            active_fro_sq=active_fro_sq,
             res_sq=res_sq,
             ratios=ratios,
             top_ratio_row=int(ratios.argmax()),
@@ -135,6 +133,13 @@ class RowGeometry:
         """The rows eligible for distance ratios.  An eligible row's ratio
         divides by a positive norm, so it is never ``-inf``."""
         return self.ratios != -np.inf
+
+    @property
+    def active_fro_sq(self) -> float:
+        """``||J||_F^2`` over the eligible rows: the full sum over the same
+        array when every row is active (see the module docstring)."""
+        norms = self.grad_sq_norms
+        return float(np.add.reduce(norms if self.every_row_active else norms[self.active]))
 
 
 def _median(values: np.ndarray) -> float:
@@ -251,7 +256,9 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
     if not g.every_row_active:
         # an active row's ratio is >= 0 or NaN, so this zeroes the -inf ones
         weights = np.maximum(weights, 0.0)
-    if not np.logical_or.reduce(weights):
+    # the weights are >= 0 or NaN, so the largest is zero exactly when all
+    # are (argmax stops at the first NaN, which is truthy)
+    if not weights[weights.argmax()]:
         raise AllWeightsZero("every selected row has a vanishing gradient")
     return SelectionResult(
         indices=indices,

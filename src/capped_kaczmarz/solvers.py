@@ -12,6 +12,16 @@ exp and curvature vector, the Brown leave-one-out products) and is
 emptied when the next iterate arrives; it changes no value, only how often
 it is computed.
 
+Overflow and invalid operations are ignored in the residual and its norm
+only: a wild step may overflow them, and ``check_stop`` reads a non-finite
+``||f||^2`` as a breakdown.  Since numpy 2.0 the error state is a context
+variable, so each solve copies the caller's context once, under
+``np.errstate(over="ignore", invalid="ignore")``, and evaluates the residual
+in that copy through ``Context.run``, which costs a small fraction of
+entering an ``np.errstate``.  Selection and the step run in the caller's
+context and warn as the caller set; the caller's error state is the same
+after the solve as before it.
+
 Every greedy method selects at one site, over
 ``RowGeometry.from_state(r[lo:], norms[lo:])`` with the norms of
 ``problem.row_sq_norms_at``, then projects onto one drawn row
@@ -31,6 +41,7 @@ and then onto the selected tail rows ``d:`` at the post-head iterate.
 
 from __future__ import annotations
 
+import contextvars
 import math
 
 import numpy as np
@@ -133,14 +144,14 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     lo = problem.d if hybrid else 0
     m = problem.m
     memo = IterateMemo()
+    # the residual's quiet scope (see the module docstring); one per solve,
+    # as a context cannot be entered twice at once
+    with np.errstate(over="ignore", invalid="ignore"):
+        quiet = contextvars.copy_context()
 
     k = 0
     while True:
-        with np.errstate(over="ignore", invalid="ignore"):
-            # overflow here is an anticipated outcome of a wild projection
-            # step; check_stop turns a non-finite residual into a breakdown
-            r = problem.residual(x, memo)
-            residual_sq = float(r.dot(r))
+        r, residual_sq = quiet.run(_residual_and_sq, problem, x, memo)
         error_sq = float(np.add.reduce((x - x_star) ** 2)) if x_star is not None else None
         if iterates is not None:
             iterates.append(x.copy())
@@ -200,6 +211,13 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
         k += 1
 
     return SolveTrace(records=records, status=status, final_x=x, iterates=iterates)
+
+
+def _residual_and_sq(problem: ProblemInstance, x: np.ndarray, memo: IterateMemo) -> tuple[np.ndarray, float]:
+    """The residual at ``x`` and ``||f||^2``: what ``solve`` runs in its
+    quiet context."""
+    r = problem.residual(x, memo)
+    return r, float(r.dot(r))
 
 
 def block_projection(

@@ -13,25 +13,29 @@ numpy's own internals (``linalg``) may still use them.
 The bit-identity tests pin the rewritten Brown kernels against the array
 method forms they replaced, and ``ndarray.dot``, which the per-iteration
 vector dots call in place of ``@`` to skip the matmul ufunc's dispatch,
-against ``@``.
+against ``@``.  A per-iteration count pins the ufunc reductions a Brown
+solve makes and its one ``np.errstate`` (the residual's quiet context is
+copied once per solve), so a reduction or an errstate put back on the loop
+fails a test; the residual rule's all-zero weight test is pinned against
+the ``np.logical_or.reduce`` it replaced.
 """
 
+import itertools
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
+from numpy._core import _methods, fromnumeric
 
 import capped_kaczmarz
 from capped_kaczmarz.bench import resolve_problem
-from capped_kaczmarz.core import MethodKind, SolverConfig
+from capped_kaczmarz.core import MethodKind, SolverConfig, TraceRecords
+from capped_kaczmarz.errors import AllWeightsZero
 from capped_kaczmarz.problems import BrownProblem, _leave_one_out_products
+from capped_kaczmarz.selection import RowGeometry, build_residual_set
 from capped_kaczmarz.solvers import solve
-
-try:
-    from numpy._core import _methods, fromnumeric
-except ImportError:  # numpy < 2
-    from numpy.core import _methods, fromnumeric
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(capped_kaczmarz.__file__))
 WRAPPER_FILES = {_methods.__file__, fromnumeric.__file__}
@@ -99,6 +103,124 @@ def test_no_numpy_method_wrapper_on_the_solve_path(selector, method):
 
 def test_no_numpy_method_wrapper_when_the_error_is_recorded():
     assert_no_wrapper_call("linear:300,40,2", MethodKind.DR_CNK, record_error=True)
+
+
+ERRSTATE_ENTER = np.errstate.__enter__.__code__
+RECORD_APPEND = TraceRecords.append.__code__
+SOLVE = solve.__code__
+
+
+def calls_per_record(selector, method, max_iter):
+    """The trace, and per record one ``Counter`` of the ufunc ``reduce`` and
+    ``accumulate`` calls that package frames make (keyed ``"add.reduce"``
+    and the like) and of ``np.errstate`` entries (``"errstate"``), from the
+    previous record's append by ``solve`` to this one's (an append that
+    widens a column calls itself again); record 0's count includes the
+    set-up of the solve."""
+    problem, x0 = resolve_problem(selector)
+    config = SolverConfig(method=method, seed=0, max_iter=max_iter)
+    counts = [Counter()]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code is ERRSTATE_ENTER:
+                counts[-1]["errstate"] += 1
+            elif frame.f_code is RECORD_APPEND and frame.f_back.f_code is SOLVE:
+                counts.append(Counter())
+        elif event == "c_call" and os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == PACKAGE_DIR:
+            ufunc = getattr(arg, "__self__", None)
+            if isinstance(ufunc, np.ufunc) and arg.__name__ in ("reduce", "accumulate"):
+                counts[-1][f"{ufunc.__name__}.{arg.__name__}"] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trace = solve(problem, x0, config)
+    finally:
+        sys.setprofile(previous)
+    assert counts.pop() == Counter()
+    return trace, counts
+
+
+# the Brown residual sums and multiplies x; a geometry sums f_i^2, the
+# Convex distance threshold sums the norms (active_fro_sq), the draw
+# accumulates its weights and the Brown norms accumulate the leave-one-out
+# products; the residual rule reads no norm sum and tests its weights by argmax
+RESIDUAL = Counter({"add.reduce": 1, "multiply.reduce": 1})
+GREEDY = RESIDUAL + Counter({"add.reduce": 1, "add.accumulate": 1, "multiply.accumulate": 2})
+PRODUCT_ROW_GRAD = Counter({"multiply.accumulate": 2})
+
+
+def patterns(counters) -> set:
+    return {tuple(sorted(counter.items())) for counter in counters}
+
+
+@pytest.mark.parametrize(
+    "method, first, steady",
+    [
+        pytest.param(MethodKind.NRK, RESIDUAL + Counter({"add.accumulate": 1}), None, id="nrk"),
+        pytest.param(
+            MethodKind.DR_CNK,
+            GREEDY + Counter({"add.reduce": 2, "logical_and.reduce": 1}),
+            [GREEDY + Counter({"add.reduce": 1})],
+            id="dr-cnk",
+        ),
+        pytest.param(
+            MethodKind.RD_CNK, GREEDY + Counter({"add.reduce": 1, "logical_and.reduce": 1}), [GREEDY], id="rd-cnk"
+        ),
+    ],
+)
+def test_per_iteration_reductions_and_one_errstate_per_solve(method, first, steady):
+    # brown:50 from 0.5 * ones: k = 0 takes the median path (its
+    # active_residual_sq sum and logical_and), every later geometry the
+    # all-active one; nrk draws the product row now and then
+    if steady is None:
+        steady = [first, first + PRODUCT_ROW_GRAD]
+    trace, counts = calls_per_record("brown:50", method, max_iter=300)
+    assert trace.total_iterations == 300 and len(counts) == 301
+    # one np.errstate per solve, entered before the loop to copy the context
+    # that the residual runs in, and none inside it
+    assert counts[0].pop("errstate") == 1
+    assert counts[0] == first
+    assert patterns(counts[1:-1]) == patterns(steady)
+    # the capped iterate stops after its residual
+    assert counts[-1] == RESIDUAL
+
+
+WEIGHT_VALUES = (0.0, -0.0, np.nan, np.inf, 1.0, 5e-324, -np.inf)
+
+
+def residual_rule_weights_geometry(ratios: np.ndarray) -> RowGeometry:
+    """A geometry whose residual set at ``delta = 0`` is every row, with
+    ``ratios`` as its distance ratios; ``-inf`` marks an inactive row."""
+    m = ratios.size
+    return RowGeometry(
+        residual=np.ones(m),
+        grad_sq_norms=np.ones(m),
+        residual_sq=float(m),
+        every_row_active=-np.inf not in ratios,
+        active_residual_sq=float(m),
+        res_sq=np.ones(m),
+        ratios=ratios,
+        top_ratio_row=int(ratios.argmax()),
+        top_residual_row=0,
+    )
+
+
+def test_residual_set_weight_test_is_logical_or():
+    # the all-zero test reads the largest weight where it reduced with
+    # logical_or; on weights >= 0 or NaN, the clamped -inf of inactive rows
+    # included, the two agree
+    for m in (1, 2, 3):
+        for values in itertools.product(WEIGHT_VALUES, repeat=m):
+            ratios = np.array(values)
+            expected = np.maximum(ratios, 0.0) if -np.inf in ratios else ratios
+            g = residual_rule_weights_geometry(ratios)
+            if np.logical_or.reduce(expected):
+                assert build_residual_set(g, 0.0).weights.tobytes() == expected.tobytes(), values
+            else:
+                with pytest.raises(AllWeightsZero):
+                    build_residual_set(g, 0.0)
 
 
 def two_cumprod_products(x: np.ndarray) -> np.ndarray:

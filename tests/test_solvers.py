@@ -832,6 +832,86 @@ class TestFloatRangeLimitations:
         assert trace.final_x.tolist() == [0.0, 0.0]
 
 
+# a caller's error state that differs from numpy's default in every field
+CALLER_ERR = {"divide": "raise", "over": "raise", "under": "warn", "invalid": "raise"}
+
+
+class TestCallerErrorState:
+    """``solve`` ignores overflow and invalid operations in the residual and
+    its norm only, through one copied context per solve; the caller's error
+    state reads the same after the solve, however it ends."""
+
+    def test_a_converged_solve_leaves_the_callers_state(self):
+        problem, x0 = resolve_problem("brown:50")
+        with np.errstate(**CALLER_ERR):
+            trace = solve(problem, x0, SolverConfig(method=MethodKind.DR_CNK, seed=0))
+            assert np.geterr() == CALLER_ERR
+        assert trace.status is SolveStatus.CONVERGED
+
+    def test_a_residual_overflow_breakdown_leaves_the_callers_state(self):
+        # the first distance-rule step overflows the residual (see
+        # TestSolveStatuses); under the caller's over="raise" it is still
+        # read as a breakdown, not raised
+        problem = BrownProblem(26)
+        with np.errstate(**CALLER_ERR):
+            trace = solve(problem, 0.5 * np.ones(26), SolverConfig(method=MethodKind.DR_CNK, seed=1))
+            assert np.geterr() == CALLER_ERR
+        assert trace.status is SolveStatus.NUMERICAL_BREAKDOWN
+        assert not np.isfinite(trace.records[-1].residual_sq)
+
+    def test_a_raising_residual_leaves_the_callers_state(self):
+        problem, x0 = resolve_problem("brown:50")
+        evaluate = problem.residual
+        calls = []
+
+        def failing(x, memo=None):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ValueError("residual failed")
+            return evaluate(x, memo)
+
+        problem.residual = failing
+        with np.errstate(**CALLER_ERR):
+            with pytest.raises(ValueError, match="residual failed"):
+                solve(problem, x0, SolverConfig(method=MethodKind.NRK, seed=0))
+            assert np.geterr() == CALLER_ERR
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("method", [MethodKind.NRK, MethodKind.RD_CNK, MethodKind.DB_CNK], ids=lambda kind: kind.value)
+    def test_the_residual_runs_quiet_on_overflow_and_invalid_only(self, method):
+        problem, x0 = resolve_problem("brown:50")
+        evaluate = problem.residual
+        seen = []
+
+        def recording(x, memo=None):
+            seen.append(np.geterr())
+            return evaluate(x, memo)
+
+        problem.residual = recording
+        with np.errstate(**CALLER_ERR):
+            trace = solve(problem, x0, SolverConfig(method=method, seed=0, max_iter=20))
+        assert len(seen) == trace.total_iterations + 1
+        assert all(state == {**CALLER_ERR, "over": "ignore", "invalid": "ignore"} for state in seen)
+
+    def test_a_solve_inside_a_residual_gets_its_own_context(self):
+        # a context cannot be entered twice at once, so one shared by every
+        # solve would refuse this nested one
+        problem, x0 = resolve_problem("brown:8")
+        inner, inner_x0 = resolve_problem("brown:4")
+        evaluate = problem.residual
+        nested = []
+
+        def solving(x, memo=None):
+            if not nested:
+                nested.append(solve(inner, inner_x0, SolverConfig(method=MethodKind.DR_CNK, seed=0)))
+            return evaluate(x, memo)
+
+        problem.residual = solving
+        trace = solve(problem, x0, SolverConfig(method=MethodKind.DR_CNK, seed=0, max_iter=5))
+        assert trace.total_iterations > 0
+        assert nested[0].total_iterations > 0
+
+
 class TestRecordedIterates:
     def test_iterates_align_with_records(self):
         problem = BrownProblem(8)
