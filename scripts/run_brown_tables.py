@@ -25,8 +25,8 @@ METHODS = (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="50,100,200", help="comma-separated dimensions")
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--runs", type=int, default=BenchSpec.runs)
+    parser.add_argument("--seed", type=int, default=BenchSpec.seed)
     parser.add_argument("--out", type=Path, default=None, help="directory for trace CSVs")
     args = parser.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",")]

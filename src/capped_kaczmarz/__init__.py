@@ -9,7 +9,6 @@ from .core import (
     SolveStatus,
     SolveTrace,
     SolverConfig,
-    check_stop,
 )
 from .problems import (
     BrownProblem,
@@ -21,8 +20,7 @@ from .problems import (
     make_synthetic_glm,
     parse_libsvm,
 )
-from .selection import SelectionKind, SelectionResult
-from .solvers import kaczmarz_step, solve
+from .solvers import solve
 
 __all__ = [
     "BrownProblem",
@@ -34,13 +32,9 @@ __all__ = [
     "MethodKind",
     "ProblemInstance",
     "Scaled",
-    "SelectionKind",
-    "SelectionResult",
     "SolveStatus",
     "SolveTrace",
     "SolverConfig",
-    "check_stop",
-    "kaczmarz_step",
     "load_libsvm",
     "make_glm",
     "make_synthetic_glm",

@@ -8,7 +8,6 @@ undistorted.
 from __future__ import annotations
 
 import json
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolveTrace, SolverConfig, ThresholdMode,
+    HYBRID_KINDS, MethodKind, ProblemInstance, SolveStatus, SolveTrace, SolverConfig, ThresholdMode,
 )
 from .errors import CappedKaczmarzError
 from .diagnostics import REPORTED_KINDS, build_factor_report, estimate_eta
@@ -39,14 +38,14 @@ class BenchSpec:
     problem: str
     methods: tuple[MethodKind, ...]
     runs: int = 10
-    seed: int = 0
-    threshold: ThresholdMode = Convex(0.5)
-    tol: float = 1e-6
-    max_iter: int = 200_000
+    seed: int = SolverConfig.seed
+    threshold: ThresholdMode = SolverConfig.threshold
+    tol: float = SolverConfig.tol
+    max_iter: int = SolverConfig.max_iter
     out_dir: Path | None = None
     track_error: bool = False
     diagnostics: bool = False
-    clock: Callable[[], float] = time.perf_counter
+    clock: Callable[[], float] = SolverConfig.clock
 
     def __post_init__(self):
         if self.runs < 1:

@@ -41,13 +41,13 @@ def _build_parser() -> _Parser:
                      help="brown:n | glm:path | glm:synthetic:p,d,seed | linear:m,n,seed")
     run.add_argument("--methods", required=True,
                      help="comma-separated method names, e.g. nrk,dr-cnk,db-cnk")
-    run.add_argument("--runs", type=int, default=10)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--tol", type=float, default=1e-6)
-    run.add_argument("--max-iter", type=int, default=200_000)
+    run.add_argument("--runs", type=int, default=BenchSpec.runs)
+    run.add_argument("--seed", type=int, default=BenchSpec.seed)
+    run.add_argument("--tol", type=float, default=BenchSpec.tol)
+    run.add_argument("--max-iter", type=int, default=BenchSpec.max_iter)
     group = run.add_mutually_exclusive_group()
     group.add_argument("--theta", type=float, default=None,
-                       help="convex-blend threshold parameter in [0, 1] (default 0.5)")
+                       help=f"convex-blend threshold parameter in [0, 1] (default {BenchSpec.threshold})")
     group.add_argument("--xi", type=float, default=None,
                        help="scaled threshold parameter in (0, 1]")
     run.add_argument("--out", type=Path, default=None, help="output directory")
@@ -75,10 +75,9 @@ def _parse_methods(raw: str) -> tuple[MethodKind, ...]:
 
 
 def _run_command(args) -> int:
-    if args.xi is not None:
+    threshold = BenchSpec.threshold if args.theta is None else Convex(args.theta)
+    if args.xi is not None:  # --theta and --xi exclude each other
         threshold = Scaled(args.xi)
-    else:
-        threshold = Convex(0.5 if args.theta is None else args.theta)
     out_dir = args.out
     env_out = os.environ.get("BENCH_OUT")
     if env_out:

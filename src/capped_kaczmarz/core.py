@@ -136,7 +136,7 @@ class ProblemInstance:
         Default materializes the Jacobian; problems with structure override
         this so single-row methods avoid the full m x n evaluation.
         """
-        J = self.jacobian(x)
+        J = self.jacobian(x, None, memo)
         return np.einsum("ij,ij->i", J, J)
 
     def block_step(self, x: np.ndarray, rows, rhs: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray | None:
@@ -152,11 +152,13 @@ class SolverConfig:
     """Everything a solve needs besides the problem and the start point.
 
     ``clock`` exists so traces can be made byte-reproducible in tests and
-    benchmarks; the default is the monotonic wall clock.
+    benchmarks; the default is the monotonic wall clock.  ``record_error``
+    tracks ``||x - x*||^2`` only if the problem has a ``known_root``; on
+    one without (a GLM), the trace silently has no error column.
     """
 
     method: MethodKind
-    threshold: ThresholdMode = Convex(0.5)
+    threshold: ThresholdMode = Convex()
     tol: float = 1e-6
     max_iter: int = 200_000
     seed: int = 0
@@ -167,6 +169,11 @@ class SolverConfig:
     def __post_init__(self):
         object.__setattr__(self, "method", MethodKind(self.method))  # ValueError on an unknown name
         object.__setattr__(self, "max_iter", operator.index(self.max_iter))  # TypeError on a float
+        object.__setattr__(self, "seed", operator.index(self.seed))
+        if not isinstance(self.threshold, ThresholdMode):
+            raise TypeError(f"threshold must be Convex or Scaled, got {self.threshold!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not self.tol > 0.0:  # NaN fails too
             raise ValueError("tol must be positive")
         if self.max_iter < 1:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import BLOCK_KINDS, DISTANCE_KINDS, IterateMemo, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
 from .errors import HypothesisViolated, InvalidEta
-from .numerics import min_norm_least_squares, row_sq_norms, singular_extremes
+from .numerics import min_norm_least_squares, singular_extremes
 from .selection import ACTIVE_ABS_FLOOR, RowGeometry, SelectionKind
 from .solvers import greedy_selection
 
@@ -246,7 +246,7 @@ def build_factor_report(
     report = FactorReport(method=method, eta=eta.eta, radius=eta.radius)
     x_star = problem.known_root
     h2_min, sig_max = np.inf, 0.0
-    for idx, (record, x) in enumerate(zip(trace.records[:-1], trace.iterates[:-1])):
+    for record, x, x_next in zip(trace.records[:-1], trace.iterates, trace.iterates[1:]):
         memo = IterateMemo()
         g = RowGeometry.from_state(problem.residual(x, memo), problem.row_sq_norms_at(x, memo))
         sel = greedy_selection(g, kind, mode)
@@ -289,9 +289,9 @@ def build_factor_report(
                 )
         measured = None
         expected = None
-        if x_star is not None and idx + 1 < len(trace.iterates):
+        if x_star is not None:
             err_now = float(np.sum((x - x_star) ** 2))
-            err_next = float(np.sum((trace.iterates[idx + 1] - x_star) ** 2))
+            err_next = float(np.sum((x_next - x_star) ** 2))
             if err_now > 0:
                 measured = err_next / err_now
             if not is_block and err_now > 0 and sel.weights.sum() > 0:
@@ -380,18 +380,15 @@ def check_step_inequalities(
         f1 = problem.residual(x1)
         J1 = problem.jacobian(x1)
         err1 = float(np.sum((x1 - x_star) ** 2))
-        gsq = row_sq_norms(J1)
+        gsq = np.einsum("ij,ij->i", J1, J1)
         tolerance = slack * max(1.0, err1)
-
-        for i in range(problem.m):
-            if gsq[i] < ACTIVE_ABS_FLOOR:
-                continue
-            x_next = x1 - (f1[i] / gsq[i]) * J1[i]
-            lhs = float(np.sum((x_next - x_star) ** 2))
-            rhs = err1 - (1.0 - 2.0 * eta_est.eta_per_row[i]) * f1[i] ** 2 / gsq[i]
-            report.single_step_checked += 1
-            if lhs > rhs + tolerance:
-                report.single_step_violations += 1
+        rows = ~(gsq < ACTIVE_ABS_FLOOR)  # a NaN norm is checked, not skipped
+        f, g = f1[rows], gsq[rows]
+        x_next = x1 - (f / g)[:, None] * J1[rows]
+        lhs = np.sum((x_next - x_star) ** 2, axis=1)
+        rhs = err1 - (1.0 - 2.0 * eta_est.eta_per_row[rows]) * f**2 / g
+        report.single_step_checked += len(f)
+        report.single_step_violations += int(np.count_nonzero(lhs > rhs + tolerance))
 
         f2 = problem.residual(x2)
         for tau in tau_sets:

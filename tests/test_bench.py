@@ -19,7 +19,7 @@ from capped_kaczmarz.bench import (
     run_bench,
     trace_filename,
 )
-from capped_kaczmarz.core import MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.core import Convex, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.diagnostics import build_factor_report, estimate_eta
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem
@@ -118,6 +118,20 @@ class TestRunBench:
         payload = json.loads((tmp_path / "summary.json").read_text())
         assert payload["methods"][0]["method"] == "rb-cnk"
         assert payload["methods"][0]["iterations"] == report.summaries[0].iterations
+
+    def test_track_error_without_a_known_root_writes_no_error_column(self, tmp_path):
+        # a GLM has no known root: the error is not tracked, and nothing says so
+        spec = BenchSpec(
+            problem="glm:synthetic:12,3,1",
+            methods=(MethodKind.DR_CNK,),
+            runs=1,
+            out_dir=tmp_path,
+            track_error=True,
+        )
+        report = run_bench(spec)
+        assert report.results[0].trace.records.error_sq is None
+        csv = (tmp_path / trace_filename(spec.problem, MethodKind.DR_CNK, 0)).read_text()
+        assert csv.splitlines()[0] == ",".join(bench.TRACE_COLUMNS)
 
     def test_diagnostics_output(self, tmp_path):
         spec = BenchSpec(
@@ -400,6 +414,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "glm-hybrid-db" in err
         assert list(tmp_path.iterdir()) == []
+
+    def test_defaults_come_from_the_spec_and_the_config(self, monkeypatch):
+        specs = []
+        monkeypatch.setattr(cli, "run_bench", lambda spec: specs.append(spec) or run_bench(replace(spec, runs=1)))
+        assert cli.main(["run", "--problem", "brown:5", "--methods", "dr-cnk"]) == 0
+        spec = specs[0]
+        config = SolverConfig(method=MethodKind.DR_CNK)
+        assert spec.runs == BenchSpec.runs
+        assert (spec.seed, spec.tol, spec.max_iter) == (config.seed, config.tol, config.max_iter)
+        assert spec.threshold == config.threshold == Convex(0.5)
+        assert spec.clock is config.clock
 
     def test_xi_mode_accepted(self, capsys):
         assert cli.main(["run", "--problem", "brown:10", "--methods", "rb-cnk",

@@ -71,6 +71,17 @@ def test_config_validation():
         with pytest.raises(TypeError):
             SolverConfig(method=MethodKind.NK, max_iter=max_iter)
     assert type(SolverConfig(method=MethodKind.NK, max_iter=np.int64(7)).max_iter) is int
+    # a threshold is a mode, never a bare number, whether or not the method reads it
+    for method in (MethodKind.NRK, MethodKind.DR_CNK):
+        for threshold in (0.5, None):
+            with pytest.raises(TypeError):
+                SolverConfig(method=method, threshold=threshold)
+    # the seed is a non-negative integer: a float is refused, not truncated
+    with pytest.raises(TypeError):
+        SolverConfig(method=MethodKind.NRK, seed=1.7)
+    with pytest.raises(ValueError):
+        SolverConfig(method=MethodKind.NRK, seed=-1)
+    assert type(SolverConfig(method=MethodKind.NRK, seed=np.int64(3)).seed) is int
     with pytest.raises(ValueError):
         Convex(1.5)
     with pytest.raises(ValueError):

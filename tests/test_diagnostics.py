@@ -15,6 +15,7 @@ from capped_kaczmarz.core import (
     SolverConfig,
 )
 from capped_kaczmarz.diagnostics import (
+    REPORTED_KINDS,
     EtaEstimate,
     build_factor_report,
     check_step_inequalities,
@@ -28,6 +29,7 @@ from capped_kaczmarz.diagnostics import (
 from capped_kaczmarz.errors import HypothesisViolated, InvalidEta
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import BrownProblem, LinearProblem
+from capped_kaczmarz.selection import ACTIVE_ABS_FLOOR
 from capped_kaczmarz.solvers import solve
 
 
@@ -56,6 +58,49 @@ def test_user_subclass_solves_under_the_memo_contract(method):
     # trailing argument and ignores it still converges (x halves per step)
     trace = solve(Quadratic1D(), np.array([1.0]), SolverConfig(method=method, max_iter=100))
     assert trace.status is SolveStatus.CONVERGED
+
+
+class SharedExp(ProblemInstance):
+    """f(x) = exp(A x) - exp(A x*): every evaluation reads e = exp(A x),
+    from the memo when it is handed one.  ``computed`` counts how often e
+    is computed.  ``row_sq_norms_at`` is the base class's."""
+
+    m = 6
+    n = 3
+
+    def __init__(self):
+        rng = seeded_rng(11)
+        self.A = 0.5 * rng.standard_normal((self.m, self.n))
+        self.known_root = 0.3 * rng.standard_normal(self.n)
+        self.target = np.exp(self.A @ self.known_root)
+        self.computed = 0
+
+    def _e(self, x, memo):
+        values = {} if memo is None else memo.at(x)
+        if "e" not in values:
+            self.computed += 1
+            values["e"] = np.exp(self.A @ x)
+        return values["e"]
+
+    def residual(self, x, memo=None):
+        return self._e(x, memo) - self.target
+
+    def row_grad(self, i, x, memo=None):
+        return self._e(x, memo)[i] * self.A[i]
+
+    def jacobian(self, x, rows=None, memo=None):
+        J = self._e(x, memo)[:, None] * self.A
+        return J if rows is None else J[np.asarray(rows, dtype=np.intp)]
+
+
+@pytest.mark.parametrize("method", sorted(REPORTED_KINDS))
+def test_default_row_norms_share_the_iterates_memo(method):
+    # the residual, the default row norms and the step at one iterate all
+    # read the one e that the memo holds for it
+    problem = SharedExp()
+    trace = solve(problem, np.zeros(problem.n), SolverConfig(method=method, max_iter=40))
+    assert trace.total_iterations > 1
+    assert problem.computed == len(trace.records)
 
 
 class TestEstimateEta:
@@ -264,6 +309,37 @@ class TestStepInequalityChecks:
         pairs = [(2 * rng.random(5), 2 * rng.random(5)) for _ in range(50)]
         report = check_step_inequalities(problem, pairs, [np.arange(5)], fake)
         assert report.total_violations > 0
+
+    def test_single_step_counts_match_the_row_loop(self):
+        # the array pass against the per-row loop it replaced, on a Jacobian
+        # with a zero row (skipped) and a NaN entry (checked, never violated)
+        class Damaged(BrownProblem):
+            def jacobian(self, x, rows=None, memo=None):
+                J = super().jacobian(x, rows, memo).copy()
+                J[1] = 0.0
+                J[2, 0] = np.nan
+                return J
+
+        problem = Damaged(8)
+        root = problem.known_root
+        rng = seeded_rng(21)
+        eta = EtaEstimate(rng.random(8) * 0.5, 0.5, 1, root, 1.0, ())
+        pairs = [(root + 0.3 * rng.standard_normal(8), root) for _ in range(40)]
+        checked = violations = 0
+        for x1, _ in pairs:
+            f1, J1 = problem.residual(x1), problem.jacobian(x1)
+            err1 = float(np.sum((x1 - root) ** 2))
+            gsq = np.einsum("ij,ij->i", J1, J1)
+            for i in range(problem.m):
+                if gsq[i] < ACTIVE_ABS_FLOOR:
+                    continue
+                lhs = float(np.sum((x1 - (f1[i] / gsq[i]) * J1[i] - root) ** 2))
+                rhs = err1 - (1.0 - 2.0 * eta.eta_per_row[i]) * f1[i] ** 2 / gsq[i]
+                checked += 1
+                violations += lhs > rhs + 1e-10 * max(1.0, err1)
+        report = check_step_inequalities(problem, pairs, [], eta)
+        assert checked == 40 * 7 and violations > 0
+        assert (report.single_step_checked, report.single_step_violations) == (checked, violations)
 
     def test_requires_known_root(self):
         problem = LinearProblem(np.eye(2), np.zeros(2))

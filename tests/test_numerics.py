@@ -246,6 +246,23 @@ class TestSingularExtremes:
         assert norms.min() == pytest.approx(h2, rel=0.05)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: min_norm_least_squares(np.ones((2, 3)), np.ones(3)), "shape mismatch"),
+        (lambda: min_norm_least_squares(np.ones(3), np.ones(3)), "shape mismatch"),
+        (lambda: singular_extremes(np.zeros((0, 3))), "nonempty"),
+        (lambda: singular_extremes(np.ones(3)), "nonempty"),
+        (lambda: singular_extremes(np.array([[1.0, np.nan]])), "non-finite"),
+        (lambda: singular_extremes(np.array([[1.0], [np.inf]])), "non-finite"),
+    ],
+    ids=["lstsq-row-mismatch", "lstsq-1-d", "svd-empty", "svd-1-d", "svd-nan", "svd-inf"],
+)
+def test_factorizations_refuse_malformed_input(call, message):
+    with pytest.raises(FactorizationFailure, match=message):
+        call()
+
+
 class TestRowNorms:
     def test_identity(self):
         assert np.allclose(row_sq_norms(np.eye(2)), [1.0, 1.0])

@@ -8,6 +8,7 @@ from capped_kaczmarz.errors import DimensionMismatch
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem,
+    Dataset,
     GLMProblem,
     LinearProblem,
     _leave_one_out_products,
@@ -169,6 +170,25 @@ class TestGLM:
     def test_label_validation(self):
         with pytest.raises(DimensionMismatch):
             GLMProblem(np.ones((1, 2)), np.array([0.0, 1.0]), lam=1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GLMProblem(np.ones(3), np.ones(3), lam=1.0), "2-D"),
+        (lambda: GLMProblem(np.ones((2, 3)), np.ones(2), lam=1.0), "one label per sample"),
+        (lambda: GLMProblem(np.ones((2, 3)), np.ones(3), lam=0.0), "positive"),
+        (lambda: GLMProblem(np.ones((2, 3)), np.ones(3), lam=-1.0), "positive"),
+        (lambda: GLMProblem(np.ones((2, 3)), np.ones(3), lam=float("nan")), "positive"),
+        (lambda: make_glm(Dataset(d=2, p=0, samples=(), labels=np.zeros(0))), "no samples"),
+        (lambda: make_synthetic_glm(0, 3, 0), "no samples"),
+    ],
+    ids=["1-d-samples", "label-count", "zero-lam", "negative-lam", "nan-lam", "make-glm-no-samples",
+         "synthetic-no-samples"],
+)
+def test_glm_builders_refuse_a_malformed_system(build, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        build()
 
 
 def index_sets(m: int, d: int, rng) -> list[np.ndarray]:

@@ -18,6 +18,16 @@ def geom(residual, grad_sq):
     return RowGeometry.from_state(np.array(residual, float), np.array(grad_sq, float))
 
 
+@pytest.mark.parametrize(
+    "residual, grad_sq, message",
+    [([1.0, 2.0], [1.0], "equal length"), ([], [], "at least one row")],
+    ids=["unequal-lengths", "no-rows"],
+)
+def test_geometry_refuses_mismatched_or_empty_rows(residual, grad_sq, message):
+    with pytest.raises(ValueError, match=message):
+        geom(residual, grad_sq)
+
+
 class TestComputeEpsilon:
     def test_hand_value(self):
         g = geom([2.0, 1.0], [1.0, 1.0])
