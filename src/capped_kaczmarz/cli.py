@@ -119,7 +119,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _run_command(args)
         return _parse_libsvm_command(args)
-    except (CappedKaczmarzError, ValueError) as exc:
+    except (CappedKaczmarzError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,10 +13,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .core import BLOCK_KINDS, DISTANCE_KINDS, IterateMemo, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
+from .core import BLOCK_KINDS, IterateMemo, MethodKind, ProblemInstance, SolveTrace, ThresholdMode
 from .errors import HypothesisViolated, InvalidEta
 from .numerics import min_norm_least_squares, singular_extremes
-from .selection import ACTIVE_ABS_FLOOR, RowGeometry, SelectionKind
+from .selection import ACTIVE_ABS_FLOOR, RowGeometry
 from .solvers import greedy_selection
 
 # Numerators this close to the rounding noise of their operands count as
@@ -236,7 +236,6 @@ def build_factor_report(
     if trace.iterates is None:
         raise ValueError("trace must carry iterates; solve with record_iterates=True")
     _require_valid_eta(eta.eta)
-    kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     is_block = method in BLOCK_KINDS
 
     # one pass that keeps only each iterate's report row: replay the set
@@ -249,7 +248,7 @@ def build_factor_report(
     for record, x, x_next in zip(trace.records[:-1], trace.iterates, trace.iterates[1:]):
         memo = IterateMemo()
         g = RowGeometry.from_state(problem.residual(x, memo), problem.row_sq_norms_at(x, memo))
-        sel = greedy_selection(g, kind, mode)
+        sel = greedy_selection(g, method, mode)
         replayed = tuple(sel.indices.tolist())
         if is_block:
             mismatch = record.selected != replayed
@@ -298,14 +297,13 @@ def build_factor_report(
                 # the single-sample bounds are stated in expectation, so sum
                 # the one-step decrease over the whole selection distribution
                 probs = sel.weights / sel.weights.sum()
-                acc = 0.0
-                r = g.residual
-                for p_i, j in zip(probs, sel.indices):
-                    if p_i == 0.0:
-                        continue
-                    x_next = x - (r[j] / g.grad_sq_norms[j]) * J[j]
-                    acc += p_i * float(np.sum((x_next - x_star) ** 2))
-                expected = acc / err_now
+                drawn = probs != 0.0
+                rows = sel.indices[drawn]
+                steps = x - (g.residual[rows] / g.grad_sq_norms[rows])[:, None] * J[rows]
+                terms = probs[drawn] * np.sum((steps - x_star) ** 2, axis=1)
+                # added in row order, one at a time: Python's ``sum`` of
+                # floats compensates from 3.12 on, ``accumulate`` does not
+                expected = float(np.add.accumulate(terms)[-1]) / err_now
         report.rows.append(
             FactorRow(
                 k=record.k,

@@ -154,6 +154,8 @@ class GLMProblem(ProblemInstance):
     the regularized objective; the last p rows, ``alpha_i + phi_i'(a_i^T w)``,
     tie the duals to the logistic loss derivative.  Head row h is ``[A_h /
     (lam p) | -e_h]`` and tail row ``d + s`` is ``[e_s | c_s a_s]``.
+    ``lam`` defaults to ``1/p``; a system with no samples or no features is
+    refused with ``DimensionMismatch``.
 
     Every evaluation at an iterate starts from one full matvec ``A^T w`` and
     one exp (:meth:`_margin_at`); with a memo, the residual, the row norms,
@@ -163,16 +165,22 @@ class GLMProblem(ProblemInstance):
     d head rows.
     """
 
-    def __init__(self, A: np.ndarray, y: np.ndarray, lam: float):
+    def __init__(self, A: np.ndarray, y: np.ndarray, lam: float | None = None):
         A = np.asarray(A, dtype=float)
         y = np.asarray(y, dtype=float)
         if A.ndim != 2:
             raise DimensionMismatch("sample matrix must be 2-D (features x samples)")
         d, p = A.shape
+        if p == 0:
+            raise DimensionMismatch("the GLM has no samples")
+        if d == 0:
+            raise DimensionMismatch("the GLM has no features")
         if y.shape != (p,):
             raise DimensionMismatch(f"need one label per sample: A is {A.shape}, y has shape {y.shape}")
         if not np.all(np.abs(y) == 1.0):
             raise DimensionMismatch("labels must be -1/+1")
+        if lam is None:
+            lam = 1.0 / p
         if not lam > 0:  # NaN fails too
             raise DimensionMismatch("regularization must be positive")
         self.A = A
@@ -410,9 +418,6 @@ def load_libsvm(path, num_features: int | None = None) -> Dataset:
 
 def make_glm(dataset: Dataset, lam: float | None = None) -> GLMProblem:
     """Build the root-finding problem from a dataset; ``lam`` defaults to 1/p."""
-    if dataset.p == 0:
-        raise DimensionMismatch("dataset has no samples")
-    lam = 1.0 / dataset.p if lam is None else lam
     return GLMProblem(dataset.to_dense(), dataset.labels, lam)
 
 
@@ -447,7 +452,4 @@ def synthetic_dataset(p: int, d: int, seed: int) -> Dataset:
 def make_synthetic_glm(p: int, d: int, seed: int, lam: float | None = None) -> GLMProblem:
     """``make_glm(synthetic_dataset(p, d, seed), lam)`` bit for bit, without
     the per-entry tuples."""
-    if p == 0:
-        raise DimensionMismatch("dataset has no samples")
-    A, labels = _synthetic_samples(p, d, seed)
-    return GLMProblem(A, labels, 1.0 / p if lam is None else lam)
+    return GLMProblem(*_synthetic_samples(p, d, seed), lam)

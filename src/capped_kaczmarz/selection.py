@@ -42,7 +42,6 @@ floats.  A subnormal square can give a zero distance ratio on a healthy row
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,11 +155,6 @@ def _median(values: np.ndarray) -> float:
     if odd:
         return 0.0 + part.item(half)
     return (0.0 + part.item(half - 1) + part.item(half)) / 2
-
-
-class SelectionKind(enum.Enum):
-    DISTANCE = "distance"
-    RESIDUAL = "residual"
 
 
 @dataclass(slots=True, eq=False)

@@ -66,7 +66,6 @@ from .numerics import row_sq_norms  # noqa: F401
 from .problems import GLMProblem
 from .selection import (
     RowGeometry,
-    SelectionKind,
     build_distance_set,
     build_residual_set,
     compute_delta,
@@ -108,10 +107,11 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     return x - coef * unit
 
 
-def greedy_selection(g: RowGeometry, kind: SelectionKind, mode):
-    """The capped set of rule ``kind`` at geometry ``g``, with its threshold
-    and sampling weights; every greedy method selects through this."""
-    if kind is SelectionKind.DISTANCE:
+def greedy_selection(g: RowGeometry, method: MethodKind, mode):
+    """The capped set of ``method``'s rule (distance for ``DISTANCE_KINDS``,
+    else residual) at geometry ``g``, with its threshold and sampling
+    weights; every greedy method selects through this."""
+    if method in DISTANCE_KINDS:
         return build_distance_set(g, compute_epsilon(g, mode))
     return build_residual_set(g, compute_delta(g, mode))
 
@@ -137,7 +137,6 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     x_star = problem.known_root if config.record_error else None
     records = TraceRecords(track_error=x_star is not None)
-    kind = SelectionKind.DISTANCE if method in DISTANCE_KINDS else SelectionKind.RESIDUAL
     hybrid = method in HYBRID_KINDS
     by_block = hybrid or method in BLOCK_KINDS
     # a hybrid selects among its tail rows only, the rows from d on
@@ -184,7 +183,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                         # tail exactly solved: the head solve is the whole update
                         x, size = x_at, 0
                     else:
-                        sel = greedy_selection(g, kind, config.threshold)
+                        sel = greedy_selection(g, method, config.threshold)
                         size = len(sel)
                         if not by_block:
                             i = sample_index(sel, rng)

@@ -405,6 +405,21 @@ class TestCli:
         assert cli.main(["parse-libsvm", str(path)]) == 1
         assert "line 1" in capsys.readouterr().err
 
+    def test_parse_libsvm_missing_file_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "missing.libsvm"
+        assert cli.main(["parse-libsvm", str(path), "--info"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing.libsvm" in err
+
+    def test_glm_with_no_features_exits_one(self, tmp_path, capsys):
+        code = cli.main(
+            ["run", "--problem", "glm:synthetic:10,0,1", "--methods", "glm-hybrid-db", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "no features" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_hybrid_on_non_glm_problem_exits_one_before_any_cell(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(bench, "solve", lambda *args: pytest.fail("a cell ran"))
         code = cli.main(

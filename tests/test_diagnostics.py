@@ -29,8 +29,8 @@ from capped_kaczmarz.diagnostics import (
 from capped_kaczmarz.errors import HypothesisViolated, InvalidEta
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import BrownProblem, LinearProblem
-from capped_kaczmarz.selection import ACTIVE_ABS_FLOOR
-from capped_kaczmarz.solvers import solve
+from capped_kaczmarz.selection import ACTIVE_ABS_FLOOR, RowGeometry
+from capped_kaczmarz.solvers import greedy_selection, solve
 
 
 class Quadratic1D(ProblemInstance):
@@ -419,6 +419,31 @@ class TestFactorReport:
         A = rng.standard_normal((10, 6))
         x_star = rng.standard_normal(6)
         return LinearProblem(A, A @ x_star, known_root=x_star)
+
+    @pytest.mark.parametrize("method", [MethodKind.DR_CNK, MethodKind.RD_CNK])
+    @pytest.mark.parametrize("name", ["brown", "linear"])
+    def test_expected_ratio_matches_the_member_loop(self, name, method):
+        # the array pass against the per-member loop it replaced, bit for bit
+        if name == "brown":
+            problem, x0 = BrownProblem(8), 0.5 * np.ones(8)
+        else:
+            problem, x0 = self.seeded_linear(16), np.zeros(6)
+        x_star, mode = problem.known_root, Convex(0.5)
+        trace = solve(problem, x0, SolverConfig(method=method, seed=0, record_iterates=True, max_iter=60))
+        eta = EtaEstimate(np.zeros(problem.m), 0.1, 1, x0, 1.0, ())
+        report = build_factor_report(problem, trace, eta, mode, method)
+        assert any(row.set_size > 1 for row in report.rows)
+        for row, x in zip(report.rows, trace.iterates):
+            g = RowGeometry.from_state(problem.residual(x), problem.row_sq_norms_at(x))
+            sel = greedy_selection(g, method, mode)
+            J = problem.jacobian(x)
+            acc = 0.0
+            for p_i, j in zip(sel.weights / sel.weights.sum(), sel.indices):
+                if p_i == 0.0:
+                    continue
+                x_next = x - (g.residual[j] / g.grad_sq_norms[j]) * J[j]
+                acc += p_i * float(np.sum((x_next - x_star) ** 2))
+            assert row.expected_ratio.hex() == (acc / float(np.sum((x - x_star) ** 2))).hex()
 
     @pytest.mark.parametrize("method", [MethodKind.DR_CNK, MethodKind.RD_CNK, MethodKind.DB_CNK, MethodKind.RB_CNK])
     def test_a_trace_of_another_problem_or_threshold_raises(self, method):

@@ -8,7 +8,7 @@ from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, SolveStatus, 
 from capped_kaczmarz.errors import FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
 from capped_kaczmarz.problems import GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
-from capped_kaczmarz.selection import RowGeometry, SelectionKind
+from capped_kaczmarz.selection import RowGeometry
 from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, kaczmarz_step, solve
 from oracles import glm_head
 
@@ -54,11 +54,11 @@ def test_linear_substep_annihilates_head_rows(small_glm):
         assert np.all(np.abs(head) <= 1e-12)
 
 
-def tail_selection(glm, x, r, kind, mode):
+def tail_selection(glm, x, r, method, mode):
     """The hybrid's selection at ``x``: the tail rows' geometry, through the
     selection every greedy method shares."""
     norms = glm.row_sq_norms_at(x)
-    return greedy_selection(RowGeometry.from_state(r[glm.d:], norms[glm.d:]), kind, mode)
+    return greedy_selection(RowGeometry.from_state(r[glm.d:], norms[glm.d:]), method, mode)
 
 
 def test_tail_selection_nonempty_and_global_indices(small_glm):
@@ -68,8 +68,8 @@ def test_tail_selection_nonempty_and_global_indices(small_glm):
         tail = small_glm.residual(x)[small_glm.d :]
         if float(tail @ tail) == 0.0:
             continue
-        for kind in (SelectionKind.DISTANCE, SelectionKind.RESIDUAL):
-            sel = tail_selection(small_glm, x, small_glm.residual(x), kind, Convex(0.5))
+        for method in (MethodKind.GLM_HYBRID_DB, MethodKind.GLM_HYBRID_RB):
+            sel = tail_selection(small_glm, x, small_glm.residual(x), method, Convex(0.5))
             global_rows = sel.indices + small_glm.d
             assert len(sel) >= 1
             assert np.all(global_rows >= small_glm.d)
@@ -78,7 +78,6 @@ def test_tail_selection_nonempty_and_global_indices(small_glm):
 
 @pytest.mark.parametrize("method", [MethodKind.GLM_HYBRID_DB, MethodKind.GLM_HYBRID_RB])
 def test_records_replay_head_solve_and_tail_block(small_glm, method):
-    kind = SelectionKind.DISTANCE if method is MethodKind.GLM_HYBRID_DB else SelectionKind.RESIDUAL
     config = SolverConfig(method=method, seed=0, record_iterates=True)
     trace = solve(small_glm, np.zeros(small_glm.n), config)
     assert trace.status is SolveStatus.CONVERGED
@@ -90,7 +89,7 @@ def test_records_replay_head_solve_and_tail_block(small_glm, method):
     for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
         x_mid = hybrid_linear_substep(small_glm, x, small_glm.residual(x))
         r_mid = small_glm.residual(x_mid)
-        sel = tail_selection(small_glm, x_mid, r_mid, kind, config.threshold)
+        sel = tail_selection(small_glm, x_mid, r_mid, method, config.threshold)
         rows = sel.indices + small_glm.d
         assert rec.selected == tuple(int(j) for j in rows)
         assert rec.set_size == len(sel)

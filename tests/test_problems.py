@@ -15,6 +15,7 @@ from capped_kaczmarz.problems import (
     _sigmoid_branches,
     make_glm,
     make_synthetic_glm,
+    parse_libsvm,
     synthetic_dataset,
 )
 from oracles import glm_head, masked_stable_sigmoid
@@ -182,13 +183,28 @@ class TestGLM:
         (lambda: GLMProblem(np.ones((2, 3)), np.ones(3), lam=float("nan")), "positive"),
         (lambda: make_glm(Dataset(d=2, p=0, samples=(), labels=np.zeros(0))), "no samples"),
         (lambda: make_synthetic_glm(0, 3, 0), "no samples"),
+        (lambda: GLMProblem(np.zeros((2, 0)), np.zeros(0), lam=1.0), "no samples"),
+        (lambda: GLMProblem(np.zeros((0, 3)), np.ones(3), lam=1.0), "no features"),
+        (lambda: GLMProblem(np.zeros((0, 3)), np.ones(3)), "no features"),
+        (lambda: make_synthetic_glm(10, 0, 1), "no features"),
+        (lambda: make_glm(parse_libsvm("1\n-1\n1\n")), "no features"),
     ],
     ids=["1-d-samples", "label-count", "zero-lam", "negative-lam", "nan-lam", "make-glm-no-samples",
-         "synthetic-no-samples"],
+         "synthetic-no-samples", "no-samples", "no-features", "no-features-default-lam",
+         "synthetic-no-features", "labels-only-libsvm"],
 )
 def test_glm_builders_refuse_a_malformed_system(build, message):
     with pytest.raises(DimensionMismatch, match=message):
         build()
+
+
+def test_glm_lam_defaults_to_one_over_p():
+    dataset = synthetic_dataset(p=7, d=3, seed=4)
+    A, y = dataset.to_dense(), dataset.labels
+    default, explicit = GLMProblem(A, y), GLMProblem(A, y, lam=1.0 / 7)
+    assert default.lam == 1.0 / 7
+    x = seeded_rng(5).standard_normal(default.n)
+    assert default.residual(x).tobytes() == explicit.residual(x).tobytes()
 
 
 def index_sets(m: int, d: int, rng) -> list[np.ndarray]:

@@ -101,6 +101,18 @@ def squares_stay_normal(g: RowGeometry) -> bool:
     return bool(np.all(np.abs(squares[squares != 0.0]) >= np.finfo(np.float64).tiny))
 
 
+def rescaling_stays_normal(g: RowGeometry, scaled: RowGeometry) -> bool:
+    """The squares of ``g``'s nonzero residual entries and its nonzero
+    norms are normal floats in ``g`` and in ``scaled``.  Which entries count
+    as nonzero is read off ``g``, so a square that underflows to zero under
+    the rescaling fails, where ``squares_stay_normal`` would drop it."""
+    nonzero = np.concatenate((g.residual, g.grad_sq_norms)) != 0.0
+    return all(
+        bool(np.all(np.concatenate((h.res_sq, h.grad_sq_norms))[nonzero] >= np.finfo(np.float64).tiny))
+        for h in (g, scaled)
+    )
+
+
 @settings(max_examples=250, deadline=None)
 @given(geometries(), st.integers(min_value=-40, max_value=40))
 def test_homogeneity_under_common_rescaling(g, exponent):
@@ -109,7 +121,7 @@ def test_homogeneity_under_common_rescaling(g, exponent):
     # ties; subnormal squares lose bits and break that premise (pinned below)
     c = float(2.0**exponent)
     scaled = RowGeometry.from_state(c * g.residual, c * c * g.grad_sq_norms)
-    assume(squares_stay_normal(g) and squares_stay_normal(scaled))
+    assume(rescaling_stays_normal(g, scaled))
     for mode in (Convex(0.5), Scaled(1.0)):
         base_d = build_distance_set(g, compute_epsilon(g, mode))
         scaled_d = build_distance_set(scaled, compute_epsilon(scaled, mode))
@@ -144,6 +156,21 @@ def test_subnormal_distance_ratio_underflows_to_all_weights_zero(residual, grad_
     assert g.active.all() and g.res_sq[0] > 0.0 and g.ratios[0] == 0.0
     with pytest.raises(AllWeightsZero, match="vanishing gradient"):
         build_residual_set(g, compute_delta(g, mode))
+
+
+def test_a_square_that_underflows_under_rescaling_leaves_no_residual():
+    # |f|^2 = 4.7e-305 is normal, but rescaled by 2^-33 it is 6.4e-325,
+    # below half the smallest subnormal, so it rounds to zero: the rescaled
+    # geometry has no residual left and no distance threshold.  Only the
+    # unscaled entry tells that this square was not zero to begin with.
+    g = RowGeometry.from_state(np.array([6.875e-153]), np.array([1.0]))
+    c = 2.0**-33
+    scaled = RowGeometry.from_state(c * g.residual, c * c * g.grad_sq_norms)
+    assert g.res_sq[0] >= np.finfo(np.float64).tiny and scaled.res_sq[0] == 0.0
+    assert squares_stay_normal(g) and squares_stay_normal(scaled)
+    assert not rescaling_stays_normal(g, scaled)
+    with pytest.raises(DegenerateState, match="zero residual"):
+        compute_epsilon(scaled, Convex(0.5))
 
 
 @pytest.mark.parametrize(
