@@ -12,15 +12,13 @@ exp and curvature vector, the Brown leave-one-out products) and is
 emptied when the next iterate arrives; it changes no value, only how often
 it is computed.
 
-Overflow and invalid operations are ignored in the residual and its norm
-only: a wild step may overflow them, and ``check_stop`` reads a non-finite
-``||f||^2`` as a breakdown.  Since numpy 2.0 the error state is a context
-variable, so each solve copies the caller's context once, under
-``np.errstate(over="ignore", invalid="ignore")``, and evaluates the residual
-in that copy through ``Context.run``, which costs a small fraction of
-entering an ``np.errstate``.  Selection and the step run in the caller's
-context and warn as the caller set; the caller's error state is the same
-after the solve as before it.
+Each solve runs its whole loop under one ``np.errstate(over="ignore",
+invalid="ignore")``: a wild step may overflow the residual or ``||f||^2``,
+which ``check_stop`` reads as a breakdown, and a row whose ``||g_i||^2``
+overflows takes ``kaczmarz_step``'s scaled form, so the checks that read
+the values decide and numpy neither warns nor raises.  ``divide`` and
+``under`` stay as the caller set them, and the caller's error state is the
+same after the solve as before it.
 
 Every greedy method selects at one site, over
 ``RowGeometry.from_state(r[lo:], norms[lo:])`` with the norms of
@@ -41,7 +39,6 @@ and then onto the selected tail rows ``d:`` at the post-head iterate.
 
 from __future__ import annotations
 
-import contextvars
 import math
 
 import numpy as np
@@ -83,17 +80,18 @@ def kaczmarz_step(x: np.ndarray, f_i: float, grad_i: np.ndarray) -> np.ndarray:
     along the unit row, with the norm taken after scaling by
     ``max_j |grad_ij|``; every other step keeps the bits of the product
     above.  A zero row whose equation holds (``f_i == 0``) takes a zero
-    step.  Any other row whose ``max_j |grad_ij|`` is 0 or not finite raises
-    ``ZeroGradient``, and so does a row whose scaled coefficient ``f_i /
-    ||grad_i||`` overflows (``f_i = 1`` on the row ``[5e-324, 0]``), where
-    the step would be infinite and its zero entries NaN."""
+    step.  Any other row whose ``max_j |grad_ij|`` (0 on an empty row) is 0
+    or not finite raises ``ZeroGradient``, and so does a row whose scaled
+    coefficient ``f_i / ||grad_i||`` overflows (``f_i = 1`` on the row
+    ``[5e-324, 0]``), where the step would be infinite and its zero entries
+    NaN."""
     gsq = float(grad_i.dot(grad_i))
     f_i = float(f_i)
     if 1e-300 <= gsq < math.inf:
         coef = f_i / gsq
         if math.isfinite(coef):
             return x - coef * grad_i
-    scale = float(np.abs(grad_i).max())
+    scale = float(np.maximum.reduce(np.abs(grad_i), initial=0.0))
     if not 0.0 < scale < math.inf:
         if scale == 0.0 and f_i == 0.0:
             return x.copy()
@@ -122,8 +120,9 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     The trace starts with a record at k = 0 holding the initial residual.
     Numerical breakdown (a ``NumericalBreakdown`` from selection or the
     step, or a non-finite residual) terminates the solve with a status
-    instead of raising.  The hybrid
-    methods need a ``GLMProblem``.
+    instead of raising; overflow and invalid operations are ignored for the
+    whole solve (see the module docstring).  The hybrid methods need a
+    ``GLMProblem``.
     """
     method = config.method
     if method in HYBRID_KINDS and not isinstance(problem, GLMProblem):
@@ -143,80 +142,71 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     lo = problem.d if hybrid else 0
     m = problem.m
     memo = IterateMemo()
-    # the residual's quiet scope (see the module docstring); one per solve,
-    # as a context cannot be entered twice at once
+    # the solve's quiet scope (see the module docstring)
     with np.errstate(over="ignore", invalid="ignore"):
-        quiet = contextvars.copy_context()
+        k = 0
+        while True:
+            r = problem.residual(x, memo)
+            residual_sq = float(r.dot(r))
+            error_sq = float(np.add.reduce((x - x_star) ** 2)) if x_star is not None else None
+            if iterates is not None:
+                iterates.append(x.copy())
 
-    k = 0
-    while True:
-        r, residual_sq = quiet.run(_residual_and_sq, problem, x, memo)
-        error_sq = float(np.add.reduce((x - x_star) ** 2)) if x_star is not None else None
-        if iterates is not None:
-            iterates.append(x.copy())
-
-        # the selection is recorded only once the update has gone through;
-        # stopping and breakdown records carry an empty one
-        selected, set_size = (), 0
-        status = check_stop(residual_sq, k, config)
-        if status is None:
-            try:
-                # a hybrid selects and steps at its post-head iterate; a
-                # breakdown in either sub-step leaves x at the pre-head iterate
-                x_at, r_at = x, r
-                if hybrid:
-                    x_at = hybrid_linear_substep(problem, x, r, memo)
-                    r_at = problem.residual(x_at, memo)
-                if method is MethodKind.NK:
-                    i, size = k % m, 1
-                elif method is MethodKind.NURK:
-                    i, size = int(rng.integers(m)), 1
-                elif method is MethodKind.NRK:
-                    i, size = draw_weighted_index(rng, r * r), 1
-                else:
-                    # the one greedy selection site; only a hybrid slices
-                    r_sel, norms = r_at, problem.row_sq_norms_at(x_at, memo)
-                    if lo:
-                        r_sel, norms = r_at[lo:], norms[lo:]
-                    g = RowGeometry.from_state(r_sel, norms)
-                    if hybrid and g.residual_sq == 0.0:
-                        # tail exactly solved: the head solve is the whole update
-                        x, size = x_at, 0
+            # the selection is recorded only once the update has gone through;
+            # stopping and breakdown records carry an empty one
+            selected, set_size = (), 0
+            status = check_stop(residual_sq, k, config)
+            if status is None:
+                try:
+                    # a hybrid selects and steps at its post-head iterate; a
+                    # breakdown in either sub-step leaves x at the pre-head iterate
+                    x_at, r_at = x, r
+                    if hybrid:
+                        x_at = hybrid_linear_substep(problem, x, r, memo)
+                        r_at = problem.residual(x_at, memo)
+                    if method is MethodKind.NK:
+                        i, size = k % m, 1
+                    elif method is MethodKind.NURK:
+                        i, size = int(rng.integers(m)), 1
+                    elif method is MethodKind.NRK:
+                        i, size = draw_weighted_index(rng, r * r), 1
                     else:
-                        sel = greedy_selection(g, method, config.threshold)
-                        size = len(sel)
-                        if not by_block:
-                            i = sample_index(sel, rng)
-                        elif size == 1:
-                            # the minimum-norm step onto one row is its projection
-                            i = int(sel.indices[0]) + lo
+                        # the one greedy selection site; only a hybrid slices
+                        r_sel, norms = r_at, problem.row_sq_norms_at(x_at, memo)
+                        if lo:
+                            r_sel, norms = r_at[lo:], norms[lo:]
+                        g = RowGeometry.from_state(r_sel, norms)
+                        if hybrid and g.residual_sq == 0.0:
+                            # tail exactly solved: the head solve is the whole update
+                            x, size = x_at, 0
                         else:
-                            # the offset costs a ufunc call, so only a hybrid adds it
-                            rows = sel.indices + lo if lo else sel.indices
-                    # the geometry's arrays are freed before the step
-                    del g
-                if by_block and size > 1:
-                    x = block_projection(problem, x_at, rows, r_at[rows], memo)
-                    selected, set_size = rows.tolist(), size
-                elif size:
-                    x = kaczmarz_step(x_at, r_at[i], problem.row_grad(i, x_at, memo))
-                    selected, set_size = (i,), size
-            except NumericalBreakdown:
-                status = SolveStatus.NUMERICAL_BREAKDOWN
+                            sel = greedy_selection(g, method, config.threshold)
+                            size = len(sel)
+                            if not by_block:
+                                i = sample_index(sel, rng)
+                            elif size == 1:
+                                # the minimum-norm step onto one row is its projection
+                                i = int(sel.indices[0]) + lo
+                            else:
+                                # the offset costs a ufunc call, so only a hybrid adds it
+                                rows = sel.indices + lo if lo else sel.indices
+                        # the geometry's arrays are freed before the step
+                        del g
+                    if by_block and size > 1:
+                        x = block_projection(problem, x_at, rows, r_at[rows], memo)
+                        selected, set_size = rows.tolist(), size
+                    elif size:
+                        x = kaczmarz_step(x_at, r_at[i], problem.row_grad(i, x_at, memo))
+                        selected, set_size = (i,), size
+                except NumericalBreakdown:
+                    status = SolveStatus.NUMERICAL_BREAKDOWN
 
-        records.append(residual_sq, selected, set_size, clock() - started, error_sq)
-        if status is not None:
-            break
-        k += 1
+            records.append(residual_sq, selected, set_size, clock() - started, error_sq)
+            if status is not None:
+                break
+            k += 1
 
     return SolveTrace(records=records, status=status, final_x=x, iterates=iterates)
-
-
-def _residual_and_sq(problem: ProblemInstance, x: np.ndarray, memo: IterateMemo) -> tuple[np.ndarray, float]:
-    """The residual at ``x`` and ``||f||^2``: what ``solve`` runs in its
-    quiet context."""
-    r = problem.residual(x, memo)
-    return r, float(r.dot(r))
 
 
 def block_projection(

@@ -131,6 +131,14 @@ class TestEstimateEta:
         est = estimate_eta(problem, np.array([c]), radius=r, pairs=5000, rng=seeded_rng(4))
         assert est.eta <= 2 * r / (2 * c - 2 * r) + 1e-12
 
+    def test_resolution_cut_bounds_the_ratio_through_a_root(self):
+        # a pair counts only if |x1^2 - x2^2| > c |2 x1| |x1 - x2|, that is
+        # |x1 + x2| > 2c |x1|, so its ratio |x1 - x2| / |x1 + x2| stays below
+        # (1 + c) / c: 3 at the cut c = 1/2, which a ball around the root
+        # 0 approaches
+        est = estimate_eta(Quadratic1D(), np.array([0.0]), radius=1.0, pairs=20_000, rng=seeded_rng(7))
+        assert 2.99 < est.eta <= 3.0 + 1e-12
+
     def test_monotone_in_sample_count(self):
         problem = BrownProblem(4)
         small = estimate_eta(problem, np.ones(4), radius=0.3, pairs=200, rng=seeded_rng(5))

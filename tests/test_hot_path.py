@@ -14,8 +14,8 @@ The bit-identity tests pin the rewritten Brown kernels against the array
 method forms they replaced, and ``ndarray.dot``, which the per-iteration
 vector dots call in place of ``@`` to skip the matmul ufunc's dispatch,
 against ``@``.  A per-iteration count pins the ufunc reductions a Brown
-solve makes and its one ``np.errstate`` (the residual's quiet context is
-copied once per solve), so a reduction or an errstate put back on the loop
+solve makes and its one ``np.errstate`` (the quiet scope entered once
+around the whole loop), so a reduction or an errstate put back on the loop
 fails a test; the residual rule's all-zero weight test is pinned against
 the ``np.logical_or.reduce`` it replaced.
 """
@@ -178,8 +178,8 @@ def test_per_iteration_reductions_and_one_errstate_per_solve(method, first, stea
         steady = [first, first + PRODUCT_ROW_GRAD]
     trace, counts = calls_per_record("brown:50", method, max_iter=300)
     assert trace.total_iterations == 300 and len(counts) == 301
-    # one np.errstate per solve, entered before the loop to copy the context
-    # that the residual runs in, and none inside it
+    # one np.errstate per solve, entered once around the whole loop, and
+    # none inside it
     assert counts[0].pop("errstate") == 1
     assert counts[0] == first
     assert patterns(counts[1:-1]) == patterns(steady)
