@@ -21,7 +21,7 @@ from .core import (
 from .errors import CappedKaczmarzError
 from .diagnostics import REPORTED_KINDS, build_factor_report, estimate_eta
 from .numerics import seeded_rng
-from .problems import BrownProblem, GLMProblem, LinearProblem, load_libsvm, make_glm, make_synthetic_glm
+from .problems import BrownProblem, LinearProblem, load_libsvm, make_glm, make_synthetic_glm
 from .solvers import solve
 
 TRACE_COLUMNS = ("k", "residual_sq", "elapsed_s", "selected_size")
@@ -78,6 +78,8 @@ def resolve_problem(selector: str) -> tuple[ProblemInstance, np.ndarray]:
             return glm, np.zeros(glm.n)
         if kind == "linear":
             m, n, seed = (int(tok) for tok in rest.split(","))
+            if m < 1 or n < 1:
+                raise ValueError("a linear system needs at least one row and one unknown")
             rng = seeded_rng(seed)
             A = rng.standard_normal((m, n))
             x_star = rng.standard_normal(n)
@@ -151,14 +153,14 @@ def run_bench(spec: BenchSpec) -> BenchReport:
     """Execute every (method, run) cell, assemble summaries, write outputs.
 
     Per-run numerical breakdown is recorded in the report, never fatal to
-    the batch.  A hybrid method on a non-GLM problem is a specification
-    error, raised before any cell runs.  Timing covers the solve only
-    (problem construction and file IO excluded).
+    the batch.  A hybrid method on a problem without head rows (``d ==
+    0``) is a specification error, raised before any cell runs.  Timing
+    covers the solve only (problem construction and file IO excluded).
     """
     problem, x0 = resolve_problem(spec.problem)
     hybrids = [m.value for m in spec.methods if m in HYBRID_KINDS]
-    if hybrids and not isinstance(problem, GLMProblem):
-        raise BenchSpecError(f"{', '.join(hybrids)} need a glm problem, not {spec.problem!r}")
+    if hybrids and not problem.d:
+        raise BenchSpecError(f"{', '.join(hybrids)} need a problem with head rows (a glm), not {spec.problem!r}")
     results = [_run_cell(problem, x0, spec, method, run) for method in spec.methods for run in range(spec.runs)]
 
     summaries = []

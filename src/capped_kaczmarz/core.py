@@ -111,11 +111,16 @@ class ProblemInstance:
     Attributes
     ----------
     m, n : row and unknown counts (residual length m, gradient length n).
+    d : head rows, ``0 <= d < m``: the leading affine rows ``:d`` that a
+        hybrid method solves exactly before it selects among the rows
+        ``d:``.  0 (the default) means none; a hybrid refuses a problem
+        unless ``0 < d < m``.  The GLM sets it to its feature count.
     known_root : optional exact solution, used for error tracking.
     """
 
     m: int
     n: int
+    d: int = 0
     known_root: np.ndarray | None = None
 
     def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:

@@ -68,13 +68,18 @@ def estimate_eta(
     cancels at first order while the defect stays quadratic, so the
     unrestricted supremum is unbounded for every non-affine row; those
     degenerate pairs carry no projection information and are skipped.
-    Rows that never produced a valid ratio are flagged, not failed.
+    Rows that never produced a valid ratio are flagged, not failed.  A
+    problem with no rows, or an empty ``center``, raises ``ValueError``.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
     if pairs < 1:
         raise ValueError("need at least one pair")
+    if problem.m < 1:
+        raise ValueError("cannot estimate eta on a problem with no rows")
     center = np.asarray(center, dtype=float)
+    if center.size == 0:
+        raise ValueError("cannot estimate eta around an empty center")
     sup = np.zeros(problem.m)
     counts = np.zeros(problem.m, dtype=int)
     for _ in range(pairs):

@@ -21,7 +21,22 @@ one name:
 * every other block (square or tall, ill-conditioned, rank-deficient, out
   of that floating-point range, or one whose eigensolver fails) goes to
   ``numpy.linalg.lstsq`` (LAPACK ``gelsd``), and its step is bit for bit
-  that driver's SVD pseudoinverse action.
+  that driver's SVD pseudoinverse action, with the rank cutoff below.
+
+Why the rank cutoff has headroom.  ``gelsd`` counts a singular value at or
+below ``rcond * sigma_max`` as zero.  numpy's default ``rcond``,
+``max(k, n) eps``, sits at the rounding noise of a computed zero singular
+value: on a 30 x 30 orthogonal block with one zeroed row gelsd computed
+that value as 7.09e-15 against a cutoff of 6.66e-15, kept rank 30, and
+stepped 6.9e13 away from the SVD pseudoinverse.  On 10185 random
+rank-deficient blocks up to 60 x 60 (a zeroed row, a repeated row or a
+doubled column) that noise stayed below 0.61 of the default, so ten times
+it, ``rcond = 10 max(k, n) eps`` (``_RCOND_PER_DIM``), cuts such values
+with room to spare.  A block of cond(J) up to 1e6, the range the
+package's SVD-oracle check covers, keeps every singular value: its
+smallest is 1e-6 sigma_max, far above the cutoff of at most 1.3e-13
+sigma_max.  A block whose rank the two cutoffs agree on gets the same
+bits under either.
 
 Why the guard certifies accuracy.  Forming ``G`` perturbs it by at most
 about ``n eps ||J||_F^2 <= n k eps lam_max``, and ``eigh`` is backward
@@ -56,6 +71,9 @@ GRAM_TAU = 1e-6
 # a Gram path eigenvalue must also be a normal float: below that, the
 # products forming G round to absolute, not relative, error
 _TINY = np.finfo(float).tiny
+# gelsd's rank cutoff per max(k, n), relative to sigma_max: ten times
+# numpy's default eps (see the module docstring)
+_RCOND_PER_DIM = 10.0 * np.finfo(float).eps
 
 
 def row_sq_norms(J: np.ndarray) -> np.ndarray:
@@ -73,8 +91,9 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     error of at most about ``cond(J)^2 (n + k) k eps`` (see the module
     docstring).  Every other block, including any
     that is rank-deficient, gets the pseudoinverse action of
-    ``numpy.linalg.lstsq`` bit for bit, with the standard rank cutoff
-    ``max(rows, cols) * eps`` relative to the largest singular value.
+    ``numpy.linalg.lstsq`` bit for bit, with the rank cutoff ``rcond = 10
+    max(rows, cols) eps`` relative to the largest singular value: ten times
+    numpy's default, above the rounding noise of a zero singular value.
     Non-finite input, a shape mismatch or a failing driver raise
     :class:`FactorizationFailure`.
     """
@@ -98,7 +117,7 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
                 if np.logical_and.reduce(np.isfinite(delta)):
                     return delta
     try:
-        delta, *_ = np.linalg.lstsq(J, rhs, rcond=None)
+        delta, *_ = np.linalg.lstsq(J, rhs, rcond=_RCOND_PER_DIM * max(k, n))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise FactorizationFailure(str(exc)) from exc
     return delta

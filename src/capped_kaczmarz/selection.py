@@ -219,13 +219,15 @@ def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
     Convex(theta):  delta = theta * max_i |f_i|^2 / ||f||^2 + (1 - theta) / m
     Scaled(xi):     delta = xi * max_i |f_i|^2 / ||f||^2
 
-    In Convex mode ``1/m <= delta <= 1`` always holds.
+    In Convex mode ``1/m <= delta <= 1`` always holds, up to rounding: the
+    ratio is taken before ``theta`` scales it, so a subnormal ``|f_i|^2``
+    loses no bits to the product.
     """
     if g.residual_sq <= 0.0:
         raise DegenerateState("residual threshold undefined at zero residual")
     max_res_sq = float(g.res_sq[g.top_residual_row])
     if isinstance(mode, Convex):
-        return mode.theta * max_res_sq / g.residual_sq + (1.0 - mode.theta) / g.res_sq.size
+        return mode.theta * (max_res_sq / g.residual_sq) + (1.0 - mode.theta) / g.res_sq.size
     if isinstance(mode, Scaled):
         return mode.xi * max_res_sq / g.residual_sq
     raise TypeError(f"unknown threshold mode: {mode!r}")

@@ -32,9 +32,12 @@ closed-form step or None (the default; the GLM returns one for head rows
 only or tail rows only, when its guard ``cond(J)^2 <= 1 / GRAM_TAU``
 holds), and a declined block goes to ``min_norm_least_squares`` on the
 selected Jacobian rows only (``problem.jacobian(x, rows)``).  ``lo`` is 0
-except for the GLM hybrids, whose iteration first projects onto the affine
-head rows ``:d`` (``hybrid_linear_substep``, the same block projection)
-and then onto the selected tail rows ``d:`` at the post-head iterate.
+except for the hybrids, whose iteration first projects onto the problem's
+``d`` affine head rows ``:d`` (``hybrid_linear_substep``, the same block
+projection) and then onto the selected tail rows ``d:`` at the post-head
+iterate.  A problem declares its head rows as ``ProblemInstance.d`` (the
+GLM's d feature rows; 0, and so no hybrid, by default), so this module
+imports no problem class.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ from .errors import NumericalBreakdown, ZeroGradient
 from .numerics import draw_weighted_index, min_norm_least_squares, seeded_rng
 # not called here: benchmark/tracing.py rebinds this name for its numerics.row_norms span
 from .numerics import row_sq_norms  # noqa: F401
-from .problems import GLMProblem
 from .selection import (
     RowGeometry,
     build_distance_set,
@@ -122,11 +124,12 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     step, or a non-finite residual) terminates the solve with a status
     instead of raising; overflow and invalid operations are ignored for the
     whole solve (see the module docstring).  The hybrid methods need a
-    ``GLMProblem``.
+    problem with head rows, ``0 < problem.d < problem.m``.
     """
     method = config.method
-    if method in HYBRID_KINDS and not isinstance(problem, GLMProblem):
-        raise TypeError("hybrid methods require a GLMProblem")
+    hybrid = method in HYBRID_KINDS
+    if hybrid and not 0 < problem.d < problem.m:
+        raise TypeError("hybrid methods require a problem with head rows (0 < d < m)")
     x = np.array(x0, dtype=float)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have length {problem.n}, got shape {x.shape}")
@@ -136,7 +139,6 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     iterates: list[np.ndarray] | None = [] if config.record_iterates else None
     x_star = problem.known_root if config.record_error else None
     records = TraceRecords(track_error=x_star is not None)
-    hybrid = method in HYBRID_KINDS
     by_block = hybrid or method in BLOCK_KINDS
     # a hybrid selects among its tail rows only, the rows from d on
     lo = problem.d if hybrid else 0
@@ -222,9 +224,10 @@ def block_projection(
 
 
 def hybrid_linear_substep(
-    glm: GLMProblem, x: np.ndarray, r: np.ndarray, memo: IterateMemo | None = None
+    problem: ProblemInstance, x: np.ndarray, r: np.ndarray, memo: IterateMemo | None = None
 ) -> np.ndarray:
-    """The block projection onto the affine head rows, given the residual
-    ``r`` at ``x``.  The head Jacobian has full row rank (identity block on
-    w), so one projection annihilates those rows."""
-    return block_projection(glm, x, np.arange(glm.d), r[: glm.d], memo)
+    """The block projection onto the ``problem.d`` affine head rows, given
+    the residual ``r`` at ``x``.  Where the head Jacobian has full row rank
+    (on the GLM, its identity block on w), one projection annihilates those
+    rows."""
+    return block_projection(problem, x, np.arange(problem.d), r[: problem.d], memo)

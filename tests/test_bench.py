@@ -430,6 +430,19 @@ class TestCli:
         assert err.startswith("error: ") and "glm-hybrid-db" in err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("selector", ["linear:3,0,1", "linear:0,3,1"], ids=["no unknowns", "no rows"])
+    def test_empty_linear_system_exits_one_before_any_cell(self, selector, tmp_path, monkeypatch, capsys):
+        # refused like brown:1: with no unknowns the diagnostics' sampling
+        # ball divided by zero, and with no rows eta took the maximum of nothing
+        monkeypatch.setattr(bench, "solve", lambda *args: pytest.fail("a cell ran"))
+        code = cli.main(
+            ["run", "--problem", selector, "--methods", "db-cnk", "--runs", "1", "--diagnostics", "--out", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and selector in err and "at least one row and one unknown" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_defaults_come_from_the_spec_and_the_config(self, monkeypatch):
         specs = []
         monkeypatch.setattr(cli, "run_bench", lambda spec: specs.append(spec) or run_bench(replace(spec, runs=1)))

@@ -104,6 +104,16 @@ def test_default_row_norms_share_the_iterates_memo(method):
 
 
 class TestEstimateEta:
+    def test_refuses_a_problem_with_no_rows(self):
+        problem = LinearProblem(np.zeros((0, 3)), np.zeros(0))
+        with pytest.raises(ValueError, match="no rows"):
+            estimate_eta(problem, np.zeros(3), radius=1.0, pairs=10, rng=seeded_rng(0))
+
+    def test_refuses_an_empty_center(self):
+        problem = LinearProblem(np.zeros((3, 0)), np.ones(3))
+        with pytest.raises(ValueError, match="empty center"):
+            estimate_eta(problem, np.zeros(0), radius=1.0, pairs=10, rng=seeded_rng(0))
+
     def test_linear_problem_exactly_zero(self):
         rng = seeded_rng(0)
         A = rng.standard_normal((8, 5))

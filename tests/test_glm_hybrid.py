@@ -1,13 +1,19 @@
 """Hybrid block scheme on the logistic-regression system."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+import capped_kaczmarz.bench as bench_mod
 import capped_kaczmarz.solvers as solvers_mod
-from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
-from capped_kaczmarz.problems import GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset
+from capped_kaczmarz.problems import (
+    BrownProblem, GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset,
+)
 from capped_kaczmarz.selection import RowGeometry
 from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, kaczmarz_step, solve
 from oracles import glm_head
@@ -160,6 +166,78 @@ def test_hybrid_requires_glm_problem():
     linear = LinearProblem(np.eye(2), np.zeros(2))
     with pytest.raises(TypeError):
         solve(linear, np.zeros(2), SolverConfig(method=MethodKind.GLM_HYBRID_DB))
+
+
+HYBRIDS = sorted(HYBRID_KINDS, key=lambda kind: kind.value)
+
+
+def test_head_rows_are_declared_by_the_problem():
+    assert BrownProblem(4).d == 0
+    assert LinearProblem(np.eye(3), np.zeros(3)).d == 0
+    glm = make_synthetic_glm(p=12, d=3, seed=1)
+    assert glm.d == glm.A.shape[0] == 3
+
+
+class NoHeadRows(ProblemInstance):
+    """``x - 1 = 0`` on a bare subclass that leaves ``d`` at its default."""
+
+    m = n = 2
+
+    def residual(self, x, memo=None):
+        return x - 1.0
+
+    def row_grad(self, i, x, memo=None):
+        return np.eye(2)[i]
+
+    def jacobian(self, x, rows=None, memo=None):
+        return np.eye(2) if rows is None else np.eye(2)[rows]
+
+
+@pytest.mark.parametrize("d", [0, -1, 2], ids=["default", "negative", "every row"])
+@pytest.mark.parametrize("method", HYBRIDS, ids=lambda kind: kind.value)
+def test_every_hybrid_refuses_a_problem_without_head_rows(method, d):
+    # 0 < d < m: a hybrid needs at least one head row and one tail row
+    problem = NoHeadRows()
+    if d:
+        problem.d = d
+    with pytest.raises(TypeError, match="head rows"):
+        solve(problem, np.zeros(2), SolverConfig(method=method))
+
+
+@pytest.mark.parametrize("method", HYBRIDS, ids=lambda kind: kind.value)
+def test_a_glm_subclass_runs_both_hybrids(method):
+    class Subclassed(GLMProblem):
+        pass
+
+    glm = make_synthetic_glm(p=30, d=3, seed=4)
+    config = SolverConfig(method=method, seed=2, clock=lambda: 0.0)
+    mine = solve(Subclassed(glm.A, glm.y, glm.lam), np.zeros(glm.n), config)
+    reference = solve(glm, np.zeros(glm.n), config)
+    assert mine.status is SolveStatus.CONVERGED
+    assert list(mine.records) == list(reference.records)
+
+
+@pytest.mark.parametrize("method", HYBRIDS, ids=lambda kind: kind.value)
+def test_a_problem_that_declares_head_rows_runs_a_hybrid(method):
+    # the problem, not its class, decides: a linear system whose first two
+    # rows are declared its head solves them exactly at every iteration
+    class HeadedLinear(LinearProblem):
+        d = 2
+
+    rng = seeded_rng(5)
+    A = rng.standard_normal((8, 4))
+    x_star = rng.standard_normal(4)
+    trace = solve(HeadedLinear(A, A @ x_star), np.zeros(4), SolverConfig(method=method, seed=0))
+    assert trace.status is SolveStatus.CONVERGED
+    assert all(min(record.selected) >= 2 for record in trace.records if record.selected)
+
+
+def test_the_solver_layer_imports_no_problem_class():
+    assert not hasattr(solvers_mod, "GLMProblem")
+    assert not hasattr(bench_mod, "GLMProblem")
+    tree = ast.parse(inspect.getsource(solvers_mod))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert imported <= {"__future__", "core", "errors", "numerics", "selection"}
 
 
 def test_plain_block_methods_also_run_on_glm():

@@ -190,6 +190,20 @@ class TestLeastSquaresRouting:
         assert declined == [True, False] * 5
         assert calls == [(d, d)] * 5
 
+    @pytest.mark.parametrize("row", [12, 13])
+    def test_zeroed_row_of_an_orthogonal_block_matches_the_svd_oracle(self, row):
+        # gelsd computes this block's zero singular value as 7.09e-15 (row
+        # 12) or 6.95e-15 (row 13) on an AVX-512 OpenBLAS kernel, just above
+        # numpy's default cutoff of 30 eps = 6.66e-15; under that cutoff the
+        # step landed 6.9e13 (8.5e13) away from the oracle's
+        rng = seeded_rng(3234041005)
+        J = with_condition(30, 30, 1.0, rng)
+        J[row] = 0.0
+        rhs = rng.standard_normal(30)
+        oracle = svd_pinv_solve(J, rhs)
+        mine = min_norm_least_squares(J, rhs)
+        assert np.linalg.norm(mine - oracle) <= 1e-8 * max(1.0, float(np.linalg.norm(oracle)))
+
     # derandomized, and no zeroed rows: on one square block with a zeroed
     # row in 30000 draws, gelsd computed the zero singular value as 7e-15,
     # above its rank cutoff, where the SVD oracle cut it; that rank decision
