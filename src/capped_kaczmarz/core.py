@@ -96,9 +96,11 @@ class ProblemInstance:
     Concrete problems subclass this and provide ``residual``, ``row_grad``
     and ``jacobian`` (whole, or a subset of its rows); ``block_step`` is an
     optional hook for blocks whose minimum-norm step has a closed form.
-    Evaluation must be
-    read-only so several solves can share one instance; each solve owns its
-    own iterate, PRNG and trace.
+    Evaluation must be read-only so several solves can share one instance;
+    each solve owns its own iterate, PRNG and trace.  The one exception is a
+    cache of the problem's own data that an evaluation may build lazily, once,
+    as a deterministic function of that data (the GLM's head Gram matrix):
+    every later evaluation, in this solve or another, reads the same bits.
 
     Every evaluation takes an optional trailing ``memo`` (an
     :class:`IterateMemo`).  ``solve`` creates one per solve and hands it to

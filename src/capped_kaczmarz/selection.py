@@ -177,7 +177,9 @@ def compute_epsilon(g: RowGeometry, mode: ThresholdMode) -> float:
     Scaled(xi):     eps = xi * max_i(|f_i|^2 / ||grad_i||^2) / ||f||^2
 
     The maximum, ``||f||^2`` and ``||J||_F^2`` all run over the active rows.
-    A zero ``||f||^2`` over them also covers the case of no active row.
+    A zero ``||f||^2`` over them also covers the case of no active row.  The
+    ratio to ``||f||^2`` is taken before ``theta`` or ``xi`` scales it, so a
+    subnormal maximum loses no bits to the product.
     """
     if g.residual_sq <= 0.0:
         raise DegenerateState("distance threshold undefined at zero residual")
@@ -185,9 +187,9 @@ def compute_epsilon(g: RowGeometry, mode: ThresholdMode) -> float:
         raise DegenerateState("all residual mass sits on zero-gradient rows")
     max_ratio = float(g.ratios[g.top_ratio_row])
     if isinstance(mode, Convex):
-        return mode.theta * max_ratio / g.active_residual_sq + (1.0 - mode.theta) / g.active_fro_sq
+        return mode.theta * (max_ratio / g.active_residual_sq) + (1.0 - mode.theta) / g.active_fro_sq
     if isinstance(mode, Scaled):
-        return mode.xi * max_ratio / g.active_residual_sq
+        return mode.xi * (max_ratio / g.active_residual_sq)
     raise TypeError(f"unknown threshold mode: {mode!r}")
 
 
@@ -219,9 +221,10 @@ def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
     Convex(theta):  delta = theta * max_i |f_i|^2 / ||f||^2 + (1 - theta) / m
     Scaled(xi):     delta = xi * max_i |f_i|^2 / ||f||^2
 
-    In Convex mode ``1/m <= delta <= 1`` always holds, up to rounding: the
-    ratio is taken before ``theta`` scales it, so a subnormal ``|f_i|^2``
-    loses no bits to the product.
+    In Convex mode ``1/m <= delta <= 1`` always holds, and in Scaled mode
+    ``delta <= xi``, up to rounding: the ratio is taken before ``theta`` or
+    ``xi`` scales it, so a subnormal ``|f_i|^2`` loses no bits to the
+    product.
     """
     if g.residual_sq <= 0.0:
         raise DegenerateState("residual threshold undefined at zero residual")
@@ -229,7 +232,7 @@ def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
     if isinstance(mode, Convex):
         return mode.theta * (max_res_sq / g.residual_sq) + (1.0 - mode.theta) / g.res_sq.size
     if isinstance(mode, Scaled):
-        return mode.xi * max_res_sq / g.residual_sq
+        return mode.xi * (max_res_sq / g.residual_sq)
     raise TypeError(f"unknown threshold mode: {mode!r}")
 
 

@@ -157,6 +157,57 @@ def test_head_step_matches_the_lstsq_oracle(p, d, seed):
         assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), scale
 
 
+@pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8), (5, 8, 1), (4, 4, 2)])
+def test_head_blocks_match_the_lstsq_oracle_with_and_without_the_cached_gram(p, d, seed):
+    # d < p reads every head block off the cached d x d Gram; d >= p, where
+    # that Gram would outgrow the head, builds none and solves each afresh
+    glm = make_synthetic_glm(p, d, seed)
+    head = glm_head(glm)
+    rng = seeded_rng(seed)
+    blocks = [np.arange(d), np.arange(0, d, 2), np.array([1, d - 1]), np.arange(1, d)]
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * rng.standard_normal(glm.n)
+        r = glm.residual(x)
+        for rows in blocks:
+            step = glm.block_step(x, rows, r[rows])
+            oracle = np.linalg.lstsq(head[rows], r[rows], rcond=None)[0]
+            assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), (scale, rows)
+    assert (glm._head_gram is None) is (d >= p)
+
+
+@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
+def test_an_overflowing_feature_leaves_the_head_gram_uninverted(value):
+    # one sample entry of 1e200 overflows its head row's Gram entries to
+    # inf, past the guard: no inverse is formed, a head block with that row
+    # is declined, and one without it is still solved.  inf and NaN give a
+    # non-finite residual at the start
+    base = make_synthetic_glm(60, 6, 3)
+    A = base.A.copy()
+    A[2, 5] = value
+    statuses = {}
+    for method in (MethodKind.GLM_HYBRID_DB, MethodKind.RB_CNK):
+        glm = GLMProblem(A, base.y)
+        trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=50))
+        statuses[method] = (trace.status, trace.total_iterations)
+    if value == 1e200:
+        assert statuses == {
+            MethodKind.GLM_HYBRID_DB: (SolveStatus.ITERATION_CAP_REACHED, 50),
+            MethodKind.RB_CNK: (SolveStatus.NUMERICAL_BREAKDOWN, 3),
+        }
+    else:
+        assert set(statuses.values()) == {(SolveStatus.NUMERICAL_BREAKDOWN, 0)}
+    glm = GLMProblem(A, base.y)
+    x = seeded_rng(3).standard_normal(glm.n)
+    rhs = seeded_rng(4).standard_normal(glm.d)
+    assert glm.block_step(x, np.arange(glm.d), rhs) is None
+    assert glm._head_gram[1] is None
+    assert glm.block_step(x, np.array([1, 2]), rhs[[1, 2]]) is None
+    rows = np.array([0, 3, 5])
+    step = glm.block_step(x, rows, rhs[rows])
+    oracle = np.linalg.lstsq(glm_head(glm)[rows], rhs[rows], rcond=None)[0]
+    assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
 def test_solve_dispatches_hybrid_kinds(small_glm):
     trace = solve(small_glm, np.zeros(small_glm.n), SolverConfig(method=MethodKind.GLM_HYBRID_RB, seed=3))
     assert trace.status is SolveStatus.CONVERGED

@@ -18,6 +18,10 @@ solve makes and its one ``np.errstate`` (the quiet scope entered once
 around the whole loop), so a reduction or an errstate put back on the loop
 fails a test; the residual rule's all-zero weight test is pinned against
 the ``np.logical_or.reduce`` it replaced.
+
+Two more checks watch the files of ``numpy/linalg``: building a GLM calls
+none of them, and once a hybrid's first head block has built the head's
+Gram matrix and inverse, a whole-head block step calls none either.
 """
 
 import itertools
@@ -33,6 +37,7 @@ import capped_kaczmarz
 from capped_kaczmarz.bench import resolve_problem
 from capped_kaczmarz.core import MethodKind, SolverConfig, TraceRecords
 from capped_kaczmarz.errors import AllWeightsZero
+from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import BrownProblem, _leave_one_out_products
 from capped_kaczmarz.selection import RowGeometry, build_residual_set
 from capped_kaczmarz.solvers import solve
@@ -103,6 +108,49 @@ def test_no_numpy_method_wrapper_on_the_solve_path(selector, method):
 
 def test_no_numpy_method_wrapper_when_the_error_is_recorded():
     assert_no_wrapper_call("linear:300,40,2", MethodKind.DR_CNK, record_error=True)
+
+
+LINALG_DIR = os.path.dirname(os.path.abspath(np.linalg.__file__))
+
+
+def linalg_calls(run):
+    """``run()``'s result, and the name of every function in a
+    ``numpy/linalg`` file that is called while it runs."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == LINALG_DIR:
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(previous)
+    return result, calls
+
+
+def test_building_a_glm_calls_no_linalg():
+    # the head's Gram and inverse wait for the first head block, so the
+    # set-up of a problem factors nothing
+    (problem, _), calls = linalg_calls(lambda: resolve_problem("glm:synthetic:200,10,8"))
+    assert problem.d == 10
+    assert calls == []
+
+
+def test_a_whole_head_step_after_the_first_iteration_calls_no_linalg():
+    # the first hybrid iteration builds the head's Gram and inverse; every
+    # later whole-head block is one product with the inverse
+    glm, x0 = resolve_problem("glm:synthetic:200,10,8")
+    head = np.arange(glm.d)
+    _, first = linalg_calls(lambda: solve(glm, x0, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=1)))
+    assert "inv" in first
+    x = seeded_rng(5).standard_normal(glm.n)
+    rhs = glm.residual(x)[: glm.d]
+    step, calls = linalg_calls(lambda: glm.block_step(x, head, rhs))
+    assert step is not None
+    assert calls == []
 
 
 ERRSTATE_ENTER = np.errstate.__enter__.__code__

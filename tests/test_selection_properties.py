@@ -61,6 +61,23 @@ def test_delta_bounds(g, theta):
 
 
 @settings(max_examples=250, deadline=None)
+@given(st.floats(min_value=2e-162, max_value=1e150), thetas, xis)
+# |f|^2 = 6.24e-315: theta or xi times the subnormal square loses bits
+# unless its ratio to ||f||^2 is taken first
+@example(7.89939353e-158, 0.125, 0.125)
+def test_one_row_thresholds_keep_their_bounds_at_every_scale(f, theta, xi):
+    # one row of unit norm: every ratio to ||f||^2 is exactly 1, so delta is
+    # theta + (1 - theta) or xi, and eps ||J||_F^2 the same, whether the
+    # square is normal or subnormal
+    g = RowGeometry.from_state(np.array([f]), np.array([1.0]))
+    assert g.res_sq[0] > 0.0
+    assert compute_delta(g, Scaled(xi)) <= xi
+    assert compute_epsilon(g, Scaled(xi)) * g.active_fro_sq <= xi
+    assert compute_delta(g, Convex(theta)) <= 1.0 + 1e-15
+    assert compute_epsilon(g, Convex(theta)) * g.active_fro_sq <= 1.0 + 1e-15
+
+
+@settings(max_examples=250, deadline=None)
 @given(geometries(), thetas)
 def test_sets_nonempty_and_contain_argmax(g, theta):
     # a subnormal |f_i|^2 can underflow its ratio to zero (pinned below)
@@ -279,9 +296,9 @@ def reference_distance(ref, mode):
         raise DegenerateState("reference")
     max_ratio = float((r[active] ** 2 / gsq[active]).max())
     if isinstance(mode, Convex):
-        eps = mode.theta * max_ratio / ref["active_residual_sq"] + (1.0 - mode.theta) / ref["active_fro_sq"]
+        eps = mode.theta * (max_ratio / ref["active_residual_sq"]) + (1.0 - mode.theta) / ref["active_fro_sq"]
     else:
-        eps = mode.xi * max_ratio / ref["active_residual_sq"]
+        eps = mode.xi * (max_ratio / ref["active_residual_sq"])
     res_sq = r * r
     ratios = res_sq / np.where(active, gsq, 1.0)
     mask = active & (ratios >= np.minimum(eps * ref["active_residual_sq"], max_ratio))
@@ -297,9 +314,9 @@ def reference_residual(ref, mode):
         raise DegenerateState("reference")
     res_sq = r * r
     if isinstance(mode, Convex):
-        delta = mode.theta * float(res_sq.max()) / ref["residual_sq"] + (1.0 - mode.theta) / len(r)
+        delta = mode.theta * (float(res_sq.max()) / ref["residual_sq"]) + (1.0 - mode.theta) / len(r)
     else:
-        delta = mode.xi * float(res_sq.max()) / ref["residual_sq"]
+        delta = mode.xi * (float(res_sq.max()) / ref["residual_sq"])
     mask = res_sq >= np.minimum(delta * ref["residual_sq"], res_sq.max())
     indices = np.flatnonzero(mask)
     if indices.size == 0:
