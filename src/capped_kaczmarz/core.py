@@ -99,7 +99,7 @@ class ProblemInstance:
     Evaluation must be read-only so several solves can share one instance;
     each solve owns its own iterate, PRNG and trace.  The one exception is a
     cache of the problem's own data that an evaluation may build lazily, once,
-    as a deterministic function of that data (the GLM's head Gram matrix):
+    as a deterministic function of that data (the GLM's head Gram inverse):
     every later evaluation, in this solve or another, reads the same bits.
 
     Every evaluation takes an optional trailing ``memo`` (an

@@ -10,8 +10,8 @@ a GLM hybrid's head block among them.  A one-row block is the
 single-row projection of ``solvers.kaczmarz_step``.  The hook declines
 every block by default; ``GLMProblem.block_step`` solves a block of head
 rows only or of tail rows only in closed form, behind a guard on this
-module's ``GRAM_TAU``; where d < p it reads its head blocks off a Gram
-matrix, and the whole head off its inverse, that it builds once and keeps.
+module's ``GRAM_TAU``; it reads the whole head's step off the inverse of
+its Gram matrix, which it builds once and keeps.
 :func:`min_norm_least_squares` has two paths behind one name:
 
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
@@ -136,11 +137,10 @@ class LinearProblem(ProblemInstance):
         return self._row_norms
 
 
-def _gram_certified(gram: np.ndarray) -> bool:
-    """The block guard ``1 + ||B||_F^2 <= 1 / GRAM_TAU`` read off a k x k
-    Gram ``I_k + B B^T``, whose trace is ``k + ||B||_F^2``; a NaN or infinite
-    trace fails it."""
-    return gram.trace() - (gram.shape[0] - 1) <= 1.0 / GRAM_TAU
+def _passes_gram_guard(B: np.ndarray) -> bool:
+    """The block guard ``1 + ||B||_F^2 <= 1 / GRAM_TAU`` on a block's dense
+    parts ``B``, written so that a NaN norm fails it too."""
+    return 1.0 + np.einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU
 
 
 def _sigmoid_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -169,9 +169,9 @@ class GLMProblem(ProblemInstance):
     the Jacobian rows and the block steps at one iterate share them.
     :meth:`block_step` solves a block of head rows or of tail rows in closed
     form, with no Jacobian rows; the hybrids' head solve is its block of all
-    d head rows.  Where ``d < p`` the head's constant Gram matrix and its
-    inverse are built on the first head block and kept for every later
-    solve (:meth:`_head_step`); building the problem factors nothing.
+    d head rows, whose constant Gram inverse is built by the first such
+    block and kept for every later solve (:attr:`_head_inverse`); building
+    the problem factors nothing.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float | None = None):
@@ -204,8 +204,6 @@ class GLMProblem(ProblemInstance):
         head[np.arange(d), p + np.arange(d)] = -1.0
         self._head_jac = head
         self._head_norms = np.einsum("ij,ij->i", head, head)
-        # (G, G^-1) of the whole head where d < p, built by its first block
-        self._head_gram = None
         self._samples = np.ascontiguousarray(A.T)  # sample s as a contiguous row
         self._sample_sq_norms = np.einsum("ij,ij->i", self._samples, self._samples)
         self._neg_y = -y
@@ -275,19 +273,16 @@ class GLMProblem(ProblemInstance):
         ``A / (lam p)`` as ``B`` (q = p) and ``-y`` on w.  No Jacobian block
         and no eigendecomposition is formed.
 
-        Head rows do not depend on ``x``.  Where ``d < p`` the whole head's
-        Gram matrix ``G = I_d + B B^T``, and ``G^-1`` where the guard passes,
-        are built on the first head block and kept (:meth:`_head_step`): the
-        whole head's ``y`` is ``G^-1 rhs``, and a head subset reads its Gram
-        as the principal submatrix ``G_SS``, a rounding of the same matrix as
-        ``I_k + B B^T``.  Where ``d >= p`` a d x d matrix would outgrow the
-        head, and every head block is solved afresh.
+        Head rows do not depend on ``x``, so the whole head (the hybrids'
+        head solve) takes ``y = G^-1 rhs`` from the inverse of its Gram
+        matrix ``G = I_d + B B^T``, built by the first whole-head block and
+        kept (:attr:`_head_inverse`); a head subset is solved afresh.
 
         Guard: the eigenvalues of ``J_S J_S^T`` lie in ``[1, 1 + ||B||_2^2]``,
         so ``1 + ||B||_F^2 <= 1 / GRAM_TAU`` certifies ``cond(J_S)^2 <= 1e6``,
         the Gram path's bound; a block above it, or a step that is not
-        finite (a non-finite ``rhs``), returns None.  A cached head block
-        reads ``||B||_F^2`` off its Gram's trace, ``k + ||B||_F^2``.
+        finite (a non-finite ``rhs``), returns None.  The whole head's
+        outcome is kept with its inverse.
 
         Error: the step's norm is ``||G^(-1/2) rhs||`` (``G = J_S J_S^T``),
         and each rounding error of either form reaches the step through
@@ -308,15 +303,18 @@ class GLMProblem(ProblemInstance):
             B = self._margin_at(x, memo)[1].take(units)[:, None] * self._samples.take(units, axis=0)
             dense = slice(self.p, None)
         elif rows[-1] < self.d:
-            if self.d < self.p:
-                return self._head_step(rows, rhs)
+            if rows.size == self.d:  # d strictly increasing head rows: 0..d-1
+                inverse = self._head_inverse
+                if inverse is None:
+                    return None
+                step = (inverse @ rhs) @ self._head_jac
+                return step if np.logical_and.reduce(np.isfinite(step)) else None
             units = rows + self.p
             B = self._head_jac[:, : self.p].take(rows, axis=0)
             dense = slice(None, self.p)
         else:
             return None
-        # written so that a NaN norm fails it too
-        if not 1.0 + np.einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU:
+        if not _passes_gram_guard(B):
             return None
         k, q = B.shape
         if k >= q:
@@ -332,34 +330,18 @@ class GLMProblem(ProblemInstance):
         step[dense] = y @ B
         return step if np.logical_and.reduce(np.isfinite(step)) else None
 
-    def _head_step(self, rows: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-        """:meth:`block_step` on head rows where ``d < p``: ``y = G^-1 rhs``
-        on the whole head (``d`` strictly increasing rows are ``0..d-1``),
-        else ``G_SS y = rhs``, and the step ``J_S^T y``.
-
-        The first call builds ``G`` and keeps it with ``G^-1``, which is
-        formed only where the guard passes, so no singular or non-finite
-        ``G`` is inverted (None marks a declined head).  An entry that
-        overflows is left to the guard, with no warning on a block that does
-        not hold it."""
-        if self._head_gram is None:
-            B = self._head_jac[:, : self.p]
-            with np.errstate(over="ignore", invalid="ignore"):
-                gram = B @ B.T
-            gram.flat[:: self.d + 1] += 1.0
-            self._head_gram = (gram, np.linalg.inv(gram) if _gram_certified(gram) else None)
-        gram, inverse = self._head_gram
-        if rows.size == self.d:
-            if inverse is None:
-                return None
-            y, J = inverse @ rhs, self._head_jac
-        else:
-            gram = gram.take(rows, axis=0).take(rows, axis=1)
-            if not _gram_certified(gram):
-                return None
-            y, J = np.linalg.solve(gram, rhs), self._head_jac.take(rows, axis=0)
-        step = y @ J
-        return step if np.logical_and.reduce(np.isfinite(step)) else None
+    @cached_property
+    def _head_inverse(self) -> np.ndarray | None:
+        """``G^-1`` of the whole head's Gram ``G = I_d + B B^T``, with ``B =
+        A / (lam p)``, or None where the guard of :meth:`block_step`
+        declines it, so no singular or non-finite ``G`` is inverted.  Built
+        by the first whole-head block and kept."""
+        B = self._head_jac[:, : self.p]
+        if not _passes_gram_guard(B):
+            return None
+        gram = B @ B.T
+        gram.flat[:: self.d + 1] += 1.0
+        return np.linalg.inv(gram)
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         # head norms are constant; tail norms come from the precomputed ||a_s||^2

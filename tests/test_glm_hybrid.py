@@ -158,26 +158,27 @@ def test_head_step_matches_the_lstsq_oracle(p, d, seed):
 
 
 @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8), (5, 8, 1), (4, 4, 2)])
-def test_head_blocks_match_the_lstsq_oracle_with_and_without_the_cached_gram(p, d, seed):
-    # d < p reads every head block off the cached d x d Gram; d >= p, where
-    # that Gram would outgrow the head, builds none and solves each afresh
+def test_head_blocks_match_the_lstsq_oracle_with_and_without_the_cached_inverse(p, d, seed):
+    # head subsets are solved afresh and build nothing; the first whole-head
+    # block builds the head's Gram inverse, for d >= p as for d < p
     glm = make_synthetic_glm(p, d, seed)
     head = glm_head(glm)
     rng = seeded_rng(seed)
-    blocks = [np.arange(d), np.arange(0, d, 2), np.array([1, d - 1]), np.arange(1, d)]
+    subsets = [np.arange(0, d, 2), np.array([1, d - 1]), np.arange(1, d)]
     for scale in (1e-3, 1.0, 1e3):
         x = scale * rng.standard_normal(glm.n)
         r = glm.residual(x)
-        for rows in blocks:
+        for rows in subsets + [np.arange(d)]:
+            assert ("_head_inverse" in vars(glm)) is (scale > 1e-3)
             step = glm.block_step(x, rows, r[rows])
             oracle = np.linalg.lstsq(head[rows], r[rows], rcond=None)[0]
             assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), (scale, rows)
-    assert (glm._head_gram is None) is (d >= p)
+    assert glm._head_inverse.shape == (d, d)
 
 
 @pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
 def test_an_overflowing_feature_leaves_the_head_gram_uninverted(value):
-    # one sample entry of 1e200 overflows its head row's Gram entries to
+    # one sample entry of 1e200 overflows its head row's squared norm to
     # inf, past the guard: no inverse is formed, a head block with that row
     # is declined, and one without it is still solved.  inf and NaN give a
     # non-finite residual at the start
@@ -199,9 +200,10 @@ def test_an_overflowing_feature_leaves_the_head_gram_uninverted(value):
     glm = GLMProblem(A, base.y)
     x = seeded_rng(3).standard_normal(glm.n)
     rhs = seeded_rng(4).standard_normal(glm.d)
-    assert glm.block_step(x, np.arange(glm.d), rhs) is None
-    assert glm._head_gram[1] is None
-    assert glm.block_step(x, np.array([1, 2]), rhs[[1, 2]]) is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert glm.block_step(x, np.arange(glm.d), rhs) is None
+        assert glm._head_inverse is None
+        assert glm.block_step(x, np.array([1, 2]), rhs[[1, 2]]) is None
     rows = np.array([0, 3, 5])
     step = glm.block_step(x, rows, rhs[rows])
     oracle = np.linalg.lstsq(glm_head(glm)[rows], rhs[rows], rcond=None)[0]

@@ -20,8 +20,8 @@ fails a test; the residual rule's all-zero weight test is pinned against
 the ``np.logical_or.reduce`` it replaced.
 
 Two more checks watch the files of ``numpy/linalg``: building a GLM calls
-none of them, and once a hybrid's first head block has built the head's
-Gram matrix and inverse, a whole-head block step calls none either.
+none of them, and once a hybrid's first head block has built the inverse
+of the head's Gram matrix, a whole-head block step calls none either.
 """
 
 import itertools
@@ -132,7 +132,7 @@ def linalg_calls(run):
 
 
 def test_building_a_glm_calls_no_linalg():
-    # the head's Gram and inverse wait for the first head block, so the
+    # the head's Gram inverse waits for the first whole-head block, so the
     # set-up of a problem factors nothing
     (problem, _), calls = linalg_calls(lambda: resolve_problem("glm:synthetic:200,10,8"))
     assert problem.d == 10
@@ -140,7 +140,7 @@ def test_building_a_glm_calls_no_linalg():
 
 
 def test_a_whole_head_step_after_the_first_iteration_calls_no_linalg():
-    # the first hybrid iteration builds the head's Gram and inverse; every
+    # the first hybrid iteration builds the head's Gram inverse; every
     # later whole-head block is one product with the inverse
     glm, x0 = resolve_problem("glm:synthetic:200,10,8")
     head = np.arange(glm.d)
