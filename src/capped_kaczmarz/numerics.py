@@ -162,8 +162,16 @@ def draw_weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
     Implemented as cumulative-sum inversion of a single uniform variate,
     which is the reproducibility contract for all weighted selection in the
     package: one ``rng.random()`` call per draw, resolved by binary search.
+    A single weight is its own sum: it is checked as the sum is, and its
+    uniform is drawn and spent without the prefix sum, since the inversion
+    can only return index 0 there.
     """
     weights = np.asarray(weights, dtype=float)
+    if weights.size == 1:
+        if not 0.0 < weights.item(0) < math.inf:  # NaN fails too
+            raise AllWeightsZero("sampling weights must have a positive finite sum")
+        rng.random()
+        return 0
     cumulative = np.add.accumulate(weights)
     total = float(cumulative[-1]) if cumulative.size else 0.0
     if not math.isfinite(total) or total <= 0.0:

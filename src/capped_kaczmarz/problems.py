@@ -19,6 +19,10 @@ from typing import IO, Iterable
 
 import numpy as np
 
+# np.einsum(..., optimize=False) returns this call's result; calling it
+# directly skips the Python wrapper in numpy/_core/einsumfunc.py
+from numpy._core.multiarray import c_einsum
+
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
 from .numerics import GRAM_TAU, seeded_rng
@@ -105,18 +109,21 @@ class BrownProblem(ProblemInstance):
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         norms = self._norms_template.copy()
         products = self._products(x, memo)
-        norms[self.n - 1] = np.einsum("i,i->", products, products)
+        norms[self.n - 1] = c_einsum("i,i->", products, products)
         return norms
 
 
 class LinearProblem(ProblemInstance):
-    """Affine system ``f(x) = Ax - b`` (constant Jacobian ``A``)."""
+    """Affine system ``f(x) = Ax - b`` (constant Jacobian ``A``); a
+    non-finite entry of ``A`` or ``b`` is refused with ``DimensionMismatch``."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, known_root: np.ndarray | None = None):
         A = np.asarray(A, dtype=float)
         b = np.asarray(b, dtype=float)
         if A.ndim != 2 or b.shape != (A.shape[0],):
             raise DimensionMismatch(f"A is {A.shape}, b has shape {b.shape}")
+        if not (np.logical_and.reduce(np.isfinite(A), axis=None) and np.logical_and.reduce(np.isfinite(b))):
+            raise DimensionMismatch("A and b must be finite")
         self.A = A
         self.b = b
         self.m, self.n = A.shape
@@ -140,7 +147,7 @@ class LinearProblem(ProblemInstance):
 def _passes_gram_guard(B: np.ndarray) -> bool:
     """The block guard ``1 + ||B||_F^2 <= 1 / GRAM_TAU`` on a block's dense
     parts ``B``, written so that a NaN norm fails it too."""
-    return 1.0 + np.einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU
+    return 1.0 + c_einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU
 
 
 def _sigmoid_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +168,8 @@ class GLMProblem(ProblemInstance):
     the regularized objective; the last p rows, ``alpha_i + phi_i'(a_i^T w)``,
     tie the duals to the logistic loss derivative.  Head row h is ``[A_h /
     (lam p) | -e_h]`` and tail row ``d + s`` is ``[e_s | c_s a_s]``.
-    ``lam`` defaults to ``1/p``; a system with no samples or no features is
-    refused with ``DimensionMismatch``.
+    ``lam`` defaults to ``1/p``; a system with no samples or no features, or
+    a non-finite sample entry, is refused with ``DimensionMismatch``.
 
     Every evaluation at an iterate starts from one full matvec ``A^T w`` and
     one exp (:meth:`_margin_at`); with a memo, the residual, the row norms,
@@ -184,6 +191,8 @@ class GLMProblem(ProblemInstance):
             raise DimensionMismatch("the GLM has no samples")
         if d == 0:
             raise DimensionMismatch("the GLM has no features")
+        if not np.logical_and.reduce(np.isfinite(A), axis=None):
+            raise DimensionMismatch("sample entries must be finite")
         if y.shape != (p,):
             raise DimensionMismatch(f"need one label per sample: A is {A.shape}, y has shape {y.shape}")
         if not np.all(np.abs(y) == 1.0):

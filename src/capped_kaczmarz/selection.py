@@ -97,8 +97,8 @@ class RowGeometry:
         res_sq = residual * residual
         residual_sq = float(np.add.reduce(res_sq))
         # read by index: argmin/argmax stop at the first NaN, as min/max do
-        lo = grad_sq_norms[grad_sq_norms.argmin()]
-        if lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq_norms[grad_sq_norms.argmax()]:
+        lo = grad_sq_norms.item(grad_sq_norms.argmin())
+        if lo > ACTIVE_ABS_FLOOR and lo > ACTIVE_REL_EPS * grad_sq_norms.item(grad_sq_norms.argmax()):
             # the median cannot matter (see the module docstring): every row
             # is active, and the active sums are the full sums over the same
             # array in the same order.  NaN or infinite norms fail a
@@ -185,7 +185,7 @@ def compute_epsilon(g: RowGeometry, mode: ThresholdMode) -> float:
         raise DegenerateState("distance threshold undefined at zero residual")
     if g.active_residual_sq <= 0.0:
         raise DegenerateState("all residual mass sits on zero-gradient rows")
-    max_ratio = float(g.ratios[g.top_ratio_row])
+    max_ratio = g.ratios.item(g.top_ratio_row)
     if isinstance(mode, Convex):
         return mode.theta * (max_ratio / g.active_residual_sq) + (1.0 - mode.theta) / g.active_fro_sq
     if isinstance(mode, Scaled):
@@ -204,7 +204,7 @@ def build_distance_set(g: RowGeometry, eps: float) -> SelectionResult:
     squared residual entries of the kept rows.  Only a NaN ratio or
     threshold can leave the set empty.
     """
-    mask = g.ratios >= min(eps * g.active_residual_sq, g.ratios[g.top_ratio_row])
+    mask = g.ratios >= min(eps * g.active_residual_sq, g.ratios.item(g.top_ratio_row))
     indices = mask.nonzero()[0]
     if indices.size == 0:
         raise EmptySet("distance set came out empty; threshold inconsistent with geometry")
@@ -228,7 +228,7 @@ def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
     """
     if g.residual_sq <= 0.0:
         raise DegenerateState("residual threshold undefined at zero residual")
-    max_res_sq = float(g.res_sq[g.top_residual_row])
+    max_res_sq = g.res_sq.item(g.top_residual_row)
     if isinstance(mode, Convex):
         return mode.theta * (max_res_sq / g.residual_sq) + (1.0 - mode.theta) / g.res_sq.size
     if isinstance(mode, Scaled):
@@ -247,7 +247,7 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
     zero-gradient members (they stay in the set but are never sampled).
     Only a NaN square or threshold can leave the set empty.
     """
-    mask = g.res_sq >= min(delta * g.residual_sq, g.res_sq[g.top_residual_row])
+    mask = g.res_sq >= min(delta * g.residual_sq, g.res_sq.item(g.top_residual_row))
     indices = mask.nonzero()[0]
     if indices.size == 0:
         raise EmptySet("residual set came out empty; threshold inconsistent with geometry")
@@ -257,7 +257,7 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
         weights = np.maximum(weights, 0.0)
     # the weights are >= 0 or NaN, so the largest is zero exactly when all
     # are (argmax stops at the first NaN, which is truthy)
-    if not weights[weights.argmax()]:
+    if not weights.item(weights.argmax()):
         raise AllWeightsZero("every selected row has a vanishing gradient")
     return SelectionResult(
         indices=indices,

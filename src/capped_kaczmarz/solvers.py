@@ -143,6 +143,11 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     # a hybrid selects among its tail rows only, the rows from d on
     lo = problem.d if hybrid else 0
     m = problem.m
+    mode = config.threshold
+    # the method's branch, decided once per solve
+    cyclic = method is MethodKind.NK
+    uniform = method is MethodKind.NURK
+    residual_weighted = method is MethodKind.NRK
     memo = IterateMemo()
     # the solve's quiet scope (see the module docstring)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -166,11 +171,11 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                     if hybrid:
                         x_at = hybrid_linear_substep(problem, x, r, memo)
                         r_at = problem.residual(x_at, memo)
-                    if method is MethodKind.NK:
+                    if cyclic:
                         i, size = k % m, 1
-                    elif method is MethodKind.NURK:
+                    elif uniform:
                         i, size = int(rng.integers(m)), 1
-                    elif method is MethodKind.NRK:
+                    elif residual_weighted:
                         i, size = draw_weighted_index(rng, r * r), 1
                     else:
                         # the one greedy selection site; only a hybrid slices
@@ -182,8 +187,8 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                             # tail exactly solved: the head solve is the whole update
                             x, size = x_at, 0
                         else:
-                            sel = greedy_selection(g, method, config.threshold)
-                            size = len(sel)
+                            sel = greedy_selection(g, method, mode)
+                            size = sel.indices.size
                             if not by_block:
                                 i = sample_index(sel, rng)
                             elif size == 1:

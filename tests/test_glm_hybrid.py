@@ -9,7 +9,7 @@ import pytest
 import capped_kaczmarz.bench as bench_mod
 import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolverConfig
-from capped_kaczmarz.errors import FactorizationFailure
+from capped_kaczmarz.errors import DimensionMismatch, FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem, GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset,
@@ -180,23 +180,24 @@ def test_head_blocks_match_the_lstsq_oracle_with_and_without_the_cached_inverse(
 def test_an_overflowing_feature_leaves_the_head_gram_uninverted(value):
     # one sample entry of 1e200 overflows its head row's squared norm to
     # inf, past the guard: no inverse is formed, a head block with that row
-    # is declined, and one without it is still solved.  inf and NaN give a
-    # non-finite residual at the start
+    # is declined, and one without it is still solved.  An inf or NaN entry
+    # is refused when the problem is built
     base = make_synthetic_glm(60, 6, 3)
     A = base.A.copy()
     A[2, 5] = value
+    if value != 1e200:
+        with pytest.raises(DimensionMismatch, match="finite"):
+            GLMProblem(A, base.y)
+        return
     statuses = {}
     for method in (MethodKind.GLM_HYBRID_DB, MethodKind.RB_CNK):
         glm = GLMProblem(A, base.y)
         trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=50))
         statuses[method] = (trace.status, trace.total_iterations)
-    if value == 1e200:
-        assert statuses == {
-            MethodKind.GLM_HYBRID_DB: (SolveStatus.ITERATION_CAP_REACHED, 50),
-            MethodKind.RB_CNK: (SolveStatus.NUMERICAL_BREAKDOWN, 3),
-        }
-    else:
-        assert set(statuses.values()) == {(SolveStatus.NUMERICAL_BREAKDOWN, 0)}
+    assert statuses == {
+        MethodKind.GLM_HYBRID_DB: (SolveStatus.ITERATION_CAP_REACHED, 50),
+        MethodKind.RB_CNK: (SolveStatus.NUMERICAL_BREAKDOWN, 3),
+    }
     glm = GLMProblem(A, base.y)
     x = seeded_rng(3).standard_normal(glm.n)
     rhs = seeded_rng(4).standard_normal(glm.d)

@@ -2,22 +2,26 @@
 
 In numpy 2.x, ``ndarray.sum/prod/all/any`` and ``max/min(initial=...)``
 reach their ufunc through the Python wrappers in ``numpy/_core/_methods.py``,
-and the functions ``np.sum``, ``np.partition`` and the like through those in
-``numpy/_core/fromnumeric.py``: one more Python call per reduction, which the
-single-row iterations cannot hide behind flops.  The package calls
-``np.add.reduce``, ``np.multiply.reduce``, ``np.logical_and.reduce``,
-``ndarray.partition`` and the like instead, which are the calls those
-wrappers make, so the bits are the same.  The guard below fails if a
-wrapper in either file is called from a package frame during a solve;
-numpy's own internals (``linalg``) may still use them.
+the functions ``np.sum``, ``np.partition`` and the like through those in
+``numpy/_core/fromnumeric.py``, and ``np.einsum`` its C routine ``c_einsum``
+through the one in ``numpy/_core/einsumfunc.py``: one more Python call per
+reduction, which the single-row iterations cannot hide behind flops.  The
+package calls ``np.add.reduce``, ``np.multiply.reduce``,
+``np.logical_and.reduce``, ``ndarray.partition``, ``c_einsum`` and the like
+instead, which are the calls those wrappers make, so the bits are the same.
+The guard below fails if a wrapper in any of the three files is called from
+a package frame during a solve; numpy's own internals (``linalg``) may
+still use them.
 The bit-identity tests pin the rewritten Brown kernels against the array
-method forms they replaced, and ``ndarray.dot``, which the per-iteration
-vector dots call in place of ``@`` to skip the matmul ufunc's dispatch,
-against ``@``.  A per-iteration count pins the ufunc reductions a Brown
-solve makes and its one ``np.errstate`` (the quiet scope entered once
-around the whole loop), so a reduction or an errstate put back on the loop
-fails a test; the residual rule's all-zero weight test is pinned against
-the ``np.logical_or.reduce`` it replaced.
+method forms they replaced, ``c_einsum`` against ``np.einsum``, and
+``ndarray.dot``, which the per-iteration vector dots call in place of ``@``
+to skip the matmul ufunc's dispatch, against ``@``.  A per-iteration count
+pins the ufunc reductions a Brown solve makes and its one ``np.errstate``
+(the quiet scope entered once around the whole loop), so a reduction or an
+errstate put back on the loop fails a test; there a capped draw
+accumulates its weights only from a set of two or more rows.  The residual
+rule's all-zero weight test is pinned against the ``np.logical_or.reduce``
+it replaced.
 
 Two more checks watch the files of ``numpy/linalg``: building a GLM calls
 none of them, and once a hybrid's first head block has built the inverse
@@ -31,7 +35,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from numpy._core import _methods, fromnumeric
+from numpy._core import _methods, einsumfunc, fromnumeric
+from numpy._core.multiarray import c_einsum
 
 import capped_kaczmarz
 from capped_kaczmarz.bench import resolve_problem
@@ -43,13 +48,13 @@ from capped_kaczmarz.selection import RowGeometry, build_residual_set
 from capped_kaczmarz.solvers import solve
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(capped_kaczmarz.__file__))
-WRAPPER_FILES = {_methods.__file__, fromnumeric.__file__}
+WRAPPER_FILES = {_methods.__file__, einsumfunc.__file__, fromnumeric.__file__}
 
 
 def wrapper_calls_from_package(run):
     """``run()``'s result, and ``(wrapper, caller, line)`` for every
-    ``_methods.py`` or ``fromnumeric.py`` function that a package frame calls
-    while it runs."""
+    ``_methods.py``, ``einsumfunc.py`` or ``fromnumeric.py`` function that a
+    package frame calls while it runs."""
     calls = []
 
     def profile(frame, event, arg):
@@ -71,7 +76,7 @@ def test_the_guard_reports_a_wrapper_call_from_a_package_frame():
     # code compiled under a package file name runs in a frame the guard
     # counts as the package's; a call from this test module is not counted
     x = np.ones(3)
-    for expression, wrapper in (("x.sum()", "_sum"), ("np.sum(x)", "sum")):
+    for expression, wrapper in (("x.sum()", "_sum"), ("np.sum(x)", "sum"), ("np.einsum('i,i->', x, x)", "einsum")):
         code = compile(expression, os.path.join(PACKAGE_DIR, "solvers.py"), "eval")
         _, calls = wrapper_calls_from_package(lambda: eval(code, {"np": np, "x": x}))
         # a fromnumeric function's dispatcher is reported too
@@ -191,11 +196,13 @@ def calls_per_record(selector, method, max_iter):
 
 
 # the Brown residual sums and multiplies x; a geometry sums f_i^2, the
-# Convex distance threshold sums the norms (active_fro_sq), the draw
-# accumulates its weights and the Brown norms accumulate the leave-one-out
-# products; the residual rule reads no norm sum and tests its weights by argmax
+# Convex distance threshold sums the norms (active_fro_sq) and the Brown
+# norms accumulate the leave-one-out products; the residual rule reads no
+# norm sum and tests its weights by argmax.  nrk's draw accumulates its
+# weights; a capped draw does so only from a set of two or more rows
 RESIDUAL = Counter({"add.reduce": 1, "multiply.reduce": 1})
-GREEDY = RESIDUAL + Counter({"add.reduce": 1, "add.accumulate": 1, "multiply.accumulate": 2})
+DRAW = Counter({"add.accumulate": 1})
+GREEDY = RESIDUAL + Counter({"add.reduce": 1, "multiply.accumulate": 2})
 PRODUCT_ROW_GRAD = Counter({"multiply.accumulate": 2})
 
 
@@ -206,7 +213,7 @@ def patterns(counters) -> set:
 @pytest.mark.parametrize(
     "method, first, steady",
     [
-        pytest.param(MethodKind.NRK, RESIDUAL + Counter({"add.accumulate": 1}), None, id="nrk"),
+        pytest.param(MethodKind.NRK, RESIDUAL + DRAW, None, id="nrk"),
         pytest.param(
             MethodKind.DR_CNK,
             GREEDY + Counter({"add.reduce": 2, "logical_and.reduce": 1}),
@@ -229,6 +236,13 @@ def test_per_iteration_reductions_and_one_errstate_per_solve(method, first, stea
     # one np.errstate per solve, entered once around the whole loop, and
     # none inside it
     assert counts[0].pop("errstate") == 1
+    if method is not MethodKind.NRK:
+        # the one-row draw spends its uniform without the prefix sum; both
+        # set sizes occur on this run
+        sizes = trace.records.set_size
+        assert {size > 1 for size in sizes[:-1]} == {False, True}
+        for count, size in zip(counts, sizes):
+            assert count.pop("add.accumulate", 0) == (size > 1)
     assert counts[0] == first
     assert patterns(counts[1:-1]) == patterns(steady)
     # the capped iterate stops after its residual
@@ -318,6 +332,34 @@ def test_brown_residual_matches_the_array_method_form(n):
             expected = x + (x.sum() - (n + 1.0))
             expected[n - 1] = x.prod() - 1.0
             assert np.array_equal(problem.residual(x).view(np.int64), expected.view(np.int64))
+
+
+def same_bits(a, b) -> bool:
+    return np.float64(a).view(np.int64) == np.float64(b).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 50, 200])
+def test_c_einsum_matches_np_einsum_on_brown_products(n):
+    # BrownProblem.row_sq_norms_at squares the product row's gradient so
+    with np.errstate(all="ignore"):
+        for x in brown_vectors(n):
+            products = _leave_one_out_products(x)
+            assert same_bits(c_einsum("i,i->", products, products), np.einsum("i,i->", products, products))
+
+
+@pytest.mark.parametrize("selector", ["glm:synthetic:60,6,3", "glm:synthetic:200,10,8"])
+def test_c_einsum_matches_np_einsum_on_glm_blocks(selector):
+    # the block guard takes ||B||_F^2 of head and tail blocks so
+    glm, _ = resolve_problem(selector)
+    rng = seeded_rng(11)
+    blocks = [glm._head_jac[:, : glm.p], glm._head_jac[:, : glm.p].take([0, glm.d - 1], axis=0)]
+    with np.errstate(all="ignore"):
+        for scale in (1e-3, 1.0, 1e3, 1e200):
+            c = glm._margin_at(scale * rng.standard_normal(glm.n), None)[1]
+            units = np.sort(rng.choice(glm.p, size=glm.d + 3, replace=False))
+            blocks.append(c.take(units)[:, None] * glm._samples.take(units, axis=0) * scale)
+        for B in blocks:
+            assert same_bits(c_einsum("ij,ij->", B, B), np.einsum("ij,ij->", B, B))
 
 
 def dot_vectors(n: int) -> list[np.ndarray]:

@@ -359,6 +359,34 @@ class TestDrawWeightedIndex:
         rng = seeded_rng(0)
         assert all(draw_weighted_index(rng, np.array([4.0])) == 0 for _ in range(10))
 
+    @staticmethod
+    def prefix_sum_draw(rng, weights):
+        """The draw as the prefix-sum inversion, for every set size: the
+        oracle of the one-row form."""
+        cumulative = np.add.accumulate(weights)
+        total = float(cumulative[-1]) if cumulative.size else 0.0
+        if not np.isfinite(total) or total <= 0.0:
+            raise AllWeightsZero("sampling weights must have a positive finite sum")
+        u = rng.random() * total
+        return min(int(cumulative.searchsorted(u, side="right")), weights.size - 1)
+
+    @pytest.mark.parametrize("weight", [0.37, 5e-324, 1e308])
+    def test_one_row_draw_matches_the_prefix_sum_form(self, weight):
+        rng = seeded_rng(9)
+        for _ in range(50):
+            twin = clone(rng)
+            assert draw_weighted_index(rng, np.array([weight])) == self.prefix_sum_draw(twin, np.array([weight])) == 0
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("weight", [0.0, -0.0, -1.0, np.nan, np.inf])
+    def test_one_row_draw_refuses_what_the_prefix_sum_form_refuses(self, weight):
+        rng = seeded_rng(9)
+        state = rng.bit_generator.state
+        for draw in (draw_weighted_index, self.prefix_sum_draw):
+            with pytest.raises(AllWeightsZero):
+                draw(rng, np.array([weight]))
+        assert rng.bit_generator.state == state
+
     def test_zero_weights_rejected(self):
         with pytest.raises(AllWeightsZero):
             draw_weighted_index(seeded_rng(0), np.array([0.0, 0.0]))

@@ -188,10 +188,13 @@ class TestGLM:
         (lambda: GLMProblem(np.zeros((0, 3)), np.ones(3)), "no features"),
         (lambda: make_synthetic_glm(10, 0, 1), "no features"),
         (lambda: make_glm(parse_libsvm("1\n-1\n1\n")), "no features"),
+        (lambda: GLMProblem(np.array([[1.0, np.nan, 2.0]]), np.ones(3)), "finite"),
+        (lambda: GLMProblem(np.array([[1.0, 2.0], [-np.inf, 0.0]]), np.ones(2)), "finite"),
+        (lambda: make_glm(parse_libsvm("1 1:inf\n-1 1:2\n")), "finite"),
     ],
     ids=["1-d-samples", "label-count", "zero-lam", "negative-lam", "nan-lam", "make-glm-no-samples",
          "synthetic-no-samples", "no-samples", "no-features", "no-features-default-lam",
-         "synthetic-no-features", "labels-only-libsvm"],
+         "synthetic-no-features", "labels-only-libsvm", "nan-sample", "inf-sample", "inf-libsvm-sample"],
 )
 def test_glm_builders_refuse_a_malformed_system(build, message):
     with pytest.raises(DimensionMismatch, match=message):
@@ -316,6 +319,14 @@ class TestLinear:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             LinearProblem(np.eye(2), np.array([1.0, 2.0, 3.0]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_refuses_non_finite_entries(self, value):
+        bad_A, bad_b = np.eye(2), np.array([1.0, 2.0])
+        bad_A[1, 0] = bad_b[1] = value
+        for A, b in ((bad_A, np.ones(2)), (np.eye(2), bad_b)):
+            with pytest.raises(DimensionMismatch, match="finite"):
+                LinearProblem(A, b)
 
     def test_jacobian_is_constant(self):
         A = np.arange(6.0).reshape(2, 3)
