@@ -13,6 +13,7 @@ import time
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -117,6 +118,9 @@ class ProblemInstance:
         hybrid method solves exactly before it selects among the rows
         ``d:``.  0 (the default) means none; a hybrid refuses a problem
         unless ``0 < d < m``.  The GLM sets it to its feature count.
+    head_rows : the head's row indices ``0..d-1`` as one read-only array,
+        built from ``d`` on first use and kept, which a hybrid hands to
+        every head step.
     known_root : optional exact solution, used for error tracking.
     """
 
@@ -152,6 +156,12 @@ class ProblemInstance:
         ``min_norm_least_squares`` on ``jacobian(x, rows)``.  A problem whose
         blocks have a closed form overrides this; the default returns None."""
         return None
+
+    @cached_property
+    def head_rows(self) -> np.ndarray:
+        rows = np.arange(self.d)
+        rows.flags.writeable = False
+        return rows
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,11 @@ Every block projection of two or more rows that the problem's
 a GLM hybrid's head block among them.  A one-row block is the
 single-row projection of ``solvers.kaczmarz_step``.  The hook declines
 every block by default; ``GLMProblem.block_step`` solves a block of head
-rows only or of tail rows only in closed form, behind a guard on this
-module's ``GRAM_TAU``; it reads the whole head's step off the inverse of
-its Gram matrix, which it builds once and keeps.
+rows, of tail rows or of both in closed form, behind a guard on this
+module's ``GRAM_TAU`` (for rows of both kinds, the certificate ``tr(G)
+||G^-1||_F <= 1 / GRAM_TAU`` on its computed Gram inverse); it reads the
+whole head's step off the inverse of its Gram matrix, which it builds once
+and keeps.
 :func:`min_norm_least_squares` has two paths behind one name:
 
 * a short block (k rows, n columns, 2k <= n) is solved through its k x k

@@ -4,8 +4,9 @@
   at the all-ones vector.
 * Regularized logistic regression recast as a square root-finding problem
   in the stacked unknown ``x = [alpha; w]``, with a closed-form minimum-norm
-  step on a block of head rows or of tail rows (``block_step``), which also
-  takes the hybrids' head solve from a Gram inverse built once per problem.
+  step on a block of head rows, of tail rows or of both (``block_step``),
+  which also takes the hybrids' head solve from a Gram inverse built once
+  per problem.
 * A linear-system adapter ``f(x) = Ax - b``.
 * A line-oriented sparse ``label index:value`` dataset parser.
 """
@@ -13,6 +14,7 @@
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
@@ -22,6 +24,13 @@ import numpy as np
 # np.einsum(..., optimize=False) returns this call's result; calling it
 # directly skips the Python wrapper in numpy/_core/einsumfunc.py
 from numpy._core.multiarray import c_einsum
+
+# the LAPACK gufuncs behind np.linalg.inv and np.linalg.solve (a 1-D right
+# side), whose results those functions return bit for bit; called directly
+# they skip the Python wrappers, and a singular matrix gives NaN with the
+# invalid flag set in place of LinAlgError
+from numpy.linalg._umath_linalg import inv as _lapack_inv
+from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
@@ -150,6 +159,16 @@ def _passes_gram_guard(B: np.ndarray) -> bool:
     return 1.0 + c_einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU
 
 
+def _inverse_and_condition_bound(gram: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(G^-1, tr(G) ||G^-1||_F)`` for a symmetric positive semidefinite
+    ``G``.  The bound is at least ``cond(G) = lam_max / lam_min``, since
+    ``tr(G) >= lam_max`` and ``||G^-1||_F >= 1 / lam_min``; it is NaN or
+    infinite where G is not finite or is singular in floating point, and
+    such a G sets the invalid flag (the caller decides whether to hear it)."""
+    inverse = _lapack_inv(gram)
+    return inverse, c_einsum("ii->", gram) * math.sqrt(c_einsum("ij,ij->", inverse, inverse))
+
+
 def _sigmoid_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two branches of the stable sigmoid from one exp: ``1 / (1 + e)``,
     the sigmoid where z >= 0, and ``e / (1 + e)``, the sigmoid where z < 0,
@@ -174,11 +193,14 @@ class GLMProblem(ProblemInstance):
     Every evaluation at an iterate starts from one full matvec ``A^T w`` and
     one exp (:meth:`_margin_at`); with a memo, the residual, the row norms,
     the Jacobian rows and the block steps at one iterate share them.
-    :meth:`block_step` solves a block of head rows or of tail rows in closed
-    form, with no Jacobian rows; the hybrids' head solve is its block of all
-    d head rows, whose constant Gram inverse is built by the first such
-    block and kept for every later solve (:attr:`_head_inverse`); building
-    the problem factors nothing.
+    :meth:`block_step` solves a block of head rows, of tail rows or of both
+    in closed form, with no Jacobian rows, wherever its guard certifies
+    ``cond(J_S)^2 <= 1 / GRAM_TAU``: ``1 + ||B||_F^2`` bounds it for rows
+    of one kind, and ``tr(G) ||G^-1||_F`` on the computed Gram inverse for
+    rows of both.  The hybrids' head solve is its block of all d head rows,
+    whose constant Gram inverse is built by the first such block and kept
+    for every later solve (:attr:`_head_inverse`); building the problem
+    factors nothing.
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float | None = None):
@@ -212,6 +234,8 @@ class GLMProblem(ProblemInstance):
         head[:, :p] = A / (lam * p)
         head[np.arange(d), p + np.arange(d)] = -1.0
         self._head_jac = head
+        # the head rows' dense parts A / (lam p), contiguous, for the blocks
+        self._head_dense = np.ascontiguousarray(head[:, :p])
         self._head_norms = np.einsum("ij,ij->i", head, head)
         self._samples = np.ascontiguousarray(A.T)  # sample s as a contiguous row
         self._sample_sq_norms = np.einsum("ij,ij->i", self._samples, self._samples)
@@ -270,37 +294,60 @@ class GLMProblem(ProblemInstance):
     ) -> np.ndarray | None:
         """The minimum-norm step ``J_S^+ rhs`` on the strictly increasing rows
         ``S = rows`` at ``x``, from their closed-form Gram system, or None to
-        leave the block to ``min_norm_least_squares``: a block with both head
-        and tail rows, or one the guard below declines.
+        leave the block to ``min_norm_least_squares``: a block the guard
+        below declines, or one whose step is not finite (a non-finite
+        ``rhs``).  It never raises ``LinAlgError`` and, whatever the
+        caller's error state, never warns.
 
-        Each row is a unit coordinate plus a dense part, so ``J_S J_S^T = I_k
-        + B B^T`` with ``B`` (k x q) the block's dense parts, and the step is
-        ``+-y`` on the unit entries and ``B^T y`` on the dense ones, with ``y
-        = (I_k + B B^T)^-1 rhs``, or for ``k >= q`` the Woodbury form ``y =
-        rhs - B (I_q + B^T B)^-1 B^T rhs``.  Tail rows have ``B = diag(c_S)
-        A_S^T`` (q = d) and ``+y`` on alpha; head rows have the rows ``S`` of
-        ``A / (lam p)`` as ``B`` (q = p) and ``-y`` on w.  No Jacobian block
-        and no eigendecomposition is formed.
+        Each row is a unit coordinate plus a dense part: head row h is
+        ``[P_h | -e_h]`` with ``P = A / (lam p)``, tail row ``d + s`` is
+        ``[e_s | C_s]`` with ``C_s = c_s a_s``.  No Jacobian block and no
+        eigendecomposition is formed.
 
-        Head rows do not depend on ``x``, so the whole head (the hybrids'
-        head solve) takes ``y = G^-1 rhs`` from the inverse of its Gram
-        matrix ``G = I_d + B B^T``, built by the first whole-head block and
-        kept (:attr:`_head_inverse`); a head subset is solved afresh.
+        Rows of one kind have ``J_S J_S^T = I_k + B B^T`` with ``B`` (k x q)
+        their dense parts, and the step is ``+-y`` on the unit entries and
+        ``B^T y`` on the dense ones, with ``y = (I_k + B B^T)^-1 rhs``, or
+        for ``k >= q`` the Woodbury form ``y = rhs - B (I_q + B^T B)^-1 B^T
+        rhs``.  Tail rows have ``B = C_S`` (q = d) and ``+y`` on alpha; head
+        rows have ``B = P_S`` (q = p) and ``-y`` on w.  Head rows do not
+        depend on ``x``, so the whole head (the hybrids' head solve) takes
+        ``y = G^-1 rhs`` from the inverse of its Gram matrix, built by the
+        first whole-head block and kept (:attr:`_head_inverse`); a head
+        subset is solved afresh.  The array :attr:`head_rows` itself, which
+        a hybrid passes, is the whole head and skips the row checks.
 
-        Guard: the eigenvalues of ``J_S J_S^T`` lie in ``[1, 1 + ||B||_2^2]``,
-        so ``1 + ||B||_F^2 <= 1 / GRAM_TAU`` certifies ``cond(J_S)^2 <= 1e6``,
-        the Gram path's bound; a block above it, or a step that is not
-        finite (a non-finite ``rhs``), returns None.  The whole head's
-        outcome is kept with its inverse.
+        Rows of both kinds, head rows H and tail samples T, have the Gram
+        blocks ``G_HH = I + P_H P_H^T``, ``G_TT = I + C_T C_T^T`` and
+        ``G_HT = P_H[:, T] - C_T[:, H]^T``; the step takes ``y = G^-1 rhs``
+        and is ``P_H^T y_H``, plus ``y_T`` at T, on alpha, and ``C_T^T
+        y_T``, less ``y_H`` at H, on w (:meth:`_mixed_step`).
 
-        Error: the step's norm is ``||G^(-1/2) rhs||`` (``G = J_S J_S^T``),
-        and each rounding error of either form reaches the step through
-        ``J_S^+``, of norm at most 1, or through ``J_S^T``, of norm at most
-        ``(1 + ||B||_F^2)^(1/2)``; so the step's relative error is at most
-        about ``(k + q) eps (1 + ||B||_F^2)``, which the guard caps at ``(k +
-        q) eps / GRAM_TAU``.  Against ``numpy.linalg.lstsq`` it stayed within
-        about 4e-10 on random and adversarial tail blocks at the guard's edge.
+        Guard: a block is taken only where ``cond(J_S)^2 <= 1 / GRAM_TAU``,
+        the Gram path's bound.  Rows of one kind have the eigenvalues of
+        ``J_S J_S^T`` in ``[1, 1 + ||B||_2^2]``, so ``1 + ||B||_F^2 <= 1 /
+        GRAM_TAU`` certifies it; the whole head's outcome is kept with its
+        inverse.  Rows of both kinds have no such floor, since ``G_HT`` is
+        not of the form ``B B^T``: the computed inverse certifies them by
+        ``tr(G) ||G^-1||_F <= 1 / GRAM_TAU``, which bounds ``cond(G) =
+        lam_max / lam_min`` from above as ``tr(G) >= lam_max`` and
+        ``||G^-1||_F >= 1 / lam_min``.  A NaN or infinite bound (an
+        overflowing block, or a G singular in floating point) declines.
+
+        Error: the step's norm is ``||G^(-1/2) rhs||`` (``G = J_S J_S^T``).
+        For rows of one kind each rounding error of either form reaches the
+        step through ``J_S^+``, of norm at most 1, or through ``J_S^T``, of
+        norm at most ``(1 + ||B||_F^2)^(1/2)``; so the step's relative error
+        is at most about ``(k + q) eps (1 + ||B||_F^2)``, which the guard
+        caps at ``(k + q) eps / GRAM_TAU``.  Against ``numpy.linalg.lstsq``
+        it stayed within about 4e-10 on random and adversarial tail blocks
+        at the guard's edge.  For rows of both kinds forming G and inverting
+        it perturb G by about ``(k + n) eps tr(G)``, which reaches the step
+        through ``J_S^+ G^-1 J_S`` as ``||E|| / lam_min``; so the relative
+        error is at most about ``(k + n) eps tr(G) ||G^-1||_F``, which the
+        certificate caps at ``(k + n) eps / GRAM_TAU``.
         """
+        if rows is self.head_rows:
+            return self._whole_head_step(rhs)
         rows = np.asarray(rows, dtype=np.intp)
         if rows[0] < 0 or rows[-1] >= self.m:
             raise IndexError(f"block rows must lie in [0, {self.m})")
@@ -313,30 +360,69 @@ class GLMProblem(ProblemInstance):
             dense = slice(self.p, None)
         elif rows[-1] < self.d:
             if rows.size == self.d:  # d strictly increasing head rows: 0..d-1
-                inverse = self._head_inverse
-                if inverse is None:
-                    return None
-                step = (inverse @ rhs) @ self._head_jac
-                return step if np.logical_and.reduce(np.isfinite(step)) else None
+                return self._whole_head_step(rhs)
             units = rows + self.p
-            B = self._head_jac[:, : self.p].take(rows, axis=0)
+            B = self._head_dense.take(rows, axis=0)
             dense = slice(None, self.p)
         else:
-            return None
+            return self._mixed_step(x, rows, rhs, memo)
         if not _passes_gram_guard(B):
             return None
         k, q = B.shape
         if k >= q:
             gram = B.T @ B
             gram.flat[:: q + 1] += 1.0
-            y = rhs - B @ np.linalg.solve(gram, B.T @ rhs)
+            y = rhs - B @ _lapack_solve1(gram, B.T @ rhs)
         else:
             gram = B @ B.T
             gram.flat[:: k + 1] += 1.0
-            y = np.linalg.solve(gram, rhs)
+            y = _lapack_solve1(gram, rhs)
         step = np.zeros(self.n)
         step[units] = y if tail else -y
         step[dense] = y @ B
+        return step if np.logical_and.reduce(np.isfinite(step)) else None
+
+    def _whole_head_step(self, rhs: np.ndarray) -> np.ndarray | None:
+        """:meth:`block_step` on the whole head, from its kept Gram inverse."""
+        inverse = self._head_inverse
+        if inverse is None:
+            return None
+        step = (inverse @ rhs) @ self._head_jac
+        return step if np.logical_and.reduce(np.isfinite(step)) else None
+
+    def _mixed_step(
+        self, x: np.ndarray, rows: np.ndarray, rhs: np.ndarray, memo: IterateMemo | None
+    ) -> np.ndarray | None:
+        """:meth:`block_step` on checked rows of both kinds, or None where
+        the certificate ``tr(G) ||G^-1||_F <= 1 / GRAM_TAU`` fails.  The
+        bound and the finiteness test decide, so overflow and the invalid
+        flag of a singular G are ignored here."""
+        p = self.p
+        h = int(rows.searchsorted(self.d))
+        heads = rows[:h]
+        samples = rows[h:] - self.d
+        P = self._head_dense.take(heads, axis=0)
+        C = self._margin_at(x, memo)[1].take(samples)[:, None] * self._samples.take(samples, axis=0)
+        k = rows.size
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram = np.empty((k, k))
+            np.matmul(P, P.T, out=gram[:h, :h])
+            np.matmul(C, C.T, out=gram[h:, h:])
+            cross = gram[:h, h:]
+            np.subtract(P.take(samples, axis=1), C.take(heads, axis=1).T, out=cross)
+            gram[h:, :h] = cross.T
+            gram.flat[:: k + 1] += 1.0
+            inverse, bound = _inverse_and_condition_bound(gram)
+            if not bound <= 1.0 / GRAM_TAU:
+                return None
+            y = inverse @ rhs
+            y_head, y_tail = y[:h], y[h:]
+            step = np.empty(self.n)
+            alpha, w = step[:p], step[p:]
+            np.matmul(y_head, P, out=alpha)
+            alpha[samples] += y_tail
+            np.matmul(y_tail, C, out=w)
+            w[heads] -= y_head
         return step if np.logical_and.reduce(np.isfinite(step)) else None
 
     @cached_property
@@ -345,7 +431,7 @@ class GLMProblem(ProblemInstance):
         A / (lam p)``, or None where the guard of :meth:`block_step`
         declines it, so no singular or non-finite ``G`` is inverted.  Built
         by the first whole-head block and kept."""
-        B = self._head_jac[:, : self.p]
+        B = self._head_dense
         if not _passes_gram_guard(B):
             return None
         gram = B @ B.T

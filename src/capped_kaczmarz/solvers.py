@@ -28,16 +28,16 @@ A block of one row is projected onto that row by ``kaczmarz_step``, which
 is the minimum-norm step there, with no Jacobian block and no least
 squares.  Every block of two or more rows takes one ``block_projection``:
 it is first offered to the problem's ``block_step`` hook, which returns a
-closed-form step or None (the default; the GLM returns one for head rows
-only or tail rows only, when its guard ``cond(J)^2 <= 1 / GRAM_TAU``
-holds), and a declined block goes to ``min_norm_least_squares`` on the
-selected Jacobian rows only (``problem.jacobian(x, rows)``).  ``lo`` is 0
-except for the hybrids, whose iteration first projects onto the problem's
-``d`` affine head rows ``:d`` (``hybrid_linear_substep``, the same block
-projection) and then onto the selected tail rows ``d:`` at the post-head
-iterate.  A problem declares its head rows as ``ProblemInstance.d`` (the
-GLM's d feature rows; 0, and so no hybrid, by default), so this module
-imports no problem class.
+closed-form step or None (the default; the GLM returns one for head rows,
+tail rows or both, when its guard certifies ``cond(J)^2 <= 1 /
+GRAM_TAU``), and a declined block goes to ``min_norm_least_squares`` on
+the selected Jacobian rows only (``problem.jacobian(x, rows)``).  ``lo`` is
+0 except for the hybrids, whose iteration first projects onto the
+problem's ``d`` affine head rows ``:d`` (``hybrid_linear_substep``, the
+same block projection, on the problem's one ``head_rows`` array) and then
+onto the selected tail rows ``d:`` at the post-head iterate.  A problem
+declares its head rows as ``ProblemInstance.d`` (the GLM's d feature rows;
+0, and so no hybrid, by default), so this module imports no problem class.
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ def block_projection(
 def hybrid_linear_substep(
     problem: ProblemInstance, x: np.ndarray, r: np.ndarray, memo: IterateMemo | None = None
 ) -> np.ndarray:
-    """The block projection onto the ``problem.d`` affine head rows, given
-    the residual ``r`` at ``x``.  Where the head Jacobian has full row rank
-    (on the GLM, its identity block on w), one projection annihilates those
-    rows."""
-    return block_projection(problem, x, np.arange(problem.d), r[: problem.d], memo)
+    """The block projection onto the ``problem.d`` affine head rows
+    (``problem.head_rows``, built once per problem), given the residual
+    ``r`` at ``x``.  Where the head Jacobian has full row rank (on the GLM,
+    its identity block on w), one projection annihilates those rows."""
+    return block_projection(problem, x, problem.head_rows, r[: problem.d], memo)

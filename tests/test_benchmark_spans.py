@@ -50,7 +50,7 @@ def brown_problem():
 
 SELECTION = {"selection.geometry", "selection.threshold", "selection.set"}
 # block steps build only the Jacobian rows they hand to least squares; a
-# case whose blocks all take the GLM closed-form step enters neither
+# case whose blocks the problem's hook all solves enters neither
 BLOCK = {"problems.row_norms", "problems.jacobian", "numerics.lstsq"}
 SINGLE = {"selection.sample", "numerics.draw", "solvers.step"}
 CASES = {
@@ -68,6 +68,17 @@ def test_spans_are_entered(tracing, method, build, spans):
     problem, x0 = build()
     tracer = tracing.Tracer()
     lstsq_parents = []
+    # every block of two or more rows is offered to the problem's hook
+    # first; log, with the span it is offered from, whether it declined
+    hook = problem.block_step
+    offered = []
+
+    def logged_hook(x, rows, rhs, memo=None):
+        step = hook(x, rows, rhs, memo)
+        offered.append((tracer.parent(), step is None))
+        return step
+
+    problem.block_step = logged_hook
     with tracing.instrumented(tracer, [problem]):
         # both least-squares paths sit behind the one traced name; log the
         # span each call is made from (a declined hybrid head, or the loop)
@@ -80,11 +91,14 @@ def test_spans_are_entered(tracing, method, build, spans):
         solvers_mod.min_norm_least_squares = logged
         trace = solve(problem, x0, SolverConfig(method=method, seed=1, max_iter=3))
     assert trace.status is SolveStatus.ITERATION_CAP_REACHED
-    # a GLM block of tail rows only, and a hybrid's head block, takes its
-    # closed-form step, with no Jacobian block and no least squares; every
-    # other block of two or more rows goes to both
-    tail_from = problem.d if isinstance(problem, GLMProblem) else problem.m
-    generic = [len(rec.selected) > 1 and min(rec.selected) < tail_from for rec in trace.records[:-1]]
+    # a block the hook solves (every GLM block here, and a hybrid's head)
+    # builds no Jacobian rows and calls no least squares; each block it
+    # declines from the loop goes to both
+    generic = [declined for parent, declined in offered if parent is None]
+    assert len(generic) == sum(len(rec.selected) > 1 for rec in trace.records[:-1])
+    assert not any(declined for parent, declined in offered if parent is not None)
+    if isinstance(problem, GLMProblem):
+        assert not any(generic)
     if not any(generic):
         spans = spans - {"problems.jacobian", "numerics.lstsq"}
     calls = {name: entry["calls"] for name, entry in tracer.totals().items() if name != "counts"}

@@ -232,6 +232,31 @@ def test_head_rows_are_declared_by_the_problem():
     assert glm.d == glm.A.shape[0] == 3
 
 
+def test_every_head_step_gets_the_problem_s_one_head_array():
+    # the head rows 0..d-1 are built once, read-only, and a hybrid hands
+    # that array to every head step; block_step takes it as the whole head
+    # without the row checks, bit for bit the step on a caller's own rows
+    glm = make_synthetic_glm(60, 6, 3)
+    head = glm.head_rows
+    assert head is glm.head_rows and head.tolist() == list(range(glm.d))
+    assert not head.flags.writeable
+    closed_form = glm.block_step
+    passed = []
+
+    def logged(x, rows, rhs, memo=None):
+        if rows[0] < glm.d and len(rows) == glm.d:
+            passed.append(rows)
+        return closed_form(x, rows, rhs, memo)
+
+    glm.block_step = logged
+    trace = solve(glm, np.zeros(glm.n), SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
+    assert trace.total_iterations == len(passed) == 5
+    assert all(rows is head for rows in passed)
+    x = seeded_rng(9).standard_normal(glm.n)
+    rhs = glm.residual(x)[: glm.d]
+    assert closed_form(x, head, rhs).tobytes() == closed_form(x, np.arange(glm.d), rhs).tobytes()
+
+
 class NoHeadRows(ProblemInstance):
     """``x - 1 = 0`` on a bare subclass that leaves ``d`` at its default."""
 

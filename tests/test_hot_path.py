@@ -23,9 +23,13 @@ accumulates its weights only from a set of two or more rows.  The residual
 rule's all-zero weight test is pinned against the ``np.logical_or.reduce``
 it replaced.
 
-Two more checks watch the files of ``numpy/linalg``: building a GLM calls
-none of them, and once a hybrid's first head block has built the inverse
-of the head's Gram matrix, a whole-head block step calls none either.
+Three more checks watch the files of ``numpy/linalg``: building a GLM
+calls none of them; once a hybrid's first head block has built the inverse
+of the head's Gram matrix, a whole-head block step calls none either; and a
+block of head and tail rows calls none, nor ``problem.jacobian``.  The
+LAPACK gufuncs that the GLM's block steps call in place of
+``np.linalg.solve`` and ``np.linalg.inv`` are pinned against those
+functions byte for byte.
 """
 
 import itertools
@@ -43,9 +47,9 @@ from capped_kaczmarz.bench import resolve_problem
 from capped_kaczmarz.core import MethodKind, SolverConfig, TraceRecords
 from capped_kaczmarz.errors import AllWeightsZero
 from capped_kaczmarz.numerics import seeded_rng
-from capped_kaczmarz.problems import BrownProblem, _leave_one_out_products
+from capped_kaczmarz.problems import BrownProblem, _lapack_inv, _lapack_solve1, _leave_one_out_products
 from capped_kaczmarz.selection import RowGeometry, build_residual_set
-from capped_kaczmarz.solvers import solve
+from capped_kaczmarz.solvers import block_projection, solve
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(capped_kaczmarz.__file__))
 WRAPPER_FILES = {_methods.__file__, einsumfunc.__file__, fromnumeric.__file__}
@@ -156,6 +160,42 @@ def test_a_whole_head_step_after_the_first_iteration_calls_no_linalg():
     step, calls = linalg_calls(lambda: glm.block_step(x, head, rhs))
     assert step is not None
     assert calls == []
+
+
+def test_a_mixed_block_step_calls_no_jacobian_and_no_linalg(monkeypatch):
+    # a block of head and tail rows takes its Gram system from the head and
+    # tail parts, through the LAPACK gufunc, with no Jacobian rows
+    glm, _ = resolve_problem("glm:synthetic:200,10,8")
+
+    def no_jacobian(*args, **kwargs):
+        raise AssertionError("a mixed block built Jacobian rows")
+
+    monkeypatch.setattr(glm, "jacobian", no_jacobian)
+    x = seeded_rng(6).standard_normal(glm.n)
+    rows = np.array([1, 4, glm.d, glm.d + 7, glm.m - 1])
+    rhs = glm.residual(x)[rows]
+    x_next, calls = linalg_calls(lambda: block_projection(glm, x, rows, rhs, None))
+    assert np.logical_and.reduce(np.isfinite(x_next)) and not np.array_equal(x_next, x)
+    assert calls == []
+
+
+@pytest.mark.parametrize("selector", ["glm:synthetic:60,6,3", "glm:synthetic:200,10,8"])
+def test_lapack_gufuncs_match_np_linalg_on_glm_grams(selector):
+    # the block steps call solve1 (tail and head-subset Grams) and inv
+    # (mixed Grams) directly; np.linalg.solve and np.linalg.inv return the
+    # same gufuncs' results through their wrappers
+    glm, _ = resolve_problem(selector)
+    rng = seeded_rng(12)
+    for scale in (1e-3, 1.0, 1e3):
+        x = scale * rng.standard_normal(glm.n)
+        for k in (2, 3, 9, 14):
+            for pool in (np.arange(glm.d, glm.m), np.arange(glm.m)):
+                rows = np.sort(rng.choice(pool, size=k, replace=False))
+                J = glm.jacobian(x, rows)
+                gram = J @ J.T
+                for rhs in (glm.residual(x)[rows], rng.standard_normal(k)):
+                    assert _lapack_solve1(gram, rhs).tobytes() == np.linalg.solve(gram, rhs).tobytes(), (scale, k)
+                assert _lapack_inv(gram).tobytes() == np.linalg.inv(gram).tobytes(), (scale, k)
 
 
 ERRSTATE_ENTER = np.errstate.__enter__.__code__

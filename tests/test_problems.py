@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from capped_kaczmarz.core import IterateMemo
 from capped_kaczmarz.errors import DimensionMismatch
-from capped_kaczmarz.numerics import seeded_rng
+from capped_kaczmarz.numerics import GRAM_TAU, seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem,
     Dataset,
     GLMProblem,
     LinearProblem,
+    _inverse_and_condition_bound,
     _leave_one_out_products,
     _sigmoid_branches,
     make_glm,
@@ -208,6 +209,42 @@ def test_glm_lam_defaults_to_one_over_p():
     assert default.lam == 1.0 / 7
     x = seeded_rng(5).standard_normal(default.n)
     assert default.residual(x).tobytes() == explicit.residual(x).tobytes()
+
+
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 14),
+    seed=st.integers(0, 2**32 - 1),
+    log_cond=st.floats(0.0, 18.0),
+    singular=st.booleans(),
+    exponent=st.integers(-250, 250),
+)
+def test_condition_bound_is_at_least_the_eigenvalue_ratio(k, seed, log_cond, singular, exponent):
+    # G = Q diag(lam) Q^T with cond(G) = 10^log_cond, or a zero eigenvalue,
+    # scaled by a power of two: past about 1e12 (and where eigvalsh sees a
+    # nonpositive eigenvalue) the computed G is singular to working accuracy
+    # and the bound must not certify it; below, tr(G) ||G^-1||_F must reach
+    # lam_max / lam_min up to the rounding of inv and eigvalsh
+    rng = seeded_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    lam = 10.0 ** (-log_cond * rng.random(k))
+    lam[0] = 1.0
+    if k > 1:
+        lam[-1] = 0.0 if singular else 10.0**-log_cond
+    gram = (q * lam) @ q.T
+    gram = 2.0**exponent * (gram + gram.T) / 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, bound = _inverse_and_condition_bound(gram)
+    eigenvalues = np.linalg.eigvalsh(gram)
+    slack = 64 * k * EPS
+    if eigenvalues[0] > 0 and slack * eigenvalues[-1] / eigenvalues[0] < 0.5:
+        ratio = eigenvalues[-1] / eigenvalues[0]
+        assert bound >= ratio * (1.0 - slack * ratio), (bound, ratio)
+    else:
+        assert not bound <= 1.0 / GRAM_TAU, bound
 
 
 def index_sets(m: int, d: int, rng) -> list[np.ndarray]:

@@ -365,8 +365,11 @@ class TestTailBlockStep:
     def test_rows_must_be_increasing_tail_rows(self):
         glm = make_synthetic_glm(60, 6, 3)
         x = np.zeros(glm.n)
-        # a block with a head row is left to least squares
-        assert glm.block_step(x, [glm.d - 1, glm.d], np.ones(2)) is None
+        # a block with a head row is solved too, as a block of both kinds
+        rows = [glm.d - 1, glm.d]
+        step = glm.block_step(x, rows, np.ones(2))
+        oracle = np.linalg.lstsq(glm.jacobian(x, rows), np.ones(2), rcond=None)[0]
+        assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle)
         with pytest.raises(IndexError):
             glm.block_step(x, [glm.d, glm.m], np.ones(2))
         for rows in ([glm.d + 1, glm.d], [glm.d, glm.d]):
@@ -436,6 +439,105 @@ class TestHeadBlockStep:
         for rows in ([1, 0], [0, 0], [glm.d, glm.d - 1]):
             with pytest.raises(ValueError):
                 glm.block_step(x, rows, np.ones(2))
+
+
+class TestMixedBlockStep:
+    """``GLMProblem.block_step`` on a block of head and tail rows: the
+    Gram system from the head and tail parts, behind the certificate
+    ``tr(G) ||G^-1||_F <= 1 / GRAM_TAU``."""
+
+    @pytest.mark.parametrize("selector", ["glm:synthetic:60,6,3", "glm:synthetic:200,10,8"])
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK])
+    def test_replayed_mixed_steps_are_the_solve_steps(self, selector, method):
+        glm, x0 = resolve_problem(selector)
+        trace = solve(glm, x0, SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True))
+        replayed = 0
+        for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+            rows = np.array(rec.selected, dtype=np.intp)
+            if rows.size < 2 or not rows[0] < glm.d <= rows[-1]:
+                continue
+            step = glm.block_step(x, rows, glm.residual(x)[rows])
+            assert step is not None, rec.k
+            assert x_next.tobytes() == (x - step).tobytes(), rec.k
+            replayed += 1
+        assert replayed > 0
+
+    @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8)])
+    def test_step_matches_the_lstsq_oracle(self, p, d, seed):
+        glm = make_synthetic_glm(p, d, seed)
+        rng = seeded_rng(45)
+
+        def tail(size):
+            return np.sort(rng.choice(np.arange(glm.d, glm.m), size=size, replace=False))
+
+        for scale in (1e-3, 1.0, 10.0):
+            x = scale * rng.standard_normal(glm.n)
+            r = glm.residual(x)
+            blocks = [
+                # one head row with many tail rows
+                np.concatenate(([glm.d // 2], tail(20))),
+                # many head rows with one tail row
+                np.concatenate((np.arange(1, glm.d), tail(1))),
+                # every head row with tail rows
+                np.concatenate((np.arange(glm.d), tail(5))),
+                # the smallest block of both kinds
+                np.array([glm.d - 1, glm.d]),
+            ]
+            for _ in range(5):
+                heads = np.sort(rng.choice(glm.d, size=rng.integers(1, glm.d + 1), replace=False))
+                blocks.append(np.concatenate((heads, tail(rng.integers(1, 15)))))
+            for rows in blocks:
+                for rhs in (r[rows], rng.standard_normal(rows.size)):
+                    step = glm.block_step(x, rows, rhs)
+                    assert step is not None, (scale, rows)
+                    oracle = np.linalg.lstsq(glm.jacobian(x, rows), rhs, rcond=None)[0]
+                    assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), (scale, rows)
+
+    def test_an_overflowing_block_is_declined_quietly(self):
+        # a sample entry of 1e200 overflows head row 2's part of G, so the
+        # bound is not finite; at the zero start every curvature is 1/4, so
+        # sample 5's tail part overflows too (elsewhere its huge margin
+        # takes that curvature to 0)
+        base = make_synthetic_glm(60, 6, 3)
+        A = base.A.copy()
+        A[2, 5] = 1e200
+        glm = GLMProblem(A, base.y)
+        zero, other = np.zeros(glm.n), seeded_rng(46).standard_normal(glm.n)
+        cases = [(zero, [1, glm.d + 5])]
+        cases += [(x, rows) for x in (zero, other) for rows in ([2, glm.d], [0, 2, glm.d + 1, glm.m - 1])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x, rows in cases:
+                assert glm.block_step(x, np.array(rows), np.ones(len(rows))) is None, rows
+
+    def test_a_numerically_dependent_block_is_declined_quietly(self):
+        # features 0 and 1 equal and of size 1e9: head rows 0 and 1 differ
+        # only in their unit entries, which 1 + ||P_h||^2 rounds away, so G
+        # has two equal rows and is singular in floating point
+        base = make_synthetic_glm(60, 6, 3)
+        A = base.A.copy()
+        A[0] = A[1] = 1e9 * base.A[0]
+        glm = GLMProblem(A, base.y)
+        rows = np.array([0, 1, glm.d + 3])
+        for x in (np.zeros(glm.n), seeded_rng(47).standard_normal(glm.n)):
+            J = glm.jacobian(x, rows)
+            gram = J @ J.T
+            assert np.array_equal(gram[0], gram[1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert glm.block_step(x, rows, np.array([1.0, -1.0, 0.5])) is None
+                assert glm.block_step(x, rows, np.array([1.0, 1.0, 0.0])) is None
+
+    def test_non_finite_rhs_is_declined_quietly(self):
+        glm = make_synthetic_glm(60, 6, 3)
+        x = seeded_rng(48).standard_normal(glm.n)
+        rows = np.array([1, 3, glm.d + 2, glm.d + 9])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for bad in (np.nan, np.inf, -np.inf):
+                rhs = np.ones(rows.size)
+                rhs[2] = bad
+                assert glm.block_step(x, rows, rhs) is None, bad
 
 
 class LstsqBlockLinear(LinearProblem):
@@ -513,14 +615,12 @@ class TestBlockStepHook:
                 solved = x - min_norm_least_squares(problem.jacobian(x, rows), problem.residual(x)[rows])
                 assert x_next.tobytes() == solved.tobytes(), rec.k
 
-    def test_glm_declines_blocks_with_both_row_kinds(self):
+    def test_glm_solves_blocks_of_one_or_both_row_kinds(self):
         glm = make_synthetic_glm(60, 6, 3)
         x = seeded_rng(7).standard_normal(glm.n)
         r = glm.residual(x)
-        for rows in ([glm.d - 1, glm.d], [0, 2, glm.d + 1, glm.m - 1]):
-            assert glm.block_step(x, np.array(rows), r[rows]) is None, rows
-        # a block of one kind, head rows or tail rows, is solved
-        for rows in (list(range(glm.d)), [glm.d, glm.m - 1]):
+        # head rows, tail rows, and both kinds in one block
+        for rows in (list(range(glm.d)), [glm.d, glm.m - 1], [glm.d - 1, glm.d], [0, 2, glm.d + 1, glm.m - 1]):
             step = glm.block_step(x, np.array(rows), r[rows])
             oracle = np.linalg.lstsq(glm.jacobian(x, rows), r[rows], rcond=None)[0]
             assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), rows
