@@ -21,9 +21,10 @@ from typing import IO, Iterable
 
 import numpy as np
 
-# np.einsum(..., optimize=False) returns this call's result; calling it
-# directly skips the Python wrapper in numpy/_core/einsumfunc.py
-from numpy._core.multiarray import c_einsum
+# np.einsum(..., optimize=False) returns c_einsum's result, and
+# np.count_nonzero(a) count_nonzero's; calling them directly skips the Python
+# wrappers in numpy/_core/einsumfunc.py and numpy/_core/numeric.py
+from numpy._core.multiarray import c_einsum, count_nonzero
 
 # the LAPACK gufuncs behind np.linalg.inv and np.linalg.solve (a 1-D right
 # side), whose results those functions return bit for bit; called directly
@@ -35,11 +36,6 @@ from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
 from .numerics import GRAM_TAU, seeded_rng
-
-
-def _values_at(x: np.ndarray, memo: IterateMemo | None) -> dict:
-    """The memo's store for iterate ``x``, or a throwaway one without a memo."""
-    return {} if memo is None else memo.at(x)
 
 
 def _index_rows(rows, m: int) -> np.ndarray:
@@ -95,7 +91,8 @@ class BrownProblem(ProblemInstance):
 
     def _products(self, x: np.ndarray, memo: IterateMemo | None) -> np.ndarray:
         """The product row's gradient at ``x``, built once per iterate."""
-        values = _values_at(x, memo)
+        # the memo's store for x, or a throwaway one without a memo
+        values = {} if memo is None else memo.at(x)
         products = values.get("products")
         if products is None:
             products = values["products"] = _leave_one_out_products(np.asarray(x, dtype=float))
@@ -159,6 +156,19 @@ def _passes_gram_guard(B: np.ndarray) -> bool:
     return 1.0 + c_einsum("ij,ij->", B, B) <= 1.0 / GRAM_TAU
 
 
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of ``a`` is finite."""
+    finite = np.isfinite(a)
+    return count_nonzero(finite) == finite.size
+
+
+def _plus_identity(gram: np.ndarray) -> np.ndarray:
+    """``gram + I``, in place on the square ``gram``'s diagonal."""
+    diagonal = gram.reshape(-1)[:: gram.shape[0] + 1]
+    diagonal += 1.0
+    return gram
+
+
 def _inverse_and_condition_bound(gram: np.ndarray) -> tuple[np.ndarray, float]:
     """``(G^-1, tr(G) ||G^-1||_F)`` for a symmetric positive semidefinite
     ``G``.  The bound is at least ``cond(G) = lam_max / lam_min``, since
@@ -172,11 +182,13 @@ def _inverse_and_condition_bound(gram: np.ndarray) -> tuple[np.ndarray, float]:
 def _sigmoid_branches(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The two branches of the stable sigmoid from one exp: ``1 / (1 + e)``,
     the sigmoid where z >= 0, and ``e / (1 + e)``, the sigmoid where z < 0,
-    with ``e = exp(-|z|)``.  Both branches of ``-z`` are the same two arrays
-    swapped."""
-    e = np.exp(-np.abs(z))
+    with ``e = exp(-|z|)`` (``copysign(z, -1)`` is ``-|z|``).  Both branches
+    of ``-z`` are the same two arrays swapped."""
+    e = np.copysign(z, -1.0)
+    np.exp(e, out=e)
     denom = 1.0 + e
-    return 1.0 / denom, e / denom
+    # reciprocal is the division 1.0 / denom, bit for bit
+    return np.reciprocal(denom), np.divide(e, denom, out=e)
 
 
 class GLMProblem(ProblemInstance):
@@ -217,7 +229,7 @@ class GLMProblem(ProblemInstance):
             raise DimensionMismatch("sample entries must be finite")
         if y.shape != (p,):
             raise DimensionMismatch(f"need one label per sample: A is {A.shape}, y has shape {y.shape}")
-        if not np.all(np.abs(y) == 1.0):
+        if not np.logical_and.reduce(np.abs(y) == 1.0):
             raise DimensionMismatch("labels must be -1/+1")
         if lam is None:
             lam = 1.0 / p
@@ -236,32 +248,43 @@ class GLMProblem(ProblemInstance):
         self._head_jac = head
         # the head rows' dense parts A / (lam p), contiguous, for the blocks
         self._head_dense = np.ascontiguousarray(head[:, :p])
-        self._head_norms = np.einsum("ij,ij->i", head, head)
+        self._head_norms = c_einsum("ij,ij->i", head, head)
         self._samples = np.ascontiguousarray(A.T)  # sample s as a contiguous row
-        self._sample_sq_norms = np.einsum("ij,ij->i", self._samples, self._samples)
+        self._sample_sq_norms = c_einsum("ij,ij->i", self._samples, self._samples)
         self._neg_y = -y
+        # the samples times their labels, in A's order: the margins
+        # y * (A^T w) bit for bit, as each sum only changes sign, when A is
+        # C- or F-contiguous (a strided A's product is contiguous, and its
+        # matvec takes BLAS where A's took numpy's loop)
+        self._signed_samples = A * y
 
     def _margin_at(self, x: np.ndarray, memo: IterateMemo | None) -> tuple[np.ndarray, np.ndarray]:
         """``(sig(-z), c)`` at ``x``, once per iterate, from the margins ``z =
         y * (A^T w)`` and the branches ``hi, lo`` of one exp: ``c_s =
         phi''(a_s^T w) = sig(z_s) sig(-z_s)`` is ``hi * lo`` whatever the
-        sign, with no ``1 - sig`` to cancel.  The matvec is always the full
-        one: over a subset of the samples it rounds differently."""
-        values = _values_at(x, memo)
+        sign, with no ``1 - sig`` to cancel, and ``sig(-z)`` is ``hi`` where
+        ``z <= 0`` and ``lo`` elsewhere.  The matvec is always the full one:
+        over a subset of the samples it rounds differently."""
+        values = {} if memo is None else memo.at(x)
         parts = values.get("margin")
         if parts is None:
-            z = self.y * (self.A.T @ x[self.p:])
+            z = self._signed_samples.T @ x[self.p:]
             hi, lo = _sigmoid_branches(z)
-            parts = values["margin"] = (np.where(z <= 0, hi, lo), hi * lo)
+            curvature = hi * lo
+            np.putmask(lo, z <= 0.0, hi)
+            parts = values["margin"] = (lo, curvature)
         return parts
 
     def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         p, d = self.p, self.d
         sig_neg = self._margin_at(x, memo)[0]
         out = np.empty(self.m)
-        np.subtract((self.A @ x[:p]) / (self.lam * p), x[p:], out=out[:d])
+        head, tail = out[:d], out[d:]
+        np.divide(self.A @ x[:p], self.lam * p, out=head)
+        np.subtract(head, x[p:], out=head)
         # phi'(t) = -y sigma(-y t), and -y t = -z since y is +-1
-        np.add(x[:p], self._neg_y * sig_neg, out=out[d:])
+        np.multiply(self._neg_y, sig_neg, out=tail)
+        np.add(x[:p], tail, out=tail)
         return out
 
     def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
@@ -294,10 +317,11 @@ class GLMProblem(ProblemInstance):
     ) -> np.ndarray | None:
         """The minimum-norm step ``J_S^+ rhs`` on the strictly increasing rows
         ``S = rows`` at ``x``, from their closed-form Gram system, or None to
-        leave the block to ``min_norm_least_squares``: a block the guard
-        below declines, or one whose step is not finite (a non-finite
-        ``rhs``).  It never raises ``LinAlgError`` and, whatever the
-        caller's error state, never warns.
+        leave the block to ``min_norm_least_squares``: a block whose ``rhs``
+        is not finite (declined before any arithmetic), one the guard below
+        declines, or one whose step is not finite.  It never raises
+        ``LinAlgError`` and, whatever the caller's error state, never warns
+        on a non-finite ``rhs`` or an ill-conditioned block.
 
         Each row is a unit coordinate plus a dense part: head row h is
         ``[P_h | -e_h]`` with ``P = A / (lam p)``, tail row ``d + s`` is
@@ -349,46 +373,49 @@ class GLMProblem(ProblemInstance):
         if rows is self.head_rows:
             return self._whole_head_step(rhs)
         rows = np.asarray(rows, dtype=np.intp)
-        if rows[0] < 0 or rows[-1] >= self.m:
+        first, last = rows.item(0), rows.item(-1)
+        if first < 0 or last >= self.m:
             raise IndexError(f"block rows must lie in [0, {self.m})")
-        if not np.logical_and.reduce(rows[1:] > rows[:-1]):
+        if count_nonzero(rows[1:] <= rows[:-1]):
             raise ValueError("block rows must be strictly increasing")
-        tail = rows[0] >= self.d
+        # a non-finite rhs is declined before any arithmetic, which could warn
+        if not _all_finite(rhs):
+            return None
+        d, p = self.d, self.p
+        tail = first >= d
         if tail:
-            units = rows - self.d
-            B = self._margin_at(x, memo)[1].take(units)[:, None] * self._samples.take(units, axis=0)
-            dense = slice(self.p, None)
-        elif rows[-1] < self.d:
-            if rows.size == self.d:  # d strictly increasing head rows: 0..d-1
+            samples = rows - d
+            B = self._margin_at(x, memo)[1][samples][:, None] * self._samples.take(samples, axis=0)
+        elif last < d:
+            if rows.size == d:  # d strictly increasing head rows: 0..d-1
                 return self._whole_head_step(rhs)
-            units = rows + self.p
             B = self._head_dense.take(rows, axis=0)
-            dense = slice(None, self.p)
         else:
             return self._mixed_step(x, rows, rhs, memo)
         if not _passes_gram_guard(B):
             return None
         k, q = B.shape
         if k >= q:
-            gram = B.T @ B
-            gram.flat[:: q + 1] += 1.0
-            y = rhs - B @ _lapack_solve1(gram, B.T @ rhs)
+            y = rhs - B @ _lapack_solve1(_plus_identity(B.T @ B), B.T @ rhs)
         else:
-            gram = B @ B.T
-            gram.flat[:: k + 1] += 1.0
-            y = _lapack_solve1(gram, rhs)
+            y = _lapack_solve1(_plus_identity(B @ B.T), rhs)
         step = np.zeros(self.n)
-        step[units] = y if tail else -y
-        step[dense] = y @ B
-        return step if np.logical_and.reduce(np.isfinite(step)) else None
+        alpha, w = step[:p], step[p:]
+        if tail:
+            alpha[samples] = y
+            np.matmul(y, B, out=w)
+        else:
+            w[rows] = -y
+            np.matmul(y, B, out=alpha)
+        return step if _all_finite(step) else None
 
     def _whole_head_step(self, rhs: np.ndarray) -> np.ndarray | None:
         """:meth:`block_step` on the whole head, from its kept Gram inverse."""
         inverse = self._head_inverse
-        if inverse is None:
+        if inverse is None or not _all_finite(rhs):
             return None
         step = (inverse @ rhs) @ self._head_jac
-        return step if np.logical_and.reduce(np.isfinite(step)) else None
+        return step if _all_finite(step) else None
 
     def _mixed_step(
         self, x: np.ndarray, rows: np.ndarray, rhs: np.ndarray, memo: IterateMemo | None
@@ -402,7 +429,7 @@ class GLMProblem(ProblemInstance):
         heads = rows[:h]
         samples = rows[h:] - self.d
         P = self._head_dense.take(heads, axis=0)
-        C = self._margin_at(x, memo)[1].take(samples)[:, None] * self._samples.take(samples, axis=0)
+        C = self._margin_at(x, memo)[1][samples][:, None] * self._samples.take(samples, axis=0)
         k = rows.size
         with np.errstate(over="ignore", invalid="ignore"):
             gram = np.empty((k, k))
@@ -411,8 +438,7 @@ class GLMProblem(ProblemInstance):
             cross = gram[:h, h:]
             np.subtract(P.take(samples, axis=1), C.take(heads, axis=1).T, out=cross)
             gram[h:, :h] = cross.T
-            gram.flat[:: k + 1] += 1.0
-            inverse, bound = _inverse_and_condition_bound(gram)
+            inverse, bound = _inverse_and_condition_bound(_plus_identity(gram))
             if not bound <= 1.0 / GRAM_TAU:
                 return None
             y = inverse @ rhs
@@ -423,7 +449,7 @@ class GLMProblem(ProblemInstance):
             alpha[samples] += y_tail
             np.matmul(y_tail, C, out=w)
             w[heads] -= y_head
-        return step if np.logical_and.reduce(np.isfinite(step)) else None
+        return step if _all_finite(step) else None
 
     @cached_property
     def _head_inverse(self) -> np.ndarray | None:
@@ -434,9 +460,7 @@ class GLMProblem(ProblemInstance):
         B = self._head_dense
         if not _passes_gram_guard(B):
             return None
-        gram = B @ B.T
-        gram.flat[:: self.d + 1] += 1.0
-        return np.linalg.inv(gram)
+        return np.linalg.inv(_plus_identity(B @ B.T))
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         # head norms are constant; tail norms come from the precomputed ||a_s||^2

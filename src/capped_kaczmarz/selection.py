@@ -115,16 +115,17 @@ class RowGeometry:
             every_row_active = bool(np.logical_and.reduce(active))
             active_residual_sq = float(np.add.reduce(res_sq[active]))
             ratios = np.where(active, res_sq / np.where(active, grad_sq_norms, 1.0), -np.inf)
+        # positional: a keyword construction costs more than twice as much
         return cls(
-            residual=residual,
-            grad_sq_norms=grad_sq_norms,
-            residual_sq=residual_sq,
-            every_row_active=every_row_active,
-            active_residual_sq=active_residual_sq,
-            res_sq=res_sq,
-            ratios=ratios,
-            top_ratio_row=int(ratios.argmax()),
-            top_residual_row=int(res_sq.argmax()),
+            residual,
+            grad_sq_norms,
+            residual_sq,
+            every_row_active,
+            active_residual_sq,
+            res_sq,
+            ratios,
+            int(ratios.argmax()),
+            int(res_sq.argmax()),
         )
 
     @property
@@ -208,11 +209,7 @@ def build_distance_set(g: RowGeometry, eps: float) -> SelectionResult:
     indices = mask.nonzero()[0]
     if indices.size == 0:
         raise EmptySet("distance set came out empty; threshold inconsistent with geometry")
-    return SelectionResult(
-        indices=indices,
-        threshold=eps,
-        weights=g.res_sq[indices],
-    )
+    return SelectionResult(indices, eps, g.res_sq[indices])
 
 
 def compute_delta(g: RowGeometry, mode: ThresholdMode) -> float:
@@ -259,11 +256,7 @@ def build_residual_set(g: RowGeometry, delta: float) -> SelectionResult:
     # are (argmax stops at the first NaN, which is truthy)
     if not weights.item(weights.argmax()):
         raise AllWeightsZero("every selected row has a vanishing gradient")
-    return SelectionResult(
-        indices=indices,
-        threshold=delta,
-        weights=weights,
-    )
+    return SelectionResult(indices, delta, weights)
 
 
 def sample_index(sel: SelectionResult, rng: np.random.Generator) -> int:
@@ -272,4 +265,4 @@ def sample_index(sel: SelectionResult, rng: np.random.Generator) -> int:
     Consumes exactly one uniform variate from ``rng`` (cumulative-sum
     inversion), so the draw sequence is reproducible for a fixed seed.
     """
-    return int(sel.indices[draw_weighted_index(rng, sel.weights)])
+    return sel.indices.item(draw_weighted_index(rng, sel.weights))

@@ -193,7 +193,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                                 i = sample_index(sel, rng)
                             elif size == 1:
                                 # the minimum-norm step onto one row is its projection
-                                i = int(sel.indices[0]) + lo
+                                i = sel.indices.item(0) + lo
                             else:
                                 # the offset costs a ufunc call, so only a hybrid adds it
                                 rows = sel.indices + lo if lo else sel.indices
@@ -203,7 +203,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
                         x = block_projection(problem, x_at, rows, r_at[rows], memo)
                         selected, set_size = rows.tolist(), size
                     elif size:
-                        x = kaczmarz_step(x_at, r_at[i], problem.row_grad(i, x_at, memo))
+                        x = kaczmarz_step(x_at, r_at.item(i), problem.row_grad(i, x_at, memo))
                         selected, set_size = (i,), size
                 except NumericalBreakdown:
                     status = SolveStatus.NUMERICAL_BREAKDOWN

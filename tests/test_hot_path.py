@@ -19,7 +19,11 @@ to skip the matmul ufunc's dispatch, against ``@``.  A per-iteration count
 pins the ufunc reductions a Brown solve makes and its one ``np.errstate``
 (the quiet scope entered once around the whole loop), so a reduction or an
 errstate put back on the loop fails a test; there a capped draw
-accumulates its weights only from a set of two or more rows.  The residual
+accumulates its weights only from a set of two or more rows.  On the
+GLM, every numpy function and method that a steady ``db-cnk`` or
+``glm-hybrid-db`` iteration calls is pinned per route (a one-row step, a
+block of head rows, of tail rows or of both, the hybrid's head), so a
+wrapper, a reduction or a scalar read put back on the block path fails.  The residual
 rule's all-zero weight test is pinned against the ``np.logical_or.reduce``
 it replaced.
 
@@ -203,27 +207,40 @@ RECORD_APPEND = TraceRecords.append.__code__
 SOLVE = solve.__code__
 
 
-def calls_per_record(selector, method, max_iter):
-    """The trace, and per record one ``Counter`` of the ufunc ``reduce`` and
-    ``accumulate`` calls that package frames make (keyed ``"add.reduce"``
-    and the like) and of ``np.errstate`` entries (``"errstate"``), from the
-    previous record's append by ``solve`` to this one's (an append that
-    widens a column calls itself again); record 0's count includes the
-    set-up of the solve."""
+NUMPY_DIR = os.path.dirname(os.path.abspath(np.__file__))
+
+
+def numpy_calls_per_record(selector, method, max_iter):
+    """The problem, the trace, and per record one ``Counter`` of the numpy
+    calls that package frames make, from the previous record's append by
+    ``solve`` to this one's (an append that widens a column calls itself
+    again); record 0's count includes the set-up of the solve.  Counted are
+    numpy's C functions and methods (a ufunc's ``reduce`` keyed
+    ``"add.reduce"``, an array's ``item`` as ``"item"``) and its Python
+    functions (keyed ``"py:<name>"``), and every entry of ``np.errstate``
+    (``"errstate"``).  The profiler sees no ufunc call and no operator, so
+    those are not counted."""
     problem, x0 = resolve_problem(selector)
     config = SolverConfig(method=method, seed=0, max_iter=max_iter)
     counts = [Counter()]
 
+    def from_package(frame) -> bool:
+        return frame is not None and os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == PACKAGE_DIR
+
     def profile(frame, event, arg):
         if event == "call":
-            if frame.f_code is ERRSTATE_ENTER:
-                counts[-1]["errstate"] += 1
-            elif frame.f_code is RECORD_APPEND and frame.f_back.f_code is SOLVE:
+            if frame.f_code is RECORD_APPEND and frame.f_back.f_code is SOLVE:
                 counts.append(Counter())
-        elif event == "c_call" and os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == PACKAGE_DIR:
-            ufunc = getattr(arg, "__self__", None)
-            if isinstance(ufunc, np.ufunc) and arg.__name__ in ("reduce", "accumulate"):
-                counts[-1][f"{ufunc.__name__}.{arg.__name__}"] += 1
+            elif frame.f_code is ERRSTATE_ENTER:
+                counts[-1]["errstate"] += 1
+            elif frame.f_code.co_filename.startswith(NUMPY_DIR) and from_package(frame.f_back):
+                counts[-1][f"py:{frame.f_code.co_name}"] += 1
+        elif event == "c_call" and from_package(frame):
+            owner = getattr(arg, "__self__", None)
+            if isinstance(owner, np.ufunc):
+                counts[-1][f"{owner.__name__}.{arg.__name__}"] += 1
+            elif isinstance(owner, np.ndarray) or (getattr(arg, "__module__", None) or "").startswith("numpy"):
+                counts[-1][arg.__name__] += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -231,8 +248,20 @@ def calls_per_record(selector, method, max_iter):
         trace = solve(problem, x0, config)
     finally:
         sys.setprofile(previous)
-    assert counts.pop() == Counter()
-    return trace, counts
+    # the solve's quiet scope closes after its last record
+    assert counts.pop() == Counter({"py:__exit__": 1})
+    return problem, trace, counts
+
+
+def calls_per_record(selector, method, max_iter):
+    """The trace, and per record the ufunc ``reduce`` and ``accumulate``
+    calls and the ``np.errstate`` entries of :func:`numpy_calls_per_record`."""
+    _, trace, counts = numpy_calls_per_record(selector, method, max_iter)
+    kept = [
+        Counter({key: n for key, n in count.items() if key == "errstate" or key.endswith((".reduce", ".accumulate"))})
+        for count in counts
+    ]
+    return trace, kept
 
 
 # the Brown residual sums and multiplies x; a geometry sums f_i^2, the
@@ -287,6 +316,79 @@ def test_per_iteration_reductions_and_one_errstate_per_solve(method, first, stea
     assert patterns(counts[1:-1]) == patterns(steady)
     # the capped iterate stops after its residual
     assert counts[-1] == RESIDUAL
+
+
+# every GLM iteration: the residual and its margin (one putmask), ||f||^2,
+# the geometry (two asarray, the sum of f_i^2, three argmax, one argmin and
+# two reads), the Convex distance threshold (the norm sum and one read) and
+# the set (one nonzero and one read)
+GLM_ITERATION = Counter(
+    {"empty": 2, "py:putmask": 1, "dot": 1, "asarray": 2, "add.reduce": 2, "argmax": 3, "argmin": 1, "item": 4, "nonzero": 1}
+)
+# a one-row step: the drawn row and its weight read, and the row's ||g||^2;
+# a tail row's gradient is built in a zeroed array
+SINGLE = Counter({"item": 2, "dot": 1})
+TAIL_GRADIENT = Counter({"zeros": 1})
+# a block: block_step reads its row bounds as Python ints, tests its rows
+# and its rhs and step by count_nonzero, and the record lists its rows
+BLOCK = Counter({"asarray": 1, "item": 2, "count_nonzero": 3, "tolist": 1})
+# a block of one kind: the dense parts, the guard, I + Gram and the step
+ONE_KIND = Counter({"take": 1, "c_einsum": 1, "reshape": 1, "zeros": 1})
+# a block of both kinds: the parts and the cross block, the Gram and the
+# step, the certificate, and its quiet scope
+MIXED = Counter(
+    {"searchsorted": 1, "take": 4, "empty": 2, "reshape": 1, "c_einsum": 2, "py:__init__": 1, "errstate": 1, "py:__exit__": 1}
+)
+# a hybrid's head: the whole head's step tests its rhs and its step, and
+# the post-head iterate has a residual of its own
+HYBRID_HEAD = Counter({"count_nonzero": 2, "empty": 1, "py:putmask": 1})
+
+
+def glm_route(problem, selected) -> str:
+    if len(selected) == 1:
+        return "tail row" if selected[0] >= problem.d else "head row"
+    if selected[0] >= problem.d:
+        return "tail"
+    return "head" if selected[-1] < problem.d else "mixed"
+
+
+@pytest.mark.parametrize(
+    "method, expected",
+    [
+        pytest.param(
+            MethodKind.DB_CNK,
+            {
+                "head row": GLM_ITERATION + SINGLE,
+                "tail row": GLM_ITERATION + SINGLE + TAIL_GRADIENT,
+                "head": GLM_ITERATION + BLOCK + ONE_KIND,
+                "tail": GLM_ITERATION + BLOCK + ONE_KIND,
+                "mixed": GLM_ITERATION + BLOCK + MIXED,
+            },
+            id="db-cnk",
+        ),
+        pytest.param(
+            MethodKind.GLM_HYBRID_DB,
+            {
+                "tail row": GLM_ITERATION + HYBRID_HEAD + SINGLE + TAIL_GRADIENT,
+                "tail": GLM_ITERATION + HYBRID_HEAD + BLOCK + ONE_KIND,
+            },
+            id="glm-hybrid-db",
+        ),
+    ],
+)
+def test_glm_iteration_numpy_calls(method, expected):
+    # glm:synthetic:60,6,3 from zero: every steady iteration makes exactly
+    # the numpy calls of its route, so a wrapper, a reduction or a scalar
+    # read put back on the block path fails here
+    problem, trace, counts = numpy_calls_per_record("glm:synthetic:60,6,3", method, max_iter=60)
+    assert trace.total_iterations == 60
+    routes = Counter()
+    for record, count in zip(trace.records[1:-1], counts[1:-1]):
+        route = glm_route(problem, record.selected)
+        routes[route] += 1
+        assert count == expected[route], (record.k, route)
+    # db-cnk takes all five routes here, and the hybrid both of its own
+    assert set(routes) == set(expected)
 
 
 WEIGHT_VALUES = (0.0, -0.0, np.nan, np.inf, 1.0, 5e-324, -np.inf)

@@ -1,3 +1,4 @@
+import contextlib
 import warnings
 
 import numpy as np
@@ -272,6 +273,43 @@ def scaled_glm(scale: float) -> GLMProblem:
     return GLMProblem(scale * glm.A, glm.y, glm.lam)
 
 
+# the forms a caller may pass block rows in: a list, or an integer array
+# of numpy's index type or of another
+ROW_FORMS = [list, np.array, lambda rows: np.array(rows, dtype=np.int32), lambda rows: np.array(rows, dtype=np.int16)]
+ROW_FORM_IDS = ["list", "intp", "int32", "int16"]
+
+
+@contextlib.contextmanager
+def strict_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
+
+
+# a caller that turns warnings into errors, and one whose error state raises
+STRICT_MODES = [strict_warnings, lambda: np.errstate(all="raise")]
+STRICT_MODE_IDS = ["warnings-error", "errstate-raise"]
+
+
+def assert_non_finite_rhs_declined(glm, x, blocks, strict):
+    """Each block, with an inf, a -inf or a NaN at each position of its
+    rhs, or an inf and a -inf at its ends, is declined under ``strict``."""
+    for rows in blocks:
+        k = rows.size
+        rhs_cases = []
+        for bad in (np.inf, -np.inf, np.nan):
+            for at in range(k):
+                rhs = np.ones(k)
+                rhs[at] = bad
+                rhs_cases.append(rhs)
+        both = np.ones(k)
+        both[0], both[-1] = np.inf, -np.inf
+        rhs_cases.append(both)
+        for rhs in rhs_cases:
+            with strict():
+                assert glm.block_step(x, rows, rhs) is None, (rows, rhs)
+
+
 class TestTailBlockStep:
     """``GLMProblem.block_step``: the closed-form minimum-norm step on a
     block of GLM tail rows, and where ``solve`` takes it."""
@@ -362,19 +400,28 @@ class TestTailBlockStep:
         assert trace.total_iterations == 0
         assert trace.final_x.tobytes() == x0.tobytes()
 
-    def test_rows_must_be_increasing_tail_rows(self):
+    @pytest.mark.parametrize("as_rows", ROW_FORMS, ids=ROW_FORM_IDS)
+    def test_rows_must_be_increasing_tail_rows(self, as_rows):
         glm = make_synthetic_glm(60, 6, 3)
         x = np.zeros(glm.n)
         # a block with a head row is solved too, as a block of both kinds
-        rows = [glm.d - 1, glm.d]
+        rows = as_rows([glm.d - 1, glm.d])
         step = glm.block_step(x, rows, np.ones(2))
         oracle = np.linalg.lstsq(glm.jacobian(x, rows), np.ones(2), rcond=None)[0]
         assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle)
-        with pytest.raises(IndexError):
-            glm.block_step(x, [glm.d, glm.m], np.ones(2))
-        for rows in ([glm.d + 1, glm.d], [glm.d, glm.d]):
+        for rows in ([glm.d, glm.m], [glm.d, glm.m + 5]):
+            with pytest.raises(IndexError):
+                glm.block_step(x, as_rows(rows), np.ones(2))
+        for rows in ([glm.d + 1, glm.d], [glm.d, glm.d], [glm.d, glm.d + 2, glm.d + 1]):
             with pytest.raises(ValueError):
-                glm.block_step(x, rows, np.ones(2))
+                glm.block_step(x, as_rows(rows), np.ones(len(rows)))
+
+    @pytest.mark.parametrize("strict", STRICT_MODES, ids=STRICT_MODE_IDS)
+    def test_non_finite_rhs_is_declined_quietly(self, strict):
+        # a tail block took the inf into its step, and its matmul warned
+        glm = make_synthetic_glm(60, 6, 3)
+        x = np.zeros(glm.n)
+        assert_non_finite_rhs_declined(glm, x, [np.array([glm.d + 1, glm.d + 4]), np.arange(glm.d, glm.d + 8)], strict)
 
 
 class TestHeadBlockStep:
@@ -431,14 +478,26 @@ class TestHeadBlockStep:
             step = min_norm_least_squares(J, r[rows])
             assert step.tobytes() == min_norm_least_squares(head[rows], r[rows]).tobytes()
 
-    def test_rows_must_be_increasing_rows_of_the_system(self):
+    @pytest.mark.parametrize("as_rows", ROW_FORMS, ids=ROW_FORM_IDS)
+    def test_rows_must_be_increasing_rows_of_the_system(self, as_rows):
         glm = make_synthetic_glm(60, 6, 3)
         x = np.zeros(glm.n)
-        with pytest.raises(IndexError):
-            glm.block_step(x, [-1, 0], np.ones(2))
-        for rows in ([1, 0], [0, 0], [glm.d, glm.d - 1]):
+        for rows in ([-1, 0], [-3, glm.d]):
+            with pytest.raises(IndexError):
+                glm.block_step(x, as_rows(rows), np.ones(2))
+        for rows in ([1, 0], [0, 0], [glm.d, glm.d - 1], [0, 2, 1], [2, -1]):
             with pytest.raises(ValueError):
-                glm.block_step(x, rows, np.ones(2))
+                glm.block_step(x, as_rows(rows), np.ones(len(rows)))
+
+    @pytest.mark.parametrize("strict", STRICT_MODES, ids=STRICT_MODE_IDS)
+    def test_non_finite_rhs_is_declined_quietly(self, strict):
+        # a head subset and the whole head, as a new array and as the
+        # problem's own head_rows, on the rows where the inf reached a
+        # matmul with the unit parts' zeros and warned
+        glm = make_synthetic_glm(60, 6, 3)
+        blocks = [np.array([1, 3]), np.array([0, 2, 5]), np.arange(glm.d), glm.head_rows]
+        for x in (np.zeros(glm.n), seeded_rng(49).standard_normal(glm.n)):
+            assert_non_finite_rhs_declined(glm, x, blocks, strict)
 
 
 class TestMixedBlockStep:
@@ -528,16 +587,11 @@ class TestMixedBlockStep:
                 assert glm.block_step(x, rows, np.array([1.0, -1.0, 0.5])) is None
                 assert glm.block_step(x, rows, np.array([1.0, 1.0, 0.0])) is None
 
-    def test_non_finite_rhs_is_declined_quietly(self):
+    @pytest.mark.parametrize("strict", STRICT_MODES, ids=STRICT_MODE_IDS)
+    def test_non_finite_rhs_is_declined_quietly(self, strict):
         glm = make_synthetic_glm(60, 6, 3)
         x = seeded_rng(48).standard_normal(glm.n)
-        rows = np.array([1, 3, glm.d + 2, glm.d + 9])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for bad in (np.nan, np.inf, -np.inf):
-                rhs = np.ones(rows.size)
-                rhs[2] = bad
-                assert glm.block_step(x, rows, rhs) is None, bad
+        assert_non_finite_rhs_declined(glm, x, [np.array([1, 3, glm.d + 2, glm.d + 9])], strict)
 
 
 class LstsqBlockLinear(LinearProblem):
