@@ -9,22 +9,10 @@ Every block projection of two or more rows that the problem's
 a GLM hybrid's head block among them.  A one-row block is the
 single-row projection of ``solvers.kaczmarz_step``.  The hook declines
 every block by default; ``GLMProblem.block_step`` solves a block of head
-rows, of tail rows or of both in closed form, behind a guard on this
-module's ``GRAM_TAU`` (for rows of both kinds, the certificate ``tr(G)
-||G^-1||_F <= 1 / GRAM_TAU`` on its computed Gram inverse); it reads the
-whole head's step off the inverse of its Gram matrix, which it builds once
-and keeps.
-:func:`min_norm_least_squares` has two paths behind one name:
-
-* a short block (k rows, n columns, 2k <= n) is solved through its k x k
-  Gram matrix ``G = J J^T`` when one ``eigh``, ``G = V diag(lam) V^T``,
-  certifies it well conditioned, ``lam_min > GRAM_TAU * lam_max``, with
-  normal-float eigenvalues; the step is ``J^T V diag(1/lam) V^T rhs``,
-  kept only if finite;
-* every other block (square or tall, ill-conditioned, rank-deficient, out
-  of that floating-point range, or one whose eigensolver fails) goes to
-  ``numpy.linalg.lstsq`` (LAPACK ``gelsd``), and its step is bit for bit
-  that driver's SVD pseudoinverse action, with the rank cutoff below.
+rows, of tail rows or of both in closed form behind its own Gram guard
+(see ``problems.GRAM_TAU``).  :func:`min_norm_least_squares` is one call of
+``numpy.linalg.lstsq`` (LAPACK ``gelsd``): its step is bit for bit that
+driver's SVD pseudoinverse action, with the rank cutoff below.
 
 Why the rank cutoff has headroom.  ``gelsd`` counts a singular value at or
 below ``rcond * sigma_max`` as zero.  numpy's default ``rcond``,
@@ -40,24 +28,6 @@ package's SVD-oracle check covers, keeps every singular value: its
 smallest is 1e-6 sigma_max, far above the cutoff of at most 1.3e-13
 sigma_max.  A block whose rank the two cutoffs agree on gets the same
 bits under either.
-
-Why the guard certifies accuracy.  Forming ``G`` perturbs it by at most
-about ``n eps ||J||_F^2 <= n k eps lam_max``, and ``eigh`` is backward
-stable, so each computed eigenvalue is within about ``(n + k) k eps lam_max``
-of the exact ``sigma_i(J)^2``: a passing block has ``cond(J)^2 <= 1 /
-GRAM_TAU`` up to that slack (a Cholesky diagonal would only bound cond(J)
-from below).  The solve is exact for some ``G + E`` with ``||E|| <= (n + k)
-k eps ||G||``, and its error ``J^+ E y`` (``y = G^-1 rhs``) is at most
-``||E|| ||d|| / sigma_min^2``, since ``||J^+|| = 1/sigma_min`` and
-``||y|| <= ||d|| / sigma_min``.  So the relative error of the step is at most
-about ``cond(J)^2 (n + k) k eps``, the normal-equations error, against
-``gelsd``'s ``cond(J) eps``.  ``GRAM_TAU = 1e-6`` caps cond(J) at 1e3; on
-random blocks up to 60 x 60 with cond(J) up to 1e3 the observed error was at
-most 3.2e-10, well inside the 1e-8 the package's SVD-oracle check allows.
-
-Why 2k <= n.  ``G`` and ``V`` together hold 2k^2 <= kn entries, no more than
-``J`` itself, so the path adds no memory beyond the block a step already
-holds; taller blocks, such as Brown's k = n - 1 blocks, keep ``gelsd``.
 """
 
 from __future__ import annotations
@@ -68,12 +38,6 @@ import numpy as np
 
 from .errors import AllWeightsZero, FactorizationFailure
 
-# eigenvalue ratio below which a short block leaves the Gram path for gelsd:
-# lam_min / lam_max = 1 / cond(J)^2, so the Gram path sees cond(J) <= 1e3
-GRAM_TAU = 1e-6
-# a Gram path eigenvalue must also be a normal float: below that, the
-# products forming G round to absolute, not relative, error
-_TINY = np.finfo(float).tiny
 # gelsd's rank cutoff per max(k, n), relative to sigma_max: ten times
 # numpy's default eps (see the module docstring)
 _RCOND_PER_DIM = 10.0 * np.finfo(float).eps
@@ -86,19 +50,13 @@ def row_sq_norms(J: np.ndarray) -> np.ndarray:
 
 
 def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-2-norm minimizer of ``||J d - rhs||_2``.
-
-    On a short block (``2 k <= n``) whose Gram matrix ``J J^T = V diag(lam)
-    V^T`` has ``lam_min`` a normal float above ``GRAM_TAU * lam_max`` the
-    result is ``J^T V diag(1/lam) V^T rhs`` if finite, with a relative
-    error of at most about ``cond(J)^2 (n + k) k eps`` (see the module
-    docstring).  Every other block, including any
-    that is rank-deficient, gets the pseudoinverse action of
-    ``numpy.linalg.lstsq`` bit for bit, with the rank cutoff ``rcond = 10
-    max(rows, cols) eps`` relative to the largest singular value: ten times
-    numpy's default, above the rounding noise of a zero singular value.
-    Non-finite input, a shape mismatch or a failing driver raise
-    :class:`FactorizationFailure`.
+    """Minimum-2-norm minimizer of ``||J d - rhs||_2``: the pseudoinverse
+    action of ``numpy.linalg.lstsq`` bit for bit, with the rank cutoff
+    ``rcond = 10 max(rows, cols) eps`` relative to the largest singular
+    value: ten times numpy's default, above the rounding noise of a zero
+    singular value (see the module docstring).  A block of any shape or
+    rank is accepted.  Non-finite input, a shape mismatch or a failing
+    driver raise :class:`FactorizationFailure`.
     """
     J = np.asarray(J, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
@@ -108,19 +66,8 @@ def min_norm_least_squares(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         )
     if not (np.logical_and.reduce(np.isfinite(J), axis=None) and np.logical_and.reduce(np.isfinite(rhs))):
         raise FactorizationFailure("non-finite entries in least-squares input")
-    k, n = J.shape
-    if 0 < 2 * k <= n:
-        try:
-            lam, V = np.linalg.eigh(J @ J.T)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            if _TINY <= lam[0] and GRAM_TAU * lam[-1] < lam[0]:
-                delta = J.T @ (V @ ((V.T @ rhs) / lam))
-                if np.logical_and.reduce(np.isfinite(delta)):
-                    return delta
     try:
-        delta, *_ = np.linalg.lstsq(J, rhs, rcond=_RCOND_PER_DIM * max(k, n))
+        delta, *_ = np.linalg.lstsq(J, rhs, rcond=_RCOND_PER_DIM * max(J.shape))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise FactorizationFailure(str(exc)) from exc
     return delta

@@ -6,7 +6,9 @@
   in the stacked unknown ``x = [alpha; w]``, with a closed-form minimum-norm
   step on a block of head rows, of tail rows or of both (``block_step``),
   which also takes the hybrids' head solve from a Gram inverse built once
-  per problem.
+  per problem.  Its Gram guard (``GRAM_TAU``) is the package's one test of
+  a block's conditioning: a block it declines goes to
+  ``numerics.min_norm_least_squares``, one ``gelsd``.
 * A linear-system adapter ``f(x) = Ax - b``.
 * A line-oriented sparse ``label index:value`` dataset parser.
 """
@@ -35,16 +37,34 @@ from numpy.linalg._umath_linalg import solve1 as _lapack_solve1
 
 from .core import IterateMemo, ProblemInstance
 from .errors import DimensionMismatch, ParseError
-from .numerics import GRAM_TAU, seeded_rng
+from .numerics import seeded_rng
+
+# the Gram guards' cap on 1 / cond(G) = lam_min / lam_max of a block's Gram
+# matrix G = J_S J_S^T, that is cond(J_S) <= 1e3: a closed-form block step
+# works through G, so its relative error grows as cond(J_S)^2 eps, and a
+# block past the cap goes to min_norm_least_squares (gelsd, cond(J_S) eps)
+GRAM_TAU = 1e-6
+
+
+def _row_array(rows) -> np.ndarray:
+    """``rows`` as an ``intp`` array.  A nonempty array of floats or booleans
+    raises IndexError, where a cast would truncate 1.9 to row 1 and read
+    True as row 1."""
+    rows = np.asarray(rows)
+    if rows.dtype != np.intp:
+        if rows.size and rows.dtype.kind not in "iu":
+            raise IndexError(f"row indices must be integers, not {rows.dtype}")
+        rows = rows.astype(np.intp)
+    return rows
 
 
 def _index_rows(rows, m: int) -> np.ndarray:
-    """``rows`` (all ``m`` rows when None) as an index array.  A row outside
-    ``[0, m)`` raises IndexError, where numpy would read a negative row from
-    the end."""
+    """``rows`` (all ``m`` rows when None) as an index array, checked by
+    :func:`_row_array`.  A row outside ``[0, m)`` raises IndexError, where
+    numpy would read a negative row from the end."""
     if rows is None:
         return np.arange(m)
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = _row_array(rows)
     if np.maximum.reduce(rows, axis=None, initial=-1) >= m or np.minimum.reduce(rows, axis=None, initial=0) < 0:
         raise IndexError(f"Jacobian rows must lie in [0, {m})")
     return rows
@@ -346,8 +366,8 @@ class GLMProblem(ProblemInstance):
         and is ``P_H^T y_H``, plus ``y_T`` at T, on alpha, and ``C_T^T
         y_T``, less ``y_H`` at H, on w (:meth:`_mixed_step`).
 
-        Guard: a block is taken only where ``cond(J_S)^2 <= 1 / GRAM_TAU``,
-        the Gram path's bound.  Rows of one kind have the eigenvalues of
+        Guard: a block is taken only where ``cond(J_S)^2 <= 1 / GRAM_TAU``
+        (:data:`GRAM_TAU`).  Rows of one kind have the eigenvalues of
         ``J_S J_S^T`` in ``[1, 1 + ||B||_2^2]``, so ``1 + ||B||_F^2 <= 1 /
         GRAM_TAU`` certifies it; the whole head's outcome is kept with its
         inverse.  Rows of both kinds have no such floor, since ``G_HT`` is
@@ -372,7 +392,7 @@ class GLMProblem(ProblemInstance):
         """
         if rows is self.head_rows:
             return self._whole_head_step(rhs)
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = _row_array(rows)
         first, last = rows.item(0), rows.item(-1)
         if first < 0 or last >= self.m:
             raise IndexError(f"block rows must lie in [0, {self.m})")

@@ -30,12 +30,13 @@ squares.  Every block of two or more rows takes one ``block_projection``:
 it is first offered to the problem's ``block_step`` hook, which returns a
 closed-form step or None (the default; the GLM returns one for head rows,
 tail rows or both, when its guard certifies ``cond(J)^2 <= 1 /
-GRAM_TAU``), and a declined block goes to ``min_norm_least_squares`` on
-the selected Jacobian rows only (``problem.jacobian(x, rows)``).  ``lo`` is
-0 except for the hybrids, whose iteration first projects onto the
-problem's ``d`` affine head rows ``:d`` (``hybrid_linear_substep``, the
-same block projection, on the problem's one ``head_rows`` array) and then
-onto the selected tail rows ``d:`` at the post-head iterate.  A problem
+GRAM_TAU``), and a declined block goes to ``min_norm_least_squares``, one
+LAPACK ``gelsd``, on the selected Jacobian rows only (``problem.jacobian(x,
+rows)``).  ``lo`` is 0 except for the hybrids, whose iteration first
+projects onto the problem's ``d`` affine head rows ``:d``
+(``hybrid_linear_substep``, the same block projection, on the problem's
+one ``head_rows`` array) and then onto the selected tail rows ``d:`` at
+the post-head iterate.  A problem
 declares its head rows as ``ProblemInstance.d`` (the GLM's d feature rows;
 0, and so no hybrid, by default), so this module imports no problem class.
 """

@@ -80,7 +80,7 @@ def test_spans_are_entered(tracing, method, build, spans):
 
     problem.block_step = logged_hook
     with tracing.instrumented(tracer, [problem]):
-        # both least-squares paths sit behind the one traced name; log the
+        # every least-squares call goes through the one traced name; log the
         # span each call is made from (a declined hybrid head, or the loop)
         traced = solvers_mod.min_norm_least_squares
 

@@ -101,9 +101,15 @@ def test_records_replay_head_solve_and_tail_block(small_glm, method):
         assert rec.set_size == len(sel)
         J, rhs = small_glm.jacobian(x_mid)[rows], r_mid[rows]
         # a tail block of two or more rows takes its closed-form step, a
-        # one-row block the projection, whose bytes are the lstsq step's
-        step = small_glm.block_step(x_mid, rows, rhs) if len(rows) > 1 else min_norm_least_squares(J, rhs)
-        assert np.array_equal(x_next, x_mid - step)
+        # one-row block the projection onto its row, as the solve does; the
+        # projection's step is taken from a zero iterate for the oracle
+        if len(rows) > 1:
+            step = small_glm.block_step(x_mid, rows, rhs)
+            assert np.array_equal(x_next, x_mid - step)
+        else:
+            f, grad = r_mid[rows[0]], small_glm.row_grad(rows[0], x_mid)
+            assert np.array_equal(x_next, kaczmarz_step(x_mid, f, grad))
+            step = -kaczmarz_step(np.zeros(small_glm.n), f, grad)
         oracle = np.linalg.lstsq(J, rhs, rcond=None)[0]
         assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
 

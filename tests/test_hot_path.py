@@ -27,13 +27,14 @@ wrapper, a reduction or a scalar read put back on the block path fails.  The res
 rule's all-zero weight test is pinned against the ``np.logical_or.reduce``
 it replaced.
 
-Three more checks watch the files of ``numpy/linalg``: building a GLM
+Four more checks watch the files of ``numpy/linalg``: building a GLM
 calls none of them; once a hybrid's first head block has built the inverse
-of the head's Gram matrix, a whole-head block step calls none either; and a
-block of head and tail rows calls none, nor ``problem.jacobian``.  The
-LAPACK gufuncs that the GLM's block steps call in place of
-``np.linalg.solve`` and ``np.linalg.inv`` are pinned against those
-functions byte for byte.
+of the head's Gram matrix, a whole-head block step calls none either; a
+block of head and tail rows calls none, nor ``problem.jacobian``; and each
+block iteration of a linear ``db-cnk`` solve calls ``lstsq`` once and
+``eigh`` never.  The LAPACK gufuncs that the GLM's block steps call in
+place of ``np.linalg.solve`` and ``np.linalg.inv`` are pinned against
+those functions byte for byte.
 """
 
 import itertools
@@ -208,6 +209,35 @@ SOLVE = solve.__code__
 
 
 NUMPY_DIR = os.path.dirname(os.path.abspath(np.__file__))
+
+
+def test_linear_block_iterations_call_one_lstsq_and_no_eigh():
+    # linear:300,40,2 db-cnk takes a block of two or more rows at every
+    # iteration, and each goes to least squares: one gelsd through
+    # np.linalg.lstsq, with no Gram eigendecomposition before it.  Watched
+    # as linalg_calls does, split at each record that solve appends
+    problem, x0 = resolve_problem("linear:300,40,2")
+    calls = [[]]
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code is RECORD_APPEND and frame.f_back.f_code is SOLVE:
+                calls.append([])
+            elif os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == LINALG_DIR:
+                calls[-1].append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        trace = solve(problem, x0, SolverConfig(method=MethodKind.DB_CNK, seed=0))
+    finally:
+        sys.setprofile(previous)
+    # after its last record the solve only leaves its quiet scope, and the
+    # stopping record takes no step
+    assert calls.pop() == calls.pop() == []
+    sizes = [rec.set_size for rec in trace.records[:-1]]
+    assert len(sizes) > 20 and min(sizes) > 1
+    assert [(names.count("lstsq"), names.count("eigh")) for names in calls] == [(1, 0)] * len(sizes)
 
 
 def numpy_calls_per_record(selector, method, max_iter):

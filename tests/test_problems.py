@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from capped_kaczmarz.core import IterateMemo
 from capped_kaczmarz.errors import DimensionMismatch
-from capped_kaczmarz.numerics import GRAM_TAU, seeded_rng
+from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import (
+    GRAM_TAU,
     BrownProblem,
     Dataset,
     GLMProblem,
@@ -333,6 +334,38 @@ class TestJacobianRows:
         for i in (-1, m):
             with pytest.raises(IndexError):
                 problem.row_grad(i, x)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: BrownProblem(7),
+            lambda: make_synthetic_glm(60, 6, 3),
+            lambda: LinearProblem(seeded_rng(14).standard_normal((9, 4)), np.ones(9)),
+        ],
+        ids=["brown", "glm", "linear"],
+    )
+    def test_float_and_boolean_rows_are_rejected(self, make):
+        # a cast to intp would truncate 1.9 to row 1 and read True as row 1,
+        # as row_grad refuses a float row; an empty row list is still rows
+        problem = make()
+        x = 0.5 + seeded_rng(15).random(problem.n)
+        for rows in (np.array([1.9]), [1.0, 3.0], np.array([True, False]), [False]):
+            with pytest.raises(IndexError, match="integers"):
+                problem.jacobian(x, rows)
+        with pytest.raises(IndexError):
+            problem.row_grad(1.5, x)
+        for rows in ([], np.array([], dtype=float), np.array([1, 3], dtype=np.uint8), (0, 2)):
+            assert problem.jacobian(x, rows).tobytes() == problem.jacobian(x)[[*rows]].tobytes()
+
+    def test_glm_block_step_rejects_float_and_boolean_rows(self):
+        glm = make_synthetic_glm(60, 6, 3)
+        x = seeded_rng(16).standard_normal(glm.n)
+        r = glm.residual(x)
+        for rows in (np.array([1.5, 3.7]), [1.0, 8.0], np.array([1.0, 3.0, 7.0, 9.0]), np.array([True, True])):
+            with pytest.raises(IndexError, match="integers"):
+                glm.block_step(x, rows, r[:len(rows)])
+        step = glm.block_step(x, [1, 3], r[[1, 3]])
+        assert step.tobytes() == glm.block_step(x, np.array([1, 3], dtype=np.int32), r[[1, 3]]).tobytes()
 
     def test_glm_head_rows_are_a_copy_of_the_head(self):
         glm = make_synthetic_glm(60, 6, 3)

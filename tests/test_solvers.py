@@ -37,6 +37,8 @@ from capped_kaczmarz.selection import (
 from capped_kaczmarz.solvers import hybrid_linear_substep, kaczmarz_step, solve
 from oracles import block_step, glm_head
 
+EPS = np.finfo(float).eps
+
 
 class TestKaczmarzStep:
     def test_one_dimensional_exact_root(self):
@@ -169,11 +171,13 @@ class TestBlockStep:
             assert np.allclose(x_next, block_step(x, rec.selected, problem), rtol=1e-10, atol=1e-12), rec.k
 
     @pytest.mark.parametrize("case", ["glm-head", "glm-tail-post-head", "linear"])
-    def test_one_row_block_is_the_least_squares_step_bit_for_bit(self, case):
-        # a block step onto a one-row set is the row's projection; it gives
-        # the bytes of the least-squares step on that row, evaluated at the
-        # iterate the solve holds (after the head step, with its memo, for
-        # a hybrid's tail row)
+    def test_one_row_block_is_the_least_squares_step(self, case):
+        # a block step onto a one-row set is the row's projection; it is the
+        # least-squares step on that row, evaluated at the iterate the solve
+        # holds (after the head step, with its memo, for a hybrid's tail
+        # row), to within 8 eps of its norm: gelsd rounds differently.  The
+        # projection's step is taken from a zero iterate, so that no rounding
+        # of x enters the comparison
         rng = seeded_rng(21)
         problem = resolve_problem("linear:40,12,3")[0] if case == "linear" else make_synthetic_glm(200, 10, 8)
         for scale in (1e-3, 0.1, 1.0, 10.0, 1e3):
@@ -184,17 +188,22 @@ class TestBlockStep:
             r = problem.residual(x, memo)
             problem.row_sq_norms_at(x, memo)
             for i in rng.permutation(np.arange(10, problem.m) if case == "glm-tail-post-head" else 10)[:4]:
-                projected = kaczmarz_step(x, r[i], problem.row_grad(i, x, memo))
-                solved = x - min_norm_least_squares(problem.jacobian(x, [i], memo), r[[i]])
-                assert projected.tobytes() == solved.tobytes(), (scale, i)
+                projected = -kaczmarz_step(np.zeros(problem.n), r[i], problem.row_grad(i, x, memo))
+                solved = min_norm_least_squares(problem.jacobian(x, [i], memo), r[[i]])
+                assert np.linalg.norm(projected - solved) <= 8 * EPS * np.linalg.norm(solved), (scale, i)
 
     def test_one_row_brown_product_block_is_the_least_squares_step(self):
-        # db-cnk's first set on brown:20 from 0.5 * ones is the product row
+        # db-cnk's first set on brown:20 from 0.5 * ones is the product row;
+        # the solve projects onto it, bit for bit, and that projection's step
+        # is the least-squares step to within 8 eps of its norm
         problem, x0 = resolve_problem("brown:20")
         trace = solve(problem, x0, SolverConfig(method=MethodKind.DB_CNK, max_iter=1))
         assert (trace.records[0].selected, trace.records[0].set_size) == ((19,), 1)
-        solved = x0 - min_norm_least_squares(problem.jacobian(x0, [19]), problem.residual(x0)[[19]])
-        assert trace.final_x.tobytes() == solved.tobytes()
+        f, grad = problem.residual(x0)[19], problem.row_grad(19, x0)
+        assert trace.final_x.tobytes() == kaczmarz_step(x0, f, grad).tobytes()
+        projected = -kaczmarz_step(np.zeros(problem.n), f, grad)
+        solved = min_norm_least_squares(problem.jacobian(x0, [19]), problem.residual(x0)[[19]])
+        assert np.linalg.norm(projected - solved) <= 8 * EPS * np.linalg.norm(solved)
 
     @pytest.mark.parametrize("method", [MethodKind.NRK, MethodKind.DR_CNK, MethodKind.DB_CNK])
     def test_row_whose_coefficient_overflows_converges(self, method):

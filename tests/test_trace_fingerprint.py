@@ -18,6 +18,9 @@ and say so; check that the selection digests it rewrites are unchanged,
 or say why they moved) with::
 
     PYTHONPATH=src python tests/test_trace_fingerprint.py
+
+It prints the id of every case whose trace digest or selection digest it
+changed, one line each, so that the change can name them.
 """
 
 from __future__ import annotations
@@ -131,6 +134,11 @@ def test_trace_matches_stored_digest(case, stored, stored_selections):
 
 
 if __name__ == "__main__":
+    before = {"trace": read_digests(DIGESTS), "selection": read_digests(SELECTIONS)}
     results = {case: fingerprints(case) for case in case_ids()}
     write_digests(DIGESTS, {case: pair[0] for case, pair in results.items()})
     write_digests(SELECTIONS, {case: pair[1] for case, pair in results.items()})
+    for case, (digest, selection) in results.items():
+        for kind, new in (("trace", digest), ("selection", selection)):
+            if before[kind].get(case) != new:
+                print(f"{kind} digest changed: {case}")
