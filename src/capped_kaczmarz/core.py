@@ -102,6 +102,13 @@ class ProblemInstance:
     cache of the problem's own data that an evaluation may build lazily, once,
     as a deterministic function of that data (the GLM's head Gram inverse):
     every later evaluation, in this solve or another, reads the same bits.
+    An array an evaluation returns without a memo is fresh or read-only, so
+    no caller's write changes a later evaluation.
+
+    A row index is an integer in ``[0, m)``: a Python or numpy int for
+    ``row_grad``, an integer array or list for ``jacobian`` and
+    ``block_step``.  Anything else, a float or a bool included, raises
+    IndexError.
 
     Every evaluation takes an optional trailing ``memo`` (an
     :class:`IterateMemo`).  ``solve`` creates one per solve and hands it to

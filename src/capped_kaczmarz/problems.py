@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
@@ -71,6 +72,17 @@ def _index_rows(rows, m: int) -> np.ndarray:
 
 
 def _check_row(i: int, m: int) -> None:
+    """Refuse with IndexError a row ``i`` that is not an integer in ``[0,
+    m)``.  A float or a bool is refused, where a float below m would index
+    a row and True a new axis; a numpy integer is read by
+    ``operator.index``.  A Python int, as ``solve`` passes, skips both."""
+    if type(i) is not int:
+        if isinstance(i, bool):
+            raise IndexError(f"Jacobian row {i!r} is a boolean, not an integer")
+        try:
+            i = operator.index(i)
+        except TypeError:
+            raise IndexError(f"Jacobian row {i!r} is not an integer") from None
     if not 0 <= i < m:
         raise IndexError(f"Jacobian row {i} is not in [0, {m})")
 
@@ -96,8 +108,10 @@ class BrownProblem(ProblemInstance):
         self.m = n
         self.known_root = np.ones(n)
         template = np.ones((n, n))
-        idx = np.arange(n - 1)
-        template[idx, idx] = 2.0
+        # 2 on the affine rows' diagonal, through a strided view; read-only,
+        # as row_grad hands out its rows
+        template.reshape(-1)[: (n - 1) * (n + 1) : n + 1] = 2.0
+        template.setflags(write=False)
         self._jac_template = template
         # affine rows have the constant norm n + 3; only the product row moves
         self._norms_template = np.full(n, n + 3.0)
@@ -150,11 +164,15 @@ class LinearProblem(ProblemInstance):
             raise DimensionMismatch(f"A is {A.shape}, b has shape {b.shape}")
         if not (np.logical_and.reduce(np.isfinite(A), axis=None) and np.logical_and.reduce(np.isfinite(b))):
             raise DimensionMismatch("A and b must be finite")
-        self.A = A
+        # read-only, as jacobian(x), row_grad and row_sq_norms_at hand them
+        # out; A is a view, so the caller's own A stays writable
+        self.A = A.view()
+        self.A.setflags(write=False)
         self.b = b
         self.m, self.n = A.shape
         self.known_root = None if known_root is None else np.asarray(known_root, dtype=float)
         self._row_norms = np.einsum("ij,ij->i", A, A)
+        self._row_norms.setflags(write=False)
 
     def residual(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         return self.A @ x - self.b
@@ -265,6 +283,8 @@ class GLMProblem(ProblemInstance):
         head = np.zeros((d, p + d))
         head[:, :p] = A / (lam * p)
         head[np.arange(d), p + np.arange(d)] = -1.0
+        # read-only, as row_grad hands out its rows
+        head.setflags(write=False)
         self._head_jac = head
         # the head rows' dense parts A / (lam p), contiguous, for the blocks
         self._head_dense = np.ascontiguousarray(head[:, :p])
@@ -341,7 +361,10 @@ class GLMProblem(ProblemInstance):
         is not finite (declined before any arithmetic), one the guard below
         declines, or one whose step is not finite.  It never raises
         ``LinAlgError`` and, whatever the caller's error state, never warns
-        on a non-finite ``rhs`` or an ill-conditioned block.
+        on a non-finite ``rhs`` or an ill-conditioned block.  Outside
+        ``solve``, ``under`` is the caller's setting: a tail or mixed block
+        without a memo computes the margin, whose ``exp`` underflows past a
+        margin of 745.
 
         Each row is a unit coordinate plus a dense part: head row h is
         ``[P_h | -e_h]`` with ``P = A / (lam p)``, tail row ``d + s`` is

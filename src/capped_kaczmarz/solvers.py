@@ -13,12 +13,13 @@ emptied when the next iterate arrives; it changes no value, only how often
 it is computed.
 
 Each solve runs its whole loop under one ``np.errstate(over="ignore",
-invalid="ignore")``: a wild step may overflow the residual or ``||f||^2``,
-which ``check_stop`` reads as a breakdown, and a row whose ``||g_i||^2``
-overflows takes ``kaczmarz_step``'s scaled form, so the checks that read
-the values decide and numpy neither warns nor raises.  ``divide`` and
-``under`` stay as the caller set them, and the caller's error state is the
-same after the solve as before it.
+invalid="ignore", under="ignore")``: a wild step may overflow the residual
+or ``||f||^2``, which ``check_stop`` reads as a breakdown, a row whose
+``||g_i||^2`` overflows takes ``kaczmarz_step``'s scaled form, and the GLM
+margin's ``exp`` underflows to 0 past a margin of 745, so the checks that
+read the values decide and numpy neither warns nor raises.  ``divide``
+stays as the caller set it, and the caller's error state is the same after
+the solve as before it.
 
 Every greedy method selects at one site, over
 ``RowGeometry.from_state(r[lo:], norms[lo:])`` with the norms of
@@ -123,9 +124,9 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     The trace starts with a record at k = 0 holding the initial residual.
     Numerical breakdown (a ``NumericalBreakdown`` from selection or the
     step, or a non-finite residual) terminates the solve with a status
-    instead of raising; overflow and invalid operations are ignored for the
-    whole solve (see the module docstring).  The hybrid methods need a
-    problem with head rows, ``0 < problem.d < problem.m``.
+    instead of raising; overflow, underflow and invalid operations are
+    ignored for the whole solve (see the module docstring).  The hybrid
+    methods need a problem with head rows, ``0 < problem.d < problem.m``.
     """
     method = config.method
     hybrid = method in HYBRID_KINDS
@@ -151,7 +152,7 @@ def solve(problem: ProblemInstance, x0: np.ndarray, config: SolverConfig) -> Sol
     residual_weighted = method is MethodKind.NRK
     memo = IterateMemo()
     # the solve's quiet scope (see the module docstring)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         k = 0
         while True:
             r = problem.residual(x, memo)

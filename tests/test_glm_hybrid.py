@@ -9,14 +9,13 @@ import pytest
 import capped_kaczmarz.bench as bench_mod
 import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolverConfig
-from capped_kaczmarz.errors import DimensionMismatch, FactorizationFailure
+from capped_kaczmarz.errors import FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem, GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset,
 )
 from capped_kaczmarz.selection import RowGeometry
 from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, kaczmarz_step, solve
-from oracles import glm_head
 
 
 def newton_root(glm, x0, iterations=60):
@@ -150,73 +149,6 @@ def test_hybrid_iterations_take_closed_form_blocks_only(monkeypatch, method):
         assert sizes.count(1) == 1 and len(structured) == 2 * trace.total_iterations - 1 == 13
 
 
-@pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8)])
-def test_head_step_matches_the_lstsq_oracle(p, d, seed):
-    glm = make_synthetic_glm(p, d, seed)
-    head = glm_head(glm)
-    rng = seeded_rng(seed)
-    for scale in (1e-3, 1.0, 1e3):
-        x = scale * rng.standard_normal(glm.n)
-        r = glm.residual(x)
-        oracle = np.linalg.lstsq(head, r[:d], rcond=None)[0]
-        step = x - hybrid_linear_substep(glm, x, r)
-        assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), scale
-
-
-@pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8), (5, 8, 1), (4, 4, 2)])
-def test_head_blocks_match_the_lstsq_oracle_with_and_without_the_cached_inverse(p, d, seed):
-    # head subsets are solved afresh and build nothing; the first whole-head
-    # block builds the head's Gram inverse, for d >= p as for d < p
-    glm = make_synthetic_glm(p, d, seed)
-    head = glm_head(glm)
-    rng = seeded_rng(seed)
-    subsets = [np.arange(0, d, 2), np.array([1, d - 1]), np.arange(1, d)]
-    for scale in (1e-3, 1.0, 1e3):
-        x = scale * rng.standard_normal(glm.n)
-        r = glm.residual(x)
-        for rows in subsets + [np.arange(d)]:
-            assert ("_head_inverse" in vars(glm)) is (scale > 1e-3)
-            step = glm.block_step(x, rows, r[rows])
-            oracle = np.linalg.lstsq(head[rows], r[rows], rcond=None)[0]
-            assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle), (scale, rows)
-    assert glm._head_inverse.shape == (d, d)
-
-
-@pytest.mark.parametrize("value", [1e200, np.inf, np.nan])
-def test_an_overflowing_feature_leaves_the_head_gram_uninverted(value):
-    # one sample entry of 1e200 overflows its head row's squared norm to
-    # inf, past the guard: no inverse is formed, a head block with that row
-    # is declined, and one without it is still solved.  An inf or NaN entry
-    # is refused when the problem is built
-    base = make_synthetic_glm(60, 6, 3)
-    A = base.A.copy()
-    A[2, 5] = value
-    if value != 1e200:
-        with pytest.raises(DimensionMismatch, match="finite"):
-            GLMProblem(A, base.y)
-        return
-    statuses = {}
-    for method in (MethodKind.GLM_HYBRID_DB, MethodKind.RB_CNK):
-        glm = GLMProblem(A, base.y)
-        trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=50))
-        statuses[method] = (trace.status, trace.total_iterations)
-    assert statuses == {
-        MethodKind.GLM_HYBRID_DB: (SolveStatus.ITERATION_CAP_REACHED, 50),
-        MethodKind.RB_CNK: (SolveStatus.NUMERICAL_BREAKDOWN, 3),
-    }
-    glm = GLMProblem(A, base.y)
-    x = seeded_rng(3).standard_normal(glm.n)
-    rhs = seeded_rng(4).standard_normal(glm.d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert glm.block_step(x, np.arange(glm.d), rhs) is None
-        assert glm._head_inverse is None
-        assert glm.block_step(x, np.array([1, 2]), rhs[[1, 2]]) is None
-    rows = np.array([0, 3, 5])
-    step = glm.block_step(x, rows, rhs[rows])
-    oracle = np.linalg.lstsq(glm_head(glm)[rows], rhs[rows], rcond=None)[0]
-    assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle)
-
-
 def test_solve_dispatches_hybrid_kinds(small_glm):
     trace = solve(small_glm, np.zeros(small_glm.n), SolverConfig(method=MethodKind.GLM_HYBRID_RB, seed=3))
     assert trace.status is SolveStatus.CONVERGED
@@ -236,31 +168,6 @@ def test_head_rows_are_declared_by_the_problem():
     assert LinearProblem(np.eye(3), np.zeros(3)).d == 0
     glm = make_synthetic_glm(p=12, d=3, seed=1)
     assert glm.d == glm.A.shape[0] == 3
-
-
-def test_every_head_step_gets_the_problem_s_one_head_array():
-    # the head rows 0..d-1 are built once, read-only, and a hybrid hands
-    # that array to every head step; block_step takes it as the whole head
-    # without the row checks, bit for bit the step on a caller's own rows
-    glm = make_synthetic_glm(60, 6, 3)
-    head = glm.head_rows
-    assert head is glm.head_rows and head.tolist() == list(range(glm.d))
-    assert not head.flags.writeable
-    closed_form = glm.block_step
-    passed = []
-
-    def logged(x, rows, rhs, memo=None):
-        if rows[0] < glm.d and len(rows) == glm.d:
-            passed.append(rows)
-        return closed_form(x, rows, rhs, memo)
-
-    glm.block_step = logged
-    trace = solve(glm, np.zeros(glm.n), SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
-    assert trace.total_iterations == len(passed) == 5
-    assert all(rows is head for rows in passed)
-    x = seeded_rng(9).standard_normal(glm.n)
-    rhs = glm.residual(x)[: glm.d]
-    assert closed_form(x, head, rhs).tobytes() == closed_form(x, np.arange(glm.d), rhs).tobytes()
 
 
 class NoHeadRows(ProblemInstance):

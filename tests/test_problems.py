@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capped_kaczmarz.core import IterateMemo
 from capped_kaczmarz.errors import DimensionMismatch
 from capped_kaczmarz.numerics import seeded_rng
 from capped_kaczmarz.problems import (
@@ -20,7 +19,7 @@ from capped_kaczmarz.problems import (
     parse_libsvm,
     synthetic_dataset,
 )
-from oracles import glm_head, masked_stable_sigmoid
+from oracles import masked_stable_sigmoid
 
 
 def central_diff_row(problem, i, x, step=1e-6):
@@ -78,13 +77,6 @@ class TestBrown:
                 fd = central_diff_row(problem, i, x)
                 assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8)
 
-    def test_jacobian_rows_match_row_grad(self):
-        problem = BrownProblem(5)
-        x = seeded_rng(2).random(5) + 0.5
-        J = problem.jacobian(x)
-        for i in range(5):
-            assert np.array_equal(J[i], problem.row_grad(i, x))
-
     def test_row_norm_shortcut_matches_jacobian(self):
         problem = BrownProblem(7)
         for seed in range(5):
@@ -124,13 +116,6 @@ class TestGLM:
                 grad = glm.row_grad(i, x)
                 fd = central_diff_row(glm, i, x)
                 assert np.allclose(grad, fd, rtol=1e-5, atol=1e-7)
-
-    def test_jacobian_rows_match_row_grad(self):
-        glm = self.small()
-        x = seeded_rng(5).standard_normal(glm.n)
-        J = glm.jacobian(x)
-        for i in range(glm.m):
-            assert np.array_equal(J[i], glm.row_grad(i, x))
 
     def test_row_norm_shortcut_matches_jacobian(self):
         glm = self.small()
@@ -248,137 +233,6 @@ def test_condition_bound_is_at_least_the_eigenvalue_ratio(k, seed, log_cond, sin
         assert not bound <= 1.0 / GRAM_TAU, bound
 
 
-def index_sets(m: int, d: int, rng) -> list[np.ndarray]:
-    """Head-only (sorted, unsorted and repeated), tail-only, mixed,
-    unsorted, single-row, repeated, empty and all-rows index sets of an
-    m-row system whose first d rows are the head."""
-    head = np.arange(d)
-    tail = np.arange(d, m)
-    return [
-        head,
-        rng.permutation(head),
-        np.array([d - 1, 0, d - 1]),
-        np.array([0]),
-        np.array([], dtype=np.intp),
-        tail,
-        np.array([0, m - 1]),
-        rng.permutation(m)[: max(2, m // 3)],
-        np.array([m - 1, d, 0, m // 2]),
-        # tail rows first, then head rows, neither sorted
-        np.array([m - 1, d - 1, d, 0]),
-        np.concatenate((rng.permutation(tail)[:3], rng.permutation(head))),
-        np.array([m - 1]),
-        np.array([d]),
-        np.array([m // 2, m // 2]),
-        np.arange(m),
-        rng.permutation(m),
-    ]
-
-
-class TestJacobianRows:
-    """``jacobian(x, rows)`` equals ``jacobian(x)[rows]`` bit for bit."""
-
-    def assert_rows_match(self, problem, x, sets):
-        full = problem.jacobian(x)
-        for rows in sets:
-            got = problem.jacobian(x, rows)
-            assert got.shape == (len(rows), problem.n)
-            assert got.tobytes() == full[rows].tobytes(), rows
-
-    def test_brown_including_product_row(self):
-        rng = seeded_rng(11)
-        for n in (2, 7, 50):
-            problem = BrownProblem(n)
-            for scale in (0.5, 1.0, 3.0):
-                x = scale * (0.5 + rng.random(n))
-                # d = n - 1 puts the product row alone in the "tail"
-                self.assert_rows_match(problem, x, index_sets(n, n - 1, rng))
-
-    def test_linear(self):
-        rng = seeded_rng(12)
-        A = rng.standard_normal((9, 4))
-        problem = LinearProblem(A, rng.standard_normal(9))
-        self.assert_rows_match(problem, rng.standard_normal(4), index_sets(9, 3, rng))
-
-    @pytest.mark.parametrize("p, d, seed", [(60, 6, 3), (200, 10, 8), (7, 3, 1)])
-    def test_glm_head_and_tail_rows(self, p, d, seed):
-        glm = make_synthetic_glm(p, d, seed)
-        rng = seeded_rng(seed + 100)
-        # large |w| puts the curvature far from 1/4, where a margin that
-        # rounds differently from the full matvec shows in the last bits
-        for scale in (0.1, 1.0, 5.0, 30.0):
-            for _ in range(5):
-                x = scale * rng.standard_normal(glm.n)
-                self.assert_rows_match(glm, x, index_sets(glm.m, glm.d, rng))
-
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: BrownProblem(7),
-            lambda: make_synthetic_glm(60, 6, 3),
-            lambda: LinearProblem(seeded_rng(14).standard_normal((9, 4)), np.ones(9)),
-        ],
-        ids=["brown", "glm", "linear"],
-    )
-    def test_rows_outside_the_system_are_rejected(self, make):
-        # numpy would read a negative row from the end: GLM head row d - 1
-        # for row -1, Brown's affine template row for its product row, and
-        # A's last row for a linear system
-        problem = make()
-        m = problem.m
-        x = 0.5 + seeded_rng(13).random(problem.n)
-        for rows in ([-1], [m], [0, -1, 2], [m - 1, m, 0]):
-            with pytest.raises(IndexError):
-                problem.jacobian(x, rows)
-        for i in (-1, m):
-            with pytest.raises(IndexError):
-                problem.row_grad(i, x)
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: BrownProblem(7),
-            lambda: make_synthetic_glm(60, 6, 3),
-            lambda: LinearProblem(seeded_rng(14).standard_normal((9, 4)), np.ones(9)),
-        ],
-        ids=["brown", "glm", "linear"],
-    )
-    def test_float_and_boolean_rows_are_rejected(self, make):
-        # a cast to intp would truncate 1.9 to row 1 and read True as row 1,
-        # as row_grad refuses a float row; an empty row list is still rows
-        problem = make()
-        x = 0.5 + seeded_rng(15).random(problem.n)
-        for rows in (np.array([1.9]), [1.0, 3.0], np.array([True, False]), [False]):
-            with pytest.raises(IndexError, match="integers"):
-                problem.jacobian(x, rows)
-        with pytest.raises(IndexError):
-            problem.row_grad(1.5, x)
-        for rows in ([], np.array([], dtype=float), np.array([1, 3], dtype=np.uint8), (0, 2)):
-            assert problem.jacobian(x, rows).tobytes() == problem.jacobian(x)[[*rows]].tobytes()
-
-    def test_glm_block_step_rejects_float_and_boolean_rows(self):
-        glm = make_synthetic_glm(60, 6, 3)
-        x = seeded_rng(16).standard_normal(glm.n)
-        r = glm.residual(x)
-        for rows in (np.array([1.5, 3.7]), [1.0, 8.0], np.array([1.0, 3.0, 7.0, 9.0]), np.array([True, True])):
-            with pytest.raises(IndexError, match="integers"):
-                glm.block_step(x, rows, r[:len(rows)])
-        step = glm.block_step(x, [1, 3], r[[1, 3]])
-        assert step.tobytes() == glm.block_step(x, np.array([1, 3], dtype=np.int32), r[[1, 3]]).tobytes()
-
-    def test_glm_head_rows_are_a_copy_of_the_head(self):
-        glm = make_synthetic_glm(60, 6, 3)
-        head = glm_head(glm)
-        x = seeded_rng(4).standard_normal(glm.n)
-        for rows in (np.arange(glm.d), [5, 0, 3], [2, 2], [1], []):
-            got = glm.jacobian(x, rows)
-            assert got.tobytes() == head[np.asarray(rows, dtype=np.intp)].tobytes()
-            got[...] = 7.0
-        # writing into the rows handed out leaves the problem's head alone
-        assert glm.jacobian(x, np.arange(glm.d)).tobytes() == head.tobytes()
-
-
 class TestLinear:
     def test_residual_at_root(self):
         problem = LinearProblem(np.eye(2), np.array([1.0, 2.0]), known_root=np.array([1.0, 2.0]))
@@ -429,34 +283,6 @@ def test_glm_curvature_is_within_4_eps_of_a_long_double_oracle():
     e = np.exp(-np.abs(z.astype(np.longdouble)))
     oracle = e / (1 + e) ** 2
     assert np.abs((c - oracle) / oracle).max() <= 4 * np.finfo(float).eps
-
-
-def test_glm_row_grad_is_the_jacobian_row_bit_for_bit():
-    # row_grad builds tail row s from the same curvature vector as jacobian,
-    # with and without a memo, in either call order
-    def assert_rows_match(glm, x):
-        for i in range(glm.m):
-            want = glm.jacobian(x, [i])[0].tobytes()
-            assert glm.row_grad(i, x).tobytes() == want, (i, x)
-            memo = IterateMemo()
-            assert glm.row_grad(i, x, memo).tobytes() == want, (i, x)
-            assert glm.jacobian(x, [i], memo)[0].tobytes() == want, (i, x)
-            memo = IterateMemo()
-            assert glm.jacobian(x, [i], memo)[0].tobytes() == want, (i, x)
-            assert glm.row_grad(i, x, memo).tobytes() == want, (i, x)
-
-    rng = seeded_rng(14)
-    # one feature of value 1 makes the margin of sample s exactly y_s * w,
-    # so the special margins, |z| > 40 and NaN included, are hit as given
-    glm = GLMProblem(np.ones((1, 2)), np.array([1.0, -1.0]), 0.5)
-    special = [0.0, -0.0, 1e-300, 41.0, -41.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
-    for w in np.concatenate((special, 40.0 * rng.standard_normal(1500), np.ldexp(1.0, rng.integers(-1074, 1000, 300)))):
-        assert_rows_match(glm, np.array([0.3, -0.7, w]))
-    # full-width margins; at scale 30 most exceed 40 in magnitude
-    glm = make_synthetic_glm(200, 10, 8)
-    for scale in (0.01, 0.3, 3.0, 30.0):
-        for _ in range(3):
-            assert_rows_match(glm, scale * rng.standard_normal(glm.n))
 
 
 class TestSynthetic:
