@@ -108,9 +108,9 @@ class BrownProblem(ProblemInstance):
         self.m = n
         self.known_root = np.ones(n)
         template = np.ones((n, n))
-        # 2 on the affine rows' diagonal, through a strided view; read-only,
-        # as row_grad hands out its rows
-        template.reshape(-1)[: (n - 1) * (n + 1) : n + 1] = 2.0
+        idx = np.arange(n - 1)
+        template[idx, idx] = 2.0
+        # read-only, as row_grad hands out its rows
         template.setflags(write=False)
         self._jac_template = template
         # affine rows have the constant norm n + 3; only the product row moves

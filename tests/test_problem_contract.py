@@ -34,12 +34,14 @@ class Route:
     """One way through a ``block_step`` hook: ``draw(problem, rng)`` gives a
     sorted block that takes it, or None where the problem has none; the
     step is within ``bound`` of ``np.linalg.lstsq``, relative, at each of
-    ``scales``; the solves of ``methods`` take the route."""
+    ``scales``; the solves of ``methods`` take the route; ``breaks`` are the
+    ways :attr:`Hook.breaking` makes its blocks declined."""
 
     draw: Callable
     bound: float
     scales: tuple
     methods: tuple
+    breaks: tuple
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,10 @@ class Hook:
     """A ``block_step`` hook as the checks see it.  ``route_of(problem,
     rows)`` names a block's route; ``scaled(problem, scale, rng)`` is a copy
     whose blocks are ``scale`` times as large, with starts where that shows;
-    ``breaking(problem, rows, how)`` is a copy on which ``rows`` is declined
-    at the zero start, ``how`` being "guard", "overflow" or "dependent", or
-    None where it cannot be made one; ``head(problem)`` is the head rows'
-    Jacobian written out."""
+    ``breaking(problem, rows, how, rng)`` is a copy on which ``rows`` is
+    declined the way ``how`` names, with the starts where it is, or None
+    where ``rows`` cannot be broken that way; ``head(problem)`` is the head
+    rows' Jacobian written out."""
 
     routes: dict
     route_of: Callable
@@ -107,37 +109,63 @@ def glm_scaled(glm, scale, rng):
 BREAKING_SIZE = {"guard": 1e4, "dependent": 1e9}
 
 
-def glm_breaking(glm, rows, how):
-    """``overflow``: one sample entry of 1e200, in the block's first head row
-    and its first tail sample.  Else two of the block's rows of one kind get
-    equal dense parts of :data:`BREAKING_SIZE`; None if it has no two."""
-    A = glm.A.copy()
+def first(indices):
+    return indices[0] if indices.size else None
+
+
+def glm_breaking(glm, rows, how, rng):
+    """``how`` is a kind of break and the part of the block it is in, head,
+    tail or (for an overflow) both.  ``overflow``: one sample entry of 1e200
+    in the block's first head row or first tail sample or both, its other
+    index outside the block, so no other part overflows.  ``guard`` and
+    ``dependent``: two of the part's rows get equal dense parts of
+    :data:`BREAKING_SIZE`.  The starts are the zero one and a random one
+    whose w keeps the broken tail rows' curvature finite and nonzero."""
+    kind, part = how.split("-")
+    A, x = glm.A.copy(), rng.standard_normal(glm.n)
+    w = x[glm.p:]
     heads, samples = rows[rows < glm.d], rows[rows >= glm.d] - glm.d
-    if how == "overflow":
-        A[heads[0] if heads.size else 0, samples[0] if samples.size else 0] = 1e200
-    elif heads.size >= 2:
-        A[heads[0]] = A[heads[1]] = BREAKING_SIZE[how] * A[heads[0]]
-    elif samples.size >= 2:
-        A[:, samples[0]] = A[:, samples[1]] = BREAKING_SIZE[how] * A[:, samples[0]]
+    if kind == "overflow":
+        f = first(heads if part != "tail" else np.setdiff1d(np.arange(glm.d), heads))
+        s = first(samples if part != "head" else np.setdiff1d(np.arange(glm.p), samples))
+        if f is None or s is None:
+            return None
+        A[f, s] = 1e200
+        # no 1e200 w_f in sample s's margin
+        w[f] = 0.0
+    elif part == "head" and heads.size >= 2:
+        A[heads[0]] = A[heads[1]] = BREAKING_SIZE[kind] * A[heads[0]]
+    elif part == "tail" and samples.size >= 2:
+        a = A[:, samples[0]] = A[:, samples[1]] = BREAKING_SIZE[kind] * A[:, samples[0]]
+        # w orthogonal to the two samples keeps their curvature near 1/4,
+        # but the same in every bit, as two dependent rows need, only at 0
+        if kind == "dependent":
+            return GLMProblem(A, glm.y, glm.lam), [np.zeros(glm.n)]
+        w -= (a @ w) / (a @ a) * a
     else:
         return None
-    return GLMProblem(A, glm.y, glm.lam)
+    return GLMProblem(A, glm.y, glm.lam), [np.zeros(glm.n), x]
 
 
+HEAD_BREAKS = ("guard-head", "overflow-head", "dependent-head")
+TAIL_BREAKS = ("guard-tail", "overflow-tail", "dependent-tail")
+MIXED_BREAKS = HEAD_BREAKS + TAIL_BREAKS + ("overflow-both",)
 TAIL_SCALES = (1e-3, 1.0, 10.0, 100.0)
 GLM = Hook(
     routes={
         # the whole head as the array a hybrid passes, and as a caller's own
-        "whole-head-attr": Route(lambda glm, rng: glm.head_rows, 1e-12, (1.0,), HYBRIDS),
-        "whole-head-arange": Route(lambda glm, rng: np.arange(glm.d), 1e-12, (1.0,), HYBRIDS),
-        "head-subset": Route(lambda glm, rng: glm_heads(glm, rng, 1, glm.d), 1e-12, (1.0,), BLOCKS),
+        "whole-head-attr": Route(lambda glm, rng: glm.head_rows, 1e-12, (1.0,), HYBRIDS, HEAD_BREAKS),
+        "whole-head-arange": Route(lambda glm, rng: np.arange(glm.d), 1e-12, (1.0,), HYBRIDS, HEAD_BREAKS),
+        "head-subset": Route(lambda glm, rng: glm_heads(glm, rng, 1, glm.d), 1e-12, (1.0,), BLOCKS, HEAD_BREAKS),
         # k < d tail rows, and k >= d through the Woodbury form (k <= 4d
         # keeps a block at scale 100 within the guard)
-        "tail": Route(lambda glm, rng: glm_tail(glm, rng, 1, min(glm.d, glm.p + 1)), 1e-10, TAIL_SCALES, ALL),
-        "tail-woodbury": Route(
-            lambda glm, rng: glm_tail(glm, rng, glm.d, min(glm.p, 4 * glm.d) + 1), 1e-10, TAIL_SCALES, ALL
+        "tail": Route(
+            lambda glm, rng: glm_tail(glm, rng, 1, min(glm.d, glm.p + 1)), 1e-10, TAIL_SCALES, ALL, TAIL_BREAKS
         ),
-        "mixed": Route(lambda glm, rng: glm_mixed(glm, rng), 1e-12, (1.0,), BLOCKS),
+        "tail-woodbury": Route(
+            lambda glm, rng: glm_tail(glm, rng, glm.d, min(glm.p, 4 * glm.d) + 1), 1e-10, TAIL_SCALES, ALL, TAIL_BREAKS
+        ),
+        "mixed": Route(lambda glm, rng: glm_mixed(glm, rng), 1e-12, (1.0,), BLOCKS, MIXED_BREAKS),
     },
     route_of=glm_route,
     scaled=glm_scaled,
@@ -146,7 +174,10 @@ GLM = Hook(
 )
 
 PROBLEMS = {
-    "brown:2": None, "brown:7": None, "brown:50": None, "linear:9,4,14": None,
+    "brown:2": None,
+    "brown:7": None,
+    "brown:50": None,
+    "linear:9,4,14": None,
     "glm:synthetic:60,6,3": GLM,
     "glm:synthetic:200,10,8": GLM,
     # more features than samples: a head block of k >= p rows takes the
@@ -193,13 +224,26 @@ def index_sets(problem, rng) -> list[np.ndarray]:
     unsorted, single-row, repeated, empty and all-rows index sets, with the
     head rows ``:d``, or on a problem with none the last row alone as tail."""
     m, d = problem.m, problem.d or problem.m - 1
-    head, tail = np.arange(d), np.arange(d, m)
+    head = np.arange(d)
+    tail = np.arange(d, m)
     return [
-        head, rng.permutation(head), np.array([d - 1, 0, d - 1]), np.array([0]), np.array([], dtype=np.intp), tail,
-        np.array([0, m - 1]), rng.permutation(m)[: max(2, m // 3)], np.array([m - 1, d, 0, m // 2]),
+        head,
+        rng.permutation(head),
+        np.array([d - 1, 0, d - 1]),
+        np.array([0]),
+        np.array([], dtype=np.intp),
+        tail,
+        np.array([0, m - 1]),
+        rng.permutation(m)[: max(2, m // 3)],
+        np.array([m - 1, d, 0, m // 2]),
         # tail rows first, then head rows, neither sorted
-        np.array([m - 1, d - 1, d, 0]), np.concatenate((rng.permutation(tail)[:3], rng.permutation(head))),
-        np.array([m - 1]), np.array([d]), np.array([m // 2, m // 2]), np.arange(m), rng.permutation(m),
+        np.array([m - 1, d - 1, d, 0]),
+        np.concatenate((rng.permutation(tail)[:3], rng.permutation(head))),
+        np.array([m - 1]),
+        np.array([d]),
+        np.array([m // 2, m // 2]),
+        np.arange(m),
+        rng.permutation(m),
     ]
 
 
@@ -277,8 +321,12 @@ def test_rows_that_are_not_integer_rows_of_the_system_are_refused(selector):
 
 # the forms a caller may pass block rows in: a list, or an integer array
 # of numpy's index type or of another
-ROW_FORMS = {"list": list, "intp": np.array, "int32": partial(np.array, dtype=np.int32),
-             "int16": partial(np.array, dtype=np.int16)}
+ROW_FORMS = {
+    "list": list,
+    "intp": np.array,
+    "int32": partial(np.array, dtype=np.int32),
+    "int16": partial(np.array, dtype=np.int16),
+}
 
 
 @pytest.mark.parametrize("form", ROW_FORMS)
@@ -350,19 +398,20 @@ def replay(problem, hook, method, x, selected):
     return x, routes
 
 
-@pytest.mark.parametrize("selector, route", [param for param in ROUTED if param.values[0] in REPLAYED])
-def test_replayed_steps_are_the_solve_steps(selector, route):
+@pytest.mark.parametrize("method", ALL, ids=lambda method: method.value)
+@pytest.mark.parametrize("selector", REPLAYED)
+def test_replayed_steps_are_the_solve_steps(selector, method):
+    # every step replays bit for bit, and every route that lists the
+    # method is taken
+    problem, x0 = resolve_problem(selector)
     hook = PROBLEMS[selector]
-    for method in hook.routes[route].methods:
-        problem, x0 = resolve_problem(selector)
-        trace = solve(problem, x0, SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True))
-        replayed = 0
-        for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
-            stepped, routes = replay(problem, hook, method, x, rec.selected)
-            if route in routes:
-                assert stepped.tobytes() == x_next.tobytes(), (method, rec.k)
-                replayed += 1
-        assert replayed > 0, method
+    trace = solve(problem, x0, SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True))
+    taken = set()
+    for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
+        stepped, routes = replay(problem, hook, method, x, rec.selected)
+        assert stepped.tobytes() == x_next.tobytes(), rec.k
+        taken.update(routes)
+    assert taken >= {name for name, route in hook.routes.items() if method in route.methods}
 
 
 @pytest.mark.parametrize("selector, route", ROUTED)
@@ -408,33 +457,37 @@ def non_finite_rhs(k):
 def test_a_broken_block_is_declined_quietly(selector, route, strict):
     # a non-finite rhs is declined before any arithmetic, so with no
     # underflow either; a block past the guard, an overflowing one and a
-    # dependent one at the zero start by the guard, and one past the guard
-    # then goes to least squares on its Jacobian rows, bit for bit
+    # dependent one by the guard, and one past the guard then goes to least
+    # squares on its Jacobian rows, bit for bit.  The rhs give the two
+    # broken rows of a head part equal and opposite values.
     problem, hook = problem_at(selector), PROBLEMS[selector]
     spec = hook.routes[route]
-    zero = np.zeros(problem.n)
     broken = set()
     for seed, rows in enumerate(draws(problem, spec)):
-        for x in (zero, seeded_rng(49).standard_normal(problem.n)):
+        for x in (np.zeros(problem.n), seeded_rng(49).standard_normal(problem.n)):
             for rhs in non_finite_rhs(len(rows)):
                 with strict(), np.errstate(under="raise"):
                     assert problem.block_step(x, rows, rhs) is None, (rows, rhs)
-        for how in ("guard", "overflow", "dependent"):
-            variant = hook.breaking(problem, rows, how)
-            if variant is None:
+        for how in spec.breaks:
+            made = hook.breaking(problem, rows, how, seeded_rng(47))
+            if made is None:
                 continue
+            variant, xs = made
             block = spec.draw(variant, seeded_rng(seed))
-            if how == "dependent":  # two equal rows of the Gram matrix
-                J = variant.jacobian(zero, block)
-                assert len({row.tobytes() for row in J @ J.T}) < len(block)
-            for rhs in (np.ones(len(block)), seeded_rng(seed).standard_normal(len(block))):
-                with strict():
-                    assert variant.block_step(zero, block, rhs) is None, (how, block)
-                    if how == "guard":
-                        solved = zero - min_norm_least_squares(variant.jacobian(zero, block), rhs)
-                        assert block_projection(variant, zero, block, rhs, None).tobytes() == solved.tobytes()
+            rng = seeded_rng(seed)
+            k = len(block)
+            for x in xs:
+                J = variant.jacobian(x, block)
+                if how.startswith("dependent"):  # two equal rows of the Gram matrix
+                    assert len({row.tobytes() for row in J @ J.T}) < k
+                for rhs in (np.resize([1.0, 1.0, 0.0], k), np.resize([1.0, -1.0, 0.5], k), rng.standard_normal(k)):
+                    with strict():
+                        assert variant.block_step(x, block, rhs) is None, (how, block, x)
+                        if how.startswith("guard"):
+                            solved = x - min_norm_least_squares(J, rhs)
+                            assert block_projection(variant, x, block, rhs, None).tobytes() == solved.tobytes()
             broken.add(how)
-    assert broken == {"guard", "overflow", "dependent"}
+    assert broken == set(spec.breaks)
 
 
 @pytest.mark.parametrize("selector", [selector for selector in HOOKED if PROBLEMS[selector] is GLM])
@@ -456,7 +509,12 @@ def test_every_head_step_gets_the_problem_s_one_head_array():
     glm = make_synthetic_glm(60, 6, 3)
     head, closed_form, passed = glm.head_rows, glm.block_step, []
     assert head is glm.head_rows and head.tolist() == list(range(glm.d)) and not head.flags.writeable
-    glm.block_step = lambda x, rows, rhs, memo=None: passed.append(rows) or closed_form(x, rows, rhs, memo)
+
+    def spy(x, rows, rhs, memo=None):
+        passed.append(rows)
+        return closed_form(x, rows, rhs, memo)
+
+    glm.block_step = spy
     trace = solve(glm, np.zeros(glm.n), SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
     heads = [rows for rows in passed if rows[0] < glm.d and len(rows) == glm.d]
     assert trace.total_iterations == len(heads) == 5
@@ -482,7 +540,6 @@ def test_an_overflowing_feature_leaves_the_head_gram_uninverted():
     rhs = seeded_rng(4).standard_normal(glm.d)
     assert glm.block_step(x, np.arange(glm.d), rhs) is None
     assert glm._head_inverse is None
-    assert glm.block_step(x, np.array([1, 2]), rhs[[1, 2]]) is None
     rows = np.array([0, 3, 5])
     step = glm.block_step(x, rows, rhs[rows])
     oracle = np.linalg.lstsq(glm_head(glm)[rows], rhs[rows], rcond=None)[0]
