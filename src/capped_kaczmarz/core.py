@@ -103,7 +103,10 @@ class ProblemInstance:
     as a deterministic function of that data (the GLM's head Gram inverse):
     every later evaluation, in this solve or another, reads the same bits.
     An array an evaluation returns without a memo is fresh or read-only, so
-    no caller's write changes a later evaluation.
+    no caller's write changes a later evaluation.  An array returned with a
+    memo may be the memo's own (Brown's product-row gradient), and must not
+    be written: a write changes what the memo gives the later evaluations
+    at that iterate.
 
     A row index is an integer in ``[0, m)``: a Python or numpy int for
     ``row_grad``, an integer array or list for ``jacobian`` and

@@ -158,16 +158,18 @@ class LinearProblem(ProblemInstance):
     non-finite entry of ``A`` or ``b`` is refused with ``DimensionMismatch``."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, known_root: np.ndarray | None = None):
-        A = np.asarray(A, dtype=float)
-        b = np.asarray(b, dtype=float)
+        # copies, in A's own layout, so a caller's later write reaches no
+        # evaluation
+        A = np.array(A, dtype=float)
+        b = np.array(b, dtype=float)
         if A.ndim != 2 or b.shape != (A.shape[0],):
             raise DimensionMismatch(f"A is {A.shape}, b has shape {b.shape}")
         if not (np.logical_and.reduce(np.isfinite(A), axis=None) and np.logical_and.reduce(np.isfinite(b))):
             raise DimensionMismatch("A and b must be finite")
-        # read-only, as jacobian(x), row_grad and row_sq_norms_at hand them
-        # out; A is a view, so the caller's own A stays writable
-        self.A = A.view()
-        self.A.setflags(write=False)
+        # read-only problem data, as jacobian(x) and row_grad hand A out
+        A.setflags(write=False)
+        b.setflags(write=False)
+        self.A = A
         self.b = b
         self.m, self.n = A.shape
         self.known_root = None if known_root is None else np.asarray(known_root, dtype=float)
@@ -254,8 +256,10 @@ class GLMProblem(ProblemInstance):
     """
 
     def __init__(self, A: np.ndarray, y: np.ndarray, lam: float | None = None):
-        A = np.asarray(A, dtype=float)
-        y = np.asarray(y, dtype=float)
+        # copies, in A's own layout, so a caller's later write reaches no
+        # evaluation
+        A = np.array(A, dtype=float)
+        y = np.array(y, dtype=float)
         if A.ndim != 2:
             raise DimensionMismatch("sample matrix must be 2-D (features x samples)")
         d, p = A.shape
@@ -273,6 +277,8 @@ class GLMProblem(ProblemInstance):
             lam = 1.0 / p
         if not lam > 0:  # NaN fails too
             raise DimensionMismatch("regularization must be positive")
+        A.setflags(write=False)
+        y.setflags(write=False)
         self.A = A
         self.y = y
         self.lam = float(lam)
@@ -293,9 +299,8 @@ class GLMProblem(ProblemInstance):
         self._sample_sq_norms = c_einsum("ij,ij->i", self._samples, self._samples)
         self._neg_y = -y
         # the samples times their labels, in A's order: the margins
-        # y * (A^T w) bit for bit, as each sum only changes sign, when A is
-        # C- or F-contiguous (a strided A's product is contiguous, and its
-        # matvec takes BLAS where A's took numpy's loop)
+        # y * (A^T w) bit for bit, as each sum only changes sign (the copy
+        # of A is C- or F-contiguous, as the product is)
         self._signed_samples = A * y
 
     def _margin_at(self, x: np.ndarray, memo: IterateMemo | None) -> tuple[np.ndarray, np.ndarray]:

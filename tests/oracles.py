@@ -2,7 +2,9 @@
 
 ``block_step`` is the block projection written out from its definition,
 with numpy's own ``lstsq`` (not the package's least-squares kernel), against
-which the capped block methods are compared; ``glm_head`` is the GLM's
+which the capped block methods are compared; ``svd_pinv_solve`` is the
+pseudoinverse action from an explicit SVD; ``central_differences`` is a
+problem's Jacobian by central differences; ``glm_head`` is the GLM's
 constant head Jacobian written out from its definition; ``serialize_libsvm``
 writes a dataset back out so the parser can be checked by a round trip;
 ``masked_stable_sigmoid`` is the two-branch sigmoid the package's mask-free
@@ -28,6 +30,26 @@ def block_step(x: np.ndarray, tau, problem: ProblemInstance) -> np.ndarray:
     r = problem.residual(x)
     J = problem.jacobian(x)
     return x - np.linalg.lstsq(J[tau], r[tau], rcond=None)[0]
+
+
+def svd_pinv_solve(J: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Explicit SVD pseudoinverse application, with numpy's default cutoff."""
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    cutoff = max(J.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
+    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    return Vt.T @ (inv * (U.T @ rhs))
+
+
+def central_differences(problem: ProblemInstance, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
+    """The Jacobian at ``x`` by central differences, one column a time."""
+    J = np.empty((problem.m, problem.n))
+    for j in range(problem.n):
+        forward = x.copy()
+        backward = x.copy()
+        forward[j] += step
+        backward[j] -= step
+        J[:, j] = (problem.residual(forward) - problem.residual(backward)) / (2 * step)
+    return J
 
 
 def glm_head(glm: GLMProblem) -> np.ndarray:

@@ -51,7 +51,7 @@ from capped_kaczmarz.selection import (
     compute_epsilon,
 )
 from capped_kaczmarz.solvers import hybrid_linear_substep, kaczmarz_step, solve
-from oracles import block_step, serialize_libsvm
+from oracles import block_step, central_differences, serialize_libsvm, svd_pinv_solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -259,30 +259,20 @@ def test_criterion_05_selection_invariants_on_random_states():
     report(5, True, f"threshold and set invariants held on {checked} random states")
 
 
-def central_difference_rows(problem, x, step=1e-6):
-    grads = np.zeros((problem.m, problem.n))
-    for j in range(problem.n):
-        forward, backward = x.copy(), x.copy()
-        forward[j] += step
-        backward[j] -= step
-        grads[:, j] = (problem.residual(forward) - problem.residual(backward)) / (2 * step)
-    return grads
-
-
 def test_criterion_06_gradient_correctness():
     brown = BrownProblem(12)
     rng = seeded_rng(6)
     for _ in range(20):
         x = 0.5 + rng.random(12)
         J = brown.jacobian(x)
-        fd = central_difference_rows(brown, x)
+        fd = central_differences(brown, x)
         assert np.allclose(J, fd, rtol=1e-5, atol=1e-8)
 
     glm = make_glm(synthetic_dataset(p=12, d=4, seed=60), lam=1.0 / 12)
     for _ in range(20):
         x = rng.standard_normal(glm.n)
         J = glm.jacobian(x)
-        fd = central_difference_rows(glm, x)
+        fd = central_differences(glm, x)
         assert np.allclose(J, fd, rtol=1e-5, atol=1e-7)
 
     A = seeded_rng(61).standard_normal((20, 10))
@@ -290,13 +280,6 @@ def test_criterion_06_gradient_correctness():
     est = estimate_eta(linear, np.zeros(10), radius=2.0, pairs=10_000, rng=seeded_rng(62))
     assert est.eta == 0.0
     report(6, True, "Jacobian rows match central differences; linear eta estimate is exactly 0")
-
-
-def svd_pinv_solve(J, rhs):
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    cutoff = max(J.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return Vt.T @ (inv * (U.T @ rhs))
 
 
 def test_criterion_07_block_kernel_matches_svd_oracle():

@@ -8,14 +8,13 @@ import pytest
 
 import capped_kaczmarz.bench as bench_mod
 import capped_kaczmarz.solvers as solvers_mod
-from capped_kaczmarz.core import HYBRID_KINDS, Convex, MethodKind, ProblemInstance, SolveStatus, SolverConfig
+from capped_kaczmarz.core import HYBRID_KINDS, MethodKind, ProblemInstance, SolveStatus, SolverConfig
 from capped_kaczmarz.errors import FactorizationFailure
 from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
 from capped_kaczmarz.problems import (
     BrownProblem, GLMProblem, LinearProblem, make_glm, make_synthetic_glm, synthetic_dataset,
 )
-from capped_kaczmarz.selection import RowGeometry
-from capped_kaczmarz.solvers import greedy_selection, hybrid_linear_substep, kaczmarz_step, solve
+from capped_kaczmarz.solvers import hybrid_linear_substep, kaczmarz_step, solve
 
 
 def newton_root(glm, x0, iterations=60):
@@ -57,101 +56,6 @@ def test_linear_substep_annihilates_head_rows(small_glm):
         x_mid = hybrid_linear_substep(small_glm, x, small_glm.residual(x))
         head = small_glm.residual(x_mid)[: small_glm.d]
         assert np.all(np.abs(head) <= 1e-12)
-
-
-def tail_selection(glm, x, r, method, mode):
-    """The hybrid's selection at ``x``: the tail rows' geometry, through the
-    selection every greedy method shares."""
-    norms = glm.row_sq_norms_at(x)
-    return greedy_selection(RowGeometry.from_state(r[glm.d:], norms[glm.d:]), method, mode)
-
-
-def test_tail_selection_nonempty_and_global_indices(small_glm):
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        x = rng.standard_normal(small_glm.n)
-        tail = small_glm.residual(x)[small_glm.d :]
-        if float(tail @ tail) == 0.0:
-            continue
-        for method in (MethodKind.GLM_HYBRID_DB, MethodKind.GLM_HYBRID_RB):
-            sel = tail_selection(small_glm, x, small_glm.residual(x), method, Convex(0.5))
-            global_rows = sel.indices + small_glm.d
-            assert len(sel) >= 1
-            assert np.all(global_rows >= small_glm.d)
-            assert np.all(global_rows < small_glm.m)
-
-
-@pytest.mark.parametrize("method", [MethodKind.GLM_HYBRID_DB, MethodKind.GLM_HYBRID_RB])
-def test_records_replay_head_solve_and_tail_block(small_glm, method):
-    config = SolverConfig(method=method, seed=0, record_iterates=True)
-    trace = solve(small_glm, np.zeros(small_glm.n), config)
-    assert trace.status is SolveStatus.CONVERGED
-    for rec, x in zip(trace.records, trace.iterates):
-        r = small_glm.residual(x)
-        assert rec.residual_sq == float(r @ r)
-    # each iteration is the head solve at x, then the tail block at the
-    # post-head iterate, replayed here from the recorded iterate
-    for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
-        x_mid = hybrid_linear_substep(small_glm, x, small_glm.residual(x))
-        r_mid = small_glm.residual(x_mid)
-        sel = tail_selection(small_glm, x_mid, r_mid, method, config.threshold)
-        rows = sel.indices + small_glm.d
-        assert rec.selected == tuple(int(j) for j in rows)
-        assert rec.set_size == len(sel)
-        J, rhs = small_glm.jacobian(x_mid)[rows], r_mid[rows]
-        # a tail block of two or more rows takes its closed-form step, a
-        # one-row block the projection onto its row, as the solve does; the
-        # projection's step is taken from a zero iterate for the oracle
-        if len(rows) > 1:
-            step = small_glm.block_step(x_mid, rows, rhs)
-            assert np.array_equal(x_next, x_mid - step)
-        else:
-            f, grad = r_mid[rows[0]], small_glm.row_grad(rows[0], x_mid)
-            assert np.array_equal(x_next, kaczmarz_step(x_mid, f, grad))
-            step = -kaczmarz_step(np.zeros(small_glm.n), f, grad)
-        oracle = np.linalg.lstsq(J, rhs, rcond=None)[0]
-        assert np.linalg.norm(step - oracle) <= 1e-10 * np.linalg.norm(oracle)
-
-
-@pytest.mark.parametrize("method", sorted(HYBRID_KINDS, key=lambda kind: kind.value), ids=lambda kind: kind.value)
-def test_hybrid_iterations_take_closed_form_blocks_only(monkeypatch, method):
-    # the head and every tail block of two or more rows go to the problem's
-    # closed-form block step; none is factored or left to least squares
-    glm = make_synthetic_glm(200, 10, 8)
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counted(G):
-        calls.append(G.shape)
-        return eigh(G)
-
-    structured = []
-    closed_form = glm.block_step
-
-    def logged(x, rows, rhs, memo=None):
-        step = closed_form(x, rows, rhs, memo)
-        structured.append(("head" if rows[0] < glm.d else "tail", len(rows), step is not None))
-        return step
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    glm.block_step = logged
-    trace = solve(glm, np.zeros(glm.n), SolverConfig(method=method, seed=0, max_iter=7))
-    assert trace.status is SolveStatus.ITERATION_CAP_REACHED
-    # each iteration is the head block, then its tail block when it has two
-    # or more rows, rb-cnk's all-row set at the zero start too; a one-row
-    # block is projected onto its row
-    sizes = [rec.set_size for rec in trace.records[:-1]]
-    head = [("head", glm.d, True)]
-    assert structured == [block for k in sizes for block in head + [("tail", k, True)] * (k >= 2)]
-    assert calls == []
-    if method is MethodKind.GLM_HYBRID_DB:
-        # iteration 1's tail set is one row
-        assert sizes.count(1) == 1 and len(structured) == 2 * trace.total_iterations - 1 == 13
-
-
-def test_solve_dispatches_hybrid_kinds(small_glm):
-    trace = solve(small_glm, np.zeros(small_glm.n), SolverConfig(method=MethodKind.GLM_HYBRID_RB, seed=3))
-    assert trace.status is SolveStatus.CONVERGED
 
 
 def test_hybrid_requires_glm_problem():

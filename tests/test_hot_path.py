@@ -27,14 +27,14 @@ wrapper, a reduction or a scalar read put back on the block path fails.  The res
 rule's all-zero weight test is pinned against the ``np.logical_or.reduce``
 it replaced.
 
-Four more checks watch the files of ``numpy/linalg``: building a GLM
-calls none of them; once a hybrid's first head block has built the inverse
-of the head's Gram matrix, a whole-head block step calls none either; a
-block of head and tail rows calls none, nor ``problem.jacobian``; and each
-block iteration of a linear ``db-cnk`` solve calls ``lstsq`` once and
-``eigh`` never.  The LAPACK gufuncs that the GLM's block steps call in
-place of ``np.linalg.solve`` and ``np.linalg.inv`` are pinned against
-those functions byte for byte.
+Two more checks watch the files of ``numpy/linalg``: building a GLM calls
+none of them, and a block of head and tail rows calls none, nor
+``problem.jacobian``.  Per-record profiles pin that each block iteration
+of a linear ``db-cnk`` solve calls one numpy Python function, ``lstsq``,
+and so no ``eigh``, and that of a hybrid's head steps only the first calls
+``inv``, to build the inverse of the head's Gram matrix.  The LAPACK
+gufuncs that the GLM's block steps call in place of ``np.linalg.solve``
+and ``np.linalg.inv`` are pinned against those functions byte for byte.
 """
 
 import itertools
@@ -153,20 +153,6 @@ def test_building_a_glm_calls_no_linalg():
     assert calls == []
 
 
-def test_a_whole_head_step_after_the_first_iteration_calls_no_linalg():
-    # the first hybrid iteration builds the head's Gram inverse; every
-    # later whole-head block is one product with the inverse
-    glm, x0 = resolve_problem("glm:synthetic:200,10,8")
-    head = np.arange(glm.d)
-    _, first = linalg_calls(lambda: solve(glm, x0, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=1)))
-    assert "inv" in first
-    x = seeded_rng(5).standard_normal(glm.n)
-    rhs = glm.residual(x)[: glm.d]
-    step, calls = linalg_calls(lambda: glm.block_step(x, head, rhs))
-    assert step is not None
-    assert calls == []
-
-
 def test_a_mixed_block_step_calls_no_jacobian_and_no_linalg(monkeypatch):
     # a block of head and tail rows takes its Gram system from the head and
     # tail parts, through the LAPACK gufunc, with no Jacobian rows
@@ -209,35 +195,6 @@ SOLVE = solve.__code__
 
 
 NUMPY_DIR = os.path.dirname(os.path.abspath(np.__file__))
-
-
-def test_linear_block_iterations_call_one_lstsq_and_no_eigh():
-    # linear:300,40,2 db-cnk takes a block of two or more rows at every
-    # iteration, and each goes to least squares: one gelsd through
-    # np.linalg.lstsq, with no Gram eigendecomposition before it.  Watched
-    # as linalg_calls does, split at each record that solve appends
-    problem, x0 = resolve_problem("linear:300,40,2")
-    calls = [[]]
-
-    def profile(frame, event, arg):
-        if event == "call":
-            if frame.f_code is RECORD_APPEND and frame.f_back.f_code is SOLVE:
-                calls.append([])
-            elif os.path.dirname(os.path.abspath(frame.f_code.co_filename)) == LINALG_DIR:
-                calls[-1].append(frame.f_code.co_name)
-
-    previous = sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        trace = solve(problem, x0, SolverConfig(method=MethodKind.DB_CNK, seed=0))
-    finally:
-        sys.setprofile(previous)
-    # after its last record the solve only leaves its quiet scope, and the
-    # stopping record takes no step
-    assert calls.pop() == calls.pop() == []
-    sizes = [rec.set_size for rec in trace.records[:-1]]
-    assert len(sizes) > 20 and min(sizes) > 1
-    assert [(names.count("lstsq"), names.count("eigh")) for names in calls] == [(1, 0)] * len(sizes)
 
 
 def numpy_calls_per_record(selector, method, max_iter):
@@ -292,6 +249,38 @@ def calls_per_record(selector, method, max_iter):
         for count in counts
     ]
     return trace, kept
+
+
+def python_calls(count: Counter) -> Counter:
+    """The ``"py:"`` entries of a count: numpy's Python functions."""
+    return Counter({key: n for key, n in count.items() if key.startswith("py:")})
+
+
+# one gelsd through np.linalg.lstsq and its dispatcher
+LSTSQ = Counter({"py:lstsq": 1, "py:_lstsq_dispatcher": 1})
+
+
+def test_linear_block_iterations_call_one_lstsq_and_no_eigh():
+    # linear:300,40,2 db-cnk takes a block of two or more rows at every
+    # iteration, and each goes to least squares: every steady record calls
+    # np.linalg.lstsq once and no other numpy Python function, so no Gram
+    # eigendecomposition either, and the stopping record none
+    _, trace, counts = numpy_calls_per_record("linear:300,40,2", MethodKind.DB_CNK, max_iter=300)
+    sizes = trace.records.set_size[:-1]
+    assert len(sizes) > 20 and min(sizes) > 1
+    assert python_calls(counts[0])["py:lstsq"] == 1
+    assert [python_calls(count) for count in counts[1:-1]] == [LSTSQ] * (len(sizes) - 1)
+    assert python_calls(counts[-1]) == Counter()
+
+
+def test_only_the_first_hybrid_head_step_inverts_the_head_gram():
+    # the first head block builds the inverse of the head's Gram matrix;
+    # every later one is a product with it, so a later record's only numpy
+    # Python function is the putmask of each of its two margins
+    _, trace, counts = numpy_calls_per_record("glm:synthetic:200,10,8", MethodKind.GLM_HYBRID_DB, max_iter=60)
+    assert trace.total_iterations == 60
+    assert python_calls(counts[0])["py:inv"] == 1
+    assert [python_calls(count) for count in counts[1:-1]] == [Counter({"py:putmask": 2})] * 59
 
 
 # the Brown residual sums and multiplies x; a geometry sums f_i^2, the

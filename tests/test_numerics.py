@@ -14,15 +14,7 @@ from capped_kaczmarz.numerics import (
 )
 from capped_kaczmarz.problems import GLMProblem
 from capped_kaczmarz.solvers import hybrid_linear_substep, solve
-from oracles import glm_head
-
-
-def svd_pinv_solve(J, rhs):
-    """Independent oracle: explicit SVD pseudoinverse application."""
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    cutoff = max(J.shape) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
-    return Vt.T @ (inv * (U.T @ rhs))
+from oracles import glm_head, svd_pinv_solve
 
 
 class TestMinNormLeastSquares:
@@ -87,45 +79,49 @@ def lstsq_bytes(J, rhs):
     return np.linalg.lstsq(J, rhs, rcond=None)[0].tobytes()
 
 
-class TestLeastSquaresRouting:
+def repeated_row(rng):
+    J = rng.standard_normal((6, 30))
+    J[4] = J[1]
+    return J
+
+
+def gaussian(shape, scale=1.0):
+    return lambda rng: scale * rng.standard_normal(shape)
+
+
+# name -> (seed, the block drawn first from the seeded stream, the scale of
+# the rhs drawn after it).  A tiny block's J J^T is subnormal, a small one
+# with a large rhs has a step near the top of the range, and a huge
+# block's J J^T overflows; gelsd never forms J J^T
+LSTSQ_BLOCKS = {
+    "wide-ill-conditioned": (31, lambda rng: with_condition(8, 40, 1e6, rng), 1.0),
+    "repeated-row": (32, repeated_row, 1.0),
+    "square": (33, gaussian((12, 12)), 1.0),
+    "tall": (33, gaussian((30, 7)), 1.0),
+    "2k>n": (33, gaussian((7, 13)), 1.0),
+    "subnormal-gram": (34, gaussian((4, 20), 1e-155), 1.0),
+    "subnormal-gram-tiny-rhs": (34, gaussian((4, 20), 1e-160), 1e-170),
+    "large-step": (34, gaussian((4, 20), 1e-150), 1e10),
+    "overflowing-gram": (34, gaussian((4, 20), 1e155), 1.0),
+}
+
+
+class TestLeastSquaresIsOneLstsq:
     """Every block, whatever its shape, rank or scale, takes one
     ``numpy.linalg.lstsq`` and keeps its bytes; a GLM block that the
-    closed-form step declines reaches it with no eigendecomposition."""
+    closed-form step declines reaches it too."""
 
-    def test_wide_ill_conditioned_block_keeps_gelsd(self):
-        rng = seeded_rng(31)
-        J = with_condition(8, 40, 1e6, rng)
-        rhs = rng.standard_normal(8)
-        assert min_norm_least_squares(J, rhs).tobytes() == lstsq_bytes(J, rhs)
-
-    def test_wide_block_with_repeated_row_keeps_gelsd(self):
-        rng = seeded_rng(32)
-        J = rng.standard_normal((6, 30))
-        J[4] = J[1]
-        rhs = rng.standard_normal(6)
-        assert min_norm_least_squares(J, rhs).tobytes() == lstsq_bytes(J, rhs)
-
-    @pytest.mark.parametrize("shape", [(12, 12), (30, 7), (7, 13)], ids=["square", "tall", "2k>n"])
-    def test_square_tall_and_not_short_blocks_keep_gelsd(self, shape):
-        rng = seeded_rng(33)
-        J = rng.standard_normal(shape)
-        rhs = rng.standard_normal(shape[0])
-        assert min_norm_least_squares(J, rhs).tobytes() == lstsq_bytes(J, rhs)
-
-    @pytest.mark.parametrize("scale, rhs_scale", [(1e-155, 1.0), (1e-160, 1e-170), (1e-150, 1e10), (1e155, 1.0)])
-    def test_blocks_out_of_gram_range_keep_gelsd(self, scale, rhs_scale):
-        # a tiny block's J J^T is subnormal, a small one with a large rhs
-        # has a step near the top of the range, and a huge block's J J^T
-        # overflows; gelsd never forms J J^T, and its step is finite
-        rng = seeded_rng(34)
-        J = scale * rng.standard_normal((4, 20))
-        rhs = rhs_scale * rng.standard_normal(4)
-        with np.errstate(all="ignore"):
-            delta = min_norm_least_squares(J, rhs)
+    @pytest.mark.parametrize("block", LSTSQ_BLOCKS)
+    def test_the_step_is_lstsq_s_bit_for_bit(self, block):
+        seed, draw, rhs_scale = LSTSQ_BLOCKS[block]
+        rng = seeded_rng(seed)
+        J = draw(rng)
+        rhs = rhs_scale * rng.standard_normal(J.shape[0])
+        delta = min_norm_least_squares(J, rhs)
         assert delta.tobytes() == lstsq_bytes(J, rhs)
         assert np.isfinite(delta).all()
 
-    def test_nearly_collinear_head_falls_back_to_gelsd(self, monkeypatch):
+    def test_nearly_collinear_head_falls_back_to_gelsd(self):
         # unscaled libsvm-style features: one direction plus 1e-5 noise,
         # times 1e3, so cond(H H^T) is about 1e10
         rng = seeded_rng(21)
@@ -145,15 +141,8 @@ class TestLeastSquaresRouting:
         lstsq_step = np.linalg.lstsq(H, rhs, rcond=None)[0]
         assert hybrid_linear_substep(glm, x, r).tobytes() == (x - lstsq_step).tobytes()
         # in a hybrid solve each iteration offers the declined head again and
-        # sends it straight to gelsd, with no eigh, and every tail block here
-        # takes its closed-form step with no eigh either
-        calls = []
-        eigh = np.linalg.eigh
-
-        def counted(G):
-            calls.append(G.shape)
-            return eigh(G)
-
+        # sends it to gelsd, and every tail block here takes its closed-form
+        # step
         declined = []
         closed_form = glm.block_step
 
@@ -162,12 +151,10 @@ class TestLeastSquaresRouting:
             declined.append(step is None)
             return step
 
-        monkeypatch.setattr(np.linalg, "eigh", counted)
         glm.block_step = logged
         trace = solve(glm, x, SolverConfig(method=MethodKind.GLM_HYBRID_DB, seed=0, max_iter=5))
         assert trace.status is SolveStatus.ITERATION_CAP_REACHED
         assert declined == [True, False] * 5
-        assert calls == []
 
     @pytest.mark.parametrize("row", [12, 13])
     def test_zeroed_row_of_an_orthogonal_block_matches_the_svd_oracle(self, row):

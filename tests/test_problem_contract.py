@@ -1,10 +1,13 @@
-"""The contract of every problem's evaluations and ``block_step`` routes.
+"""The contract of every problem's evaluations, ``block_step`` routes and
+recorded steps.
 
-``PROBLEMS`` is the one registry.  Each check below is written once and
-runs on every problem in it, and each route check on every route of a
-problem's ``block_step`` hook.  A problem with a hook lists it as a
-:class:`Hook`, whose routes are generators of row sets; a new hook joins by
-adding its problems with a ``Hook`` of its own.
+``PROBLEMS`` is the suite's one problem registry.  Each check below is
+written once and runs on every problem in it (the memo, the gradients, the
+row norms among them), and each route check on every route of a problem's
+``block_step`` hook.  A problem with a hook lists it as a :class:`Hook`,
+whose routes are generators of row sets; a new hook joins by adding its
+problems with a ``Hook`` of its own.  The replay rebuilds each recorded set
+and step of every greedy method from the recorded iterates.
 """
 
 import contextlib
@@ -14,19 +17,23 @@ from typing import Callable
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.bench import resolve_problem
 from capped_kaczmarz.core import HYBRID_KINDS, IterateMemo, MethodKind, SolveStatus, SolverConfig
 from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
-from capped_kaczmarz.problems import GLMProblem, make_synthetic_glm
-from capped_kaczmarz.selection import SelectionResult
-from capped_kaczmarz.solvers import block_projection, kaczmarz_step, solve
-from oracles import glm_head
+from capped_kaczmarz.problems import GLMProblem, LinearProblem, make_synthetic_glm, synthetic_dataset
+from capped_kaczmarz.selection import RowGeometry, SelectionResult
+from capped_kaczmarz.solvers import block_projection, greedy_selection, kaczmarz_step, solve
+from oracles import central_differences, glm_head
 
 HYBRIDS = tuple(sorted(HYBRID_KINDS, key=lambda kind: kind.value))
 BLOCKS = (MethodKind.DB_CNK, MethodKind.RB_CNK)
 ALL = BLOCKS + HYBRIDS
+SINGLE_ROW = (MethodKind.DR_CNK, MethodKind.RD_CNK)
+GREEDY = SINGLE_ROW + BLOCKS
 
 
 @dataclass(frozen=True)
@@ -189,8 +196,6 @@ PROBLEMS = {
     "glm:synthetic:4,4,2": GLM,
 }
 HOOKED = [selector for selector, hook in PROBLEMS.items() if hook]
-# the cells whose solves are replayed
-REPLAYED = ["glm:synthetic:60,6,3", "glm:synthetic:200,10,8"]
 # the row sets each route check draws, from seeded_rng(0 .. DRAWS - 1)
 DRAWS = 6
 
@@ -198,6 +203,14 @@ DRAWS = 6
 def problem_at(selector):
     return resolve_problem(selector)[0]
 
+
+# the cells whose solves are replayed, each with every greedy method that
+# applies: the hybrids need head rows
+REPLAYED = [
+    pytest.param(selector, method, id=f"{selector}-{method.value}")
+    for selector in ("brown:7", "brown:50", "linear:9,4,14", "glm:synthetic:60,6,3", "glm:synthetic:200,10,8")
+    for method in GREEDY + (HYBRIDS if problem_at(selector).d else ())
+]
 
 ROUTED = [
     pytest.param(selector, name, id=f"{selector}-{name}")
@@ -211,11 +224,11 @@ def draws(problem, route):
     return [route.draw(problem, seeded_rng(seed)) for seed in range(DRAWS)]
 
 
-def starts(problem, rng):
-    """The zero start and random points of growing size; at 30 most GLM
-    margins exceed 40 in magnitude, where a margin that rounds differently
-    from the full matvec shows in the last bits."""
-    scales = np.repeat((0.1, 1.0, 5.0, 30.0), 3)
+def starts(problem, rng, per_scale=3):
+    """The zero start and ``per_scale`` random points of each growing size;
+    at 30 most GLM margins exceed 40 in magnitude, where a margin that
+    rounds differently from the full matvec shows in the last bits."""
+    scales = np.repeat((0.1, 1.0, 5.0, 30.0), per_scale)
     return [np.zeros(problem.n)] + [scale * rng.standard_normal(problem.n) for scale in scales]
 
 
@@ -247,17 +260,109 @@ def index_sets(problem, rng) -> list[np.ndarray]:
     ]
 
 
+EVALUATIONS = ("residual", "norms", "jacobian", "rows", "row_grad")
+
+
+def evaluate(problem, what: str, x: np.ndarray, rows: np.ndarray, i: int, memo=None) -> np.ndarray:
+    if what == "residual":
+        return problem.residual(x, memo)
+    if what == "norms":
+        return problem.row_sq_norms_at(x, memo)
+    if what == "jacobian":
+        return problem.jacobian(x, None, memo)
+    if what == "rows":
+        return problem.jacobian(x, rows, memo)
+    return problem.row_grad(i, x, memo)
+
+
+def assert_same_bytes(got: np.ndarray, want: np.ndarray, what: str) -> None:
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), what
+
+
+@st.composite
+def memo_cases(draw, problem):
+    """Two iterate seeds, a scale, rows in any order with repeats, a row for
+    ``row_grad`` and an order of the evaluations.  The head rows are ``:d``,
+    or on a problem with none every row but the last (Brown's product row)."""
+    m, d = problem.m, problem.d or problem.m - 1
+    # any order, repeats allowed; the explicit pair puts a head and a tail
+    # row in every set
+    rows = draw(st.lists(st.integers(0, m - 1), min_size=0, max_size=2 * m))
+    rows = np.array(rows + [draw(st.integers(0, d - 1)), draw(st.integers(d, m - 1))], dtype=np.intp)
+    rows = rows[draw(st.permutations(range(rows.size)))]
+    return {
+        "seeds": draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True)),
+        "scale": draw(st.sampled_from((0.1, 1.0, 5.0, 30.0))),
+        "rows": rows,
+        "i": draw(st.sampled_from((0, d - 1, d, m - 1, draw(st.integers(0, m - 1))))),
+        "order": draw(st.permutations(EVALUATIONS)),
+    }
+
+
+@pytest.mark.parametrize("selector", PROBLEMS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_memo_gives_the_memo_free_bytes(selector, data):
+    problem = problem_at(selector)
+    case = data.draw(memo_cases(problem))
+    x, y = (case["scale"] * seeded_rng(seed).standard_normal(problem.n) for seed in case["seeds"])
+    rows, i = case["rows"], case["i"]
+    memo = IterateMemo()
+    for what in case["order"]:
+        assert_same_bytes(evaluate(problem, what, x, rows, i, memo), evaluate(problem, what, x, rows, i), what)
+    # asked twice at the same iterate, the memo still gives the same bytes
+    for what in case["order"]:
+        assert_same_bytes(evaluate(problem, what, x, rows, i, memo), evaluate(problem, what, x, rows, i), what)
+    # a memo filled at x, handed another array, gives that array's values:
+    # first a different iterate, then a copy of x and x itself again
+    for other in (y, x.copy(), x):
+        for what in reversed(case["order"]):
+            assert_same_bytes(
+                evaluate(problem, what, other, rows, i, memo), evaluate(problem, what, other, rows, i), what
+            )
+
+
+# (rtol, atol) of the central differences, by the kind of problem
+DIFFERENCE_TOLERANCE = {
+    "brown": (1e-6, 1e-8),
+    "linear": (1e-6, 1e-8),
+    "glm": (1e-5, 1e-7),
+}
+
+
+@pytest.mark.parametrize("selector", PROBLEMS)
+def test_jacobian_matches_central_differences(selector):
+    problem = problem_at(selector)
+    rtol, atol = DIFFERENCE_TOLERANCE[selector.split(":")[0]]
+    for x in starts(problem, seeded_rng(15)):
+        assert np.allclose(problem.jacobian(x), central_differences(problem, x), rtol=rtol, atol=atol), x
+
+
+@pytest.mark.parametrize("selector", PROBLEMS)
+def test_row_norms_are_the_jacobian_row_sums(selector):
+    # bit for bit on every row of a problem without head rows and on the
+    # GLM head rows; a GLM tail norm, 1 + c^2 ||a_s||^2, rounds differently
+    # from summing the built row's squares, by a few units in the last
+    # place at most
+    problem = problem_at(selector)
+    exact = problem.d or problem.m
+    for x in starts(problem, seeded_rng(16), per_scale=10):
+        J = problem.jacobian(x)
+        from_rows = np.einsum("ij,ij->i", J, J)
+        norms = problem.row_sq_norms_at(x)
+        assert norms[:exact].tobytes() == from_rows[:exact].tobytes()
+        assert np.all(np.abs(norms - from_rows) <= 1e-15 * from_rows)
+
+
 def assert_row_grad_is_the_jacobian_row(problem, x):
     """``row_grad(i, x)`` is ``jacobian(x, [i])[0]`` and ``jacobian(x)[i]``
-    bit for bit, without a memo and with one, in either call order."""
+    bit for bit (with a memo, the memo check gives the same bytes)."""
     full = problem.jacobian(x)
     for i in range(problem.m):
         want = full[i].tobytes()
         assert problem.row_grad(i, x).tobytes() == problem.jacobian(x, [i])[0].tobytes() == want, (i, x)
-        memo = IterateMemo()
-        assert problem.row_grad(i, x, memo).tobytes() == problem.jacobian(x, [i], memo)[0].tobytes() == want, (i, x)
-        memo = IterateMemo()
-        assert problem.jacobian(x, [i], memo)[0].tobytes() == problem.row_grad(i, x, memo).tobytes() == want, (i, x)
 
 
 @pytest.mark.parametrize("selector", PROBLEMS)
@@ -374,44 +479,88 @@ def test_no_evaluation_hands_out_a_writable_alias(selector):
     assert [a.tobytes() for a in evaluations(problem, hook, x)] == before
 
 
-def replay(problem, hook, method, x, selected):
-    """The iterate after a solve's step from ``x`` onto ``selected``, through
-    ``block_step`` on every block, and the routes those blocks took.  A
-    hybrid first steps onto its head, given as ``head_rows`` and as a fresh
-    ``arange(d)``, which must give the same bytes."""
+def test_a_write_into_the_caller_s_arrays_changes_no_evaluation():
+    # a problem keeps read-only copies of the arrays it is built from
+    dataset = synthetic_dataset(60, 6, 3)
+    A, b = np.eye(2), np.ones(2)
+    samples, labels = dataset.to_dense(), dataset.labels.copy()
+    built = [(LinearProblem(A, b), None), (GLMProblem(samples, labels), GLM)]
+    xs = [seeded_rng(19).standard_normal(problem.n) for problem, _ in built]
+    before = [[a.tobytes() for a in evaluations(problem, hook, x)] for (problem, hook), x in zip(built, xs)]
+    A[0, 0] = 3.0
+    b[1] = 5.0
+    samples[0, 0] += 1.0
+    labels *= -1.0
+    after = [[a.tobytes() for a in evaluations(problem, hook, x)] for (problem, hook), x in zip(built, xs)]
+    assert after == before
+    (linear, _), (glm, _) = built
+    for kept in (linear.A, linear.b, glm.A, glm.y):
+        with pytest.raises(ValueError):
+            kept[0] = 7.0
+
+
+def replay(problem, hook, method, mode, x, rec):
+    """The iterate after a solve's step from ``x``, checked against record
+    ``rec``, and the routes its blocks took.  A hybrid first steps onto its
+    head, given as ``head_rows`` and as a fresh ``arange(d)``, which must
+    give the same bytes, and selects among its tail rows at the post-head
+    iterate, where a tail that is exactly solved records no row.  A block
+    method records the whole replayed set, a single-row method its size and
+    the drawn row, a member.  One row takes its projection, a block the
+    hook's step on a hooked problem and least squares on any other."""
     routes = []
+    lo = 0
     if method in HYBRID_KINDS:
         heads = (problem.head_rows, np.arange(problem.d))
         steps = [problem.block_step(x, rows, problem.residual(x)[: problem.d]) for rows in heads]
         assert steps[0].tobytes() == steps[1].tobytes()
         x = x - steps[0]
         routes += [hook.route_of(problem, rows) for rows in heads]
+        lo = problem.d
     r = problem.residual(x)
-    if len(selected) == 1:
-        return kaczmarz_step(x, r[selected[0]], problem.row_grad(selected[0], x)), routes
-    if selected:
-        rows = np.array(selected, dtype=np.intp)
+    g = RowGeometry.from_state(r[lo:], problem.row_sq_norms_at(x)[lo:])
+    if g.residual_sq == 0.0:
+        assert (rec.selected, rec.set_size) == ((), 0), rec.k
+        return x, routes
+    chosen = greedy_selection(g, method, mode).indices + lo
+    assert rec.set_size == len(chosen), rec.k
+    if method in SINGLE_ROW:
+        (drawn,) = rec.selected
+        assert drawn in chosen, rec.k
+    else:
+        assert rec.selected == tuple(chosen.tolist()), rec.k
+    if len(rec.selected) == 1:
+        (i,) = rec.selected
+        return kaczmarz_step(x, r[i], problem.row_grad(i, x)), routes
+    rows = np.array(rec.selected, dtype=np.intp)
+    if hook:
         routes.append(hook.route_of(problem, rows))
         step = problem.block_step(x, rows, r[rows])
-        assert step is not None, selected
-        x = x - step
-    return x, routes
+        assert step is not None, rec.k
+    else:
+        step = min_norm_least_squares(problem.jacobian(x, rows), r[rows])
+    return x - step, routes
 
 
-@pytest.mark.parametrize("method", ALL, ids=lambda method: method.value)
-@pytest.mark.parametrize("selector", REPLAYED)
+@pytest.mark.parametrize("selector, method", REPLAYED)
 def test_replayed_steps_are_the_solve_steps(selector, method):
-    # every step replays bit for bit, and every route that lists the
-    # method is taken
+    # every record's ||f||^2, set and step replay bit for bit, and every
+    # route that lists the method is taken
     problem, x0 = resolve_problem(selector)
     hook = PROBLEMS[selector]
-    trace = solve(problem, x0, SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True))
+    config = SolverConfig(method=method, seed=0, max_iter=300, record_iterates=True)
+    trace = solve(problem, x0, config)
+    assert len(trace.iterates) == len(trace.records)
+    for rec, x in zip(trace.records, trace.iterates):
+        r = problem.residual(x)
+        assert rec.residual_sq == float(r.dot(r)), rec.k
     taken = set()
     for rec, x, x_next in zip(trace.records, trace.iterates, trace.iterates[1:]):
-        stepped, routes = replay(problem, hook, method, x, rec.selected)
+        stepped, routes = replay(problem, hook, method, config.threshold, x, rec)
         assert stepped.tobytes() == x_next.tobytes(), rec.k
         taken.update(routes)
-    assert taken >= {name for name, route in hook.routes.items() if method in route.methods}
+    if hook:
+        assert taken >= {name for name, route in hook.routes.items() if method in route.methods}
 
 
 @pytest.mark.parametrize("selector, route", ROUTED)
