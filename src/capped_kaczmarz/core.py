@@ -94,9 +94,13 @@ class IterateMemo:
 class ProblemInstance:
     """A square or rectangular nonlinear system ``f(x) = 0``.
 
-    Concrete problems subclass this and provide ``residual``, ``row_grad``
-    and ``jacobian`` (whole, or a subset of its rows); ``block_step`` is an
-    optional hook for blocks whose minimum-norm step has a closed form.
+    Concrete problems subclass this and provide ``residual`` and
+    ``row_grad``.  ``jacobian`` (whole, or a subset of its rows),
+    ``row_sq_norms_at`` and ``block_step`` have defaults built on them; a
+    problem overrides one where it has structure to use (``LinearProblem``
+    hands out its stored matrix, and ``block_step`` is the hook for blocks
+    whose minimum-norm step has a closed form).  ``row_grad`` must not call
+    ``jacobian`` unless ``jacobian`` is overridden, or the two recurse.
     Evaluation must be read-only so several solves can share one instance;
     each solve owns its own iterate, PRNG and trace.  The one exception is a
     cache of the problem's own data that an evaluation may build lazily, once,
@@ -148,8 +152,18 @@ class ProblemInstance:
     def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
         """The m x n Jacobian at ``x``, or with ``rows`` (integer indices in
         ``[0, m)``, any order, repeats allowed) only those rows: bit for bit
-        ``jacobian(x)[rows]``, without building the others."""
-        raise NotImplementedError
+        ``jacobian(x)[rows]``, without building the others.
+
+        Default stacks ``row_grad(i, x, memo)`` one row at a time, so each
+        row is stated once and checked there.  Without a memo the rows share
+        a fresh one, so what they derive from ``x`` is computed once."""
+        rows = range(self.m) if rows is None else np.asarray(rows).tolist()
+        if memo is None:
+            memo = IterateMemo()
+        J = np.empty((len(rows), self.n))
+        for k, i in enumerate(rows):
+            J[k] = self.row_grad(i, x, memo)
+        return J
 
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         """Squared gradient norm of every row at ``x``.

@@ -78,11 +78,11 @@ def _check_row(i: int, m: int) -> None:
     ``operator.index``.  A Python int, as ``solve`` passes, skips both."""
     if type(i) is not int:
         if isinstance(i, bool):
-            raise IndexError(f"Jacobian row {i!r} is a boolean, not an integer")
+            raise IndexError(f"row indices must be integers, not the boolean {i!r}")
         try:
             i = operator.index(i)
         except TypeError:
-            raise IndexError(f"Jacobian row {i!r} is not an integer") from None
+            raise IndexError(f"row indices must be integers, not {i!r}") from None
     if not 0 <= i < m:
         raise IndexError(f"Jacobian row {i} is not in [0, {m})")
 
@@ -107,6 +107,7 @@ class BrownProblem(ProblemInstance):
         self.n = n
         self.m = n
         self.known_root = np.ones(n)
+        self.known_root.setflags(write=False)
         template = np.ones((n, n))
         idx = np.arange(n - 1)
         template[idx, idx] = 2.0
@@ -138,14 +139,6 @@ class BrownProblem(ProblemInstance):
             return self._jac_template[i]
         return self._products(x, memo)
 
-    def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        rows = _index_rows(rows, self.m)
-        J = self._jac_template[rows]
-        product = rows == self.n - 1
-        if np.logical_or.reduce(product):
-            J[product] = self._products(x, memo)
-        return J
-
     def row_sq_norms_at(self, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
         norms = self._norms_template.copy()
         products = self._products(x, memo)
@@ -155,7 +148,8 @@ class BrownProblem(ProblemInstance):
 
 class LinearProblem(ProblemInstance):
     """Affine system ``f(x) = Ax - b`` (constant Jacobian ``A``); a
-    non-finite entry of ``A`` or ``b`` is refused with ``DimensionMismatch``."""
+    non-finite entry of ``A``, ``b`` or ``known_root``, or a root that is not
+    of shape ``(n,)``, is refused with ``DimensionMismatch``."""
 
     def __init__(self, A: np.ndarray, b: np.ndarray, known_root: np.ndarray | None = None):
         # copies, in A's own layout, so a caller's later write reaches no
@@ -172,7 +166,12 @@ class LinearProblem(ProblemInstance):
         self.A = A
         self.b = b
         self.m, self.n = A.shape
-        self.known_root = None if known_root is None else np.asarray(known_root, dtype=float)
+        if known_root is not None:
+            known_root = np.array(known_root, dtype=float)
+            if known_root.shape != (self.n,) or not np.logical_and.reduce(np.isfinite(known_root)):
+                raise DimensionMismatch(f"known_root must be {self.n} finite entries, got shape {known_root.shape}")
+            known_root.setflags(write=False)
+        self.known_root = known_root
         self._row_norms = np.einsum("ij,ij->i", A, A)
         self._row_norms.setflags(write=False)
 
@@ -333,7 +332,6 @@ class GLMProblem(ProblemInstance):
         return out
 
     def row_grad(self, i: int, x: np.ndarray, memo: IterateMemo | None = None) -> np.ndarray:
-        """Row ``i`` of the Jacobian, bit for bit ``jacobian(x, [i], memo)[0]``."""
         _check_row(i, self.m)
         if i < self.d:
             return self._head_jac[i]
@@ -342,20 +340,6 @@ class GLMProblem(ProblemInstance):
         grad[s] = 1.0
         grad[self.p:] = self._margin_at(x, memo)[1][s] * self._samples[s]
         return grad
-
-    def jacobian(self, x: np.ndarray, rows=None, memo: IterateMemo | None = None) -> np.ndarray:
-        rows = _index_rows(rows, self.m)
-        c = self._margin_at(x, memo)[1]
-        J = np.zeros((rows.size, self.n))
-        s = rows - self.d
-        tail = s >= 0
-        (head,) = (~tail).nonzero()
-        J[head] = self._head_jac.take(rows.take(head), axis=0)
-        (at,) = tail.nonzero()
-        s = s.take(at)
-        J[at, s] = 1.0
-        J[at, self.p:] = c.take(s)[:, None] * self._samples.take(s, axis=0)
-        return J
 
     def block_step(
         self, x: np.ndarray, rows, rhs: np.ndarray, memo: IterateMemo | None = None

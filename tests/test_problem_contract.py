@@ -23,8 +23,9 @@ from hypothesis import strategies as st
 import capped_kaczmarz.solvers as solvers_mod
 from capped_kaczmarz.bench import resolve_problem
 from capped_kaczmarz.core import HYBRID_KINDS, IterateMemo, MethodKind, SolveStatus, SolverConfig
+from capped_kaczmarz.errors import DimensionMismatch
 from capped_kaczmarz.numerics import min_norm_least_squares, seeded_rng
-from capped_kaczmarz.problems import GLMProblem, LinearProblem, make_synthetic_glm, synthetic_dataset
+from capped_kaczmarz.problems import BrownProblem, GLMProblem, LinearProblem, make_synthetic_glm, synthetic_dataset
 from capped_kaczmarz.selection import RowGeometry, SelectionResult
 from capped_kaczmarz.solvers import block_projection, greedy_selection, kaczmarz_step, solve
 from oracles import central_differences, glm_head
@@ -480,23 +481,33 @@ def test_no_evaluation_hands_out_a_writable_alias(selector):
 
 
 def test_a_write_into_the_caller_s_arrays_changes_no_evaluation():
-    # a problem keeps read-only copies of the arrays it is built from
+    # a problem keeps read-only copies of the arrays it is built from, its
+    # known root included, which a solve's error column reads
     dataset = synthetic_dataset(60, 6, 3)
-    A, b = np.eye(2), np.ones(2)
+    A, b, root = np.eye(2), np.ones(2), np.array([1.0, 2.0])
     samples, labels = dataset.to_dense(), dataset.labels.copy()
     built = [(LinearProblem(A, b), None), (GLMProblem(samples, labels), GLM)]
+    rooted = LinearProblem(np.eye(2), root.copy(), known_root=root)
+    config = SolverConfig(method="nrk", record_error=True)
     xs = [seeded_rng(19).standard_normal(problem.n) for problem, _ in built]
     before = [[a.tobytes() for a in evaluations(problem, hook, x)] for (problem, hook), x in zip(built, xs)]
+    errors = solve(rooted, np.zeros(2), config).records.error_sq.tolist()
     A[0, 0] = 3.0
     b[1] = 5.0
+    root[0] = 5.0
     samples[0, 0] += 1.0
     labels *= -1.0
     after = [[a.tobytes() for a in evaluations(problem, hook, x)] for (problem, hook), x in zip(built, xs)]
     assert after == before
+    assert solve(rooted, np.zeros(2), config).records.error_sq.tolist() == errors
     (linear, _), (glm, _) = built
-    for kept in (linear.A, linear.b, glm.A, glm.y):
+    for kept in (linear.A, linear.b, glm.A, glm.y, rooted.known_root, BrownProblem(4).known_root):
         with pytest.raises(ValueError):
             kept[0] = 7.0
+    # a root is n finite entries, neither broadcast nor left to fail in a solve
+    for root in ([1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [np.nan, 2.0], [1.0, np.inf]):
+        with pytest.raises(DimensionMismatch):
+            LinearProblem(np.eye(2), np.ones(2), known_root=root)
 
 
 def replay(problem, hook, method, mode, x, rec):

@@ -337,6 +337,50 @@ class TestBlockStepHook:
         assert max(rec.set_size for rec in trace.records) >= 2
         assert np.allclose(trace.final_x, problem.known_root, atol=1e-6)
 
+
+class RowsOnlyQuadratic(ProblemInstance):
+    """:class:`Quadratic2D`'s system stated row by row: it defines only
+    ``residual`` and ``row_grad``, so ``jacobian``, ``row_sq_norms_at`` and
+    ``block_step`` are the base class's."""
+
+    m, n, known_root = Quadratic2D.m, Quadratic2D.n, Quadratic2D.known_root
+    residual = Quadratic2D.residual
+
+    def row_grad(self, i, x, memo=None):
+        return (np.array([2.0 * x[0], 0.0]), np.array([0.0, 2.0 * x[1]]), np.array([x[1], x[0]]))[i]
+
+
+class TestRowsOnlyProblem:
+    """A problem that states its rows once, in ``row_grad``, solves by every
+    route through the base class's defaults."""
+
+    @pytest.mark.parametrize("method", [MethodKind.DB_CNK, MethodKind.RB_CNK, MethodKind.DR_CNK])
+    def test_it_converges_through_the_defaults(self, monkeypatch, method):
+        blocks = []
+
+        def least_squares(J, rhs):
+            blocks.append(J.shape[0])
+            return min_norm_least_squares(J, rhs)
+
+        monkeypatch.setattr(solvers_mod, "min_norm_least_squares", least_squares)
+        problem = RowsOnlyQuadratic()
+        trace = solve(problem, np.array([2.0, 3.0]), SolverConfig(method=method, seed=0, max_iter=100))
+        # converged is ||f||^2 < 1e-6, so about 1e-4 from the root
+        assert trace.status is SolveStatus.CONVERGED
+        assert np.allclose(trace.final_x, problem.known_root, atol=1e-3)
+        # a block method took least squares on the default Jacobian's rows
+        assert (max(blocks, default=0) >= 2) == (method is not MethodKind.DR_CNK)
+
+    def test_jacobian_rows_are_the_stacked_row_grads(self):
+        problem = RowsOnlyQuadratic()
+        for x in (np.zeros(2), np.array([2.0, 3.0]), seeded_rng(21).standard_normal(2)):
+            stacked = np.array([problem.row_grad(i, x) for i in range(problem.m)])
+            assert problem.jacobian(x).tobytes() == stacked.tobytes()
+            for rows in ([2, 0], np.array([1, 1, 2]), np.array([], dtype=np.intp)):
+                assert problem.jacobian(x, rows).tobytes() == stacked[rows].tobytes(), rows
+            assert problem.row_sq_norms_at(x).tobytes() == np.einsum("ij,ij->i", stacked, stacked).tobytes()
+
+
 def brown_product_projection_floor(n):
     """Lower bound on ||f||^2 after projecting the Brown start 0.5 * ones onto
     the product row alone: every coordinate moves past 2^(n-1) / n, so the
